@@ -31,7 +31,6 @@ from .corpus import (
 from .tagger import load_checkpoint, predict_labels, save_checkpoint
 from .training import (
     ABLATIONS,
-    MODEL_ORDER,
     ScdlConfig,
     TrainingDiverged,
     pretrain,
@@ -164,8 +163,6 @@ def _load_config(args) -> ScdlConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "parallel", False):
-        overrides["parallel"] = True
     ablate = getattr(args, "ablate", None)
     if ablate:
         overrides["ablations"] = frozenset(ablate)
@@ -213,9 +210,7 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
 
     def on_epoch(epoch: int, state) -> None:
         epochs_seen.append(epoch)
-        for name in MODEL_ORDER:
-            pair = state.pair1 if name.endswith("1") else state.pair2
-            params = pair.teacher if name.startswith("teacher") else pair.student
+        for name, params in state.models().items():
             save_checkpoint(params, ckpt_dir / f"{name}_epoch{epoch}.ckpt")
 
     result = train(config, train_corpus, dev_corpus, vocab, epoch_callback=on_epoch)
@@ -373,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--ablate", action="append", choices=ABLATIONS, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -396,15 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", required=True, help="comma-separated noise percentages")
     p.add_argument("--seeds", required=True, help="comma-separated run seeds")
     p.add_argument("--out", required=True)
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad usage; 2 means divergence here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except TrainingDiverged as exc:

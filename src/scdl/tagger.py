@@ -148,26 +148,6 @@ def _backprop(params, ctx, x, h, dlogits, grad):
     np.add.at(grad.embedding, ctx.reshape(-1), dx.reshape(-1, dx.shape[2]))
 
 
-def _masked_soft_ce(params, sentences, targets, masks, normalize_by_selected):
-    total_tokens = sum(len(s) for s in sentences)
-    selected = sum(int(m.sum()) for m in masks)
-    grad = zeros_like(params)
-    if selected == 0:
-        return 0.0, grad, 0
-    z = selected if normalize_by_selected else total_tokens
-    loss = 0.0
-    for sentence, target, m in zip(sentences, targets, masks):
-        if len(sentence) == 0:
-            continue
-        ctx, x, h, probs = _forward_cache(params, sentence.tokens)
-        mcol = m.astype(np.float64)[:, None]
-        loss -= float((mcol * target * np.log(probs)).sum())
-        dlogits = mcol * (probs - target)
-        dlogits /= z
-        _backprop(params, ctx, x, h, dlogits, grad)
-    return loss / z, grad, selected
-
-
 def _one_hot(tags, num_tags) -> np.ndarray:
     out = np.zeros((len(tags), num_tags))
     out[np.arange(len(tags)), tags] = 1.0
@@ -176,14 +156,9 @@ def _one_hot(tags, num_tags) -> np.ndarray:
 
 def loss_hard(params: TaggerParams, sentences, track: str):
     """Mean token-level cross entropy on the chosen track, with gradient."""
-    if not sentences:
-        raise ValueError("empty batch")
-    targets = [
-        _one_hot(s.track(track), params.config.num_tags) for s in sentences
-    ]
+    targets = [_one_hot(s.track(track), params.config.num_tags) for s in sentences]
     masks = [np.ones(len(s), dtype=bool) for s in sentences]
-    loss, grad, _ = _masked_soft_ce(params, sentences, targets, masks, False)
-    return loss, grad
+    return loss_soft(params, sentences, targets, masks)
 
 
 def loss_soft(
@@ -195,29 +170,35 @@ def loss_soft(
 ):
     """Soft-label cross entropy over the selected tokens only.
 
-    `masks` holds one boolean vector (or index collection) per sentence;
-    unselected tokens contribute nothing to loss or gradient. With no
-    token selected the result is (0, zero gradient).
+    `masks` holds one boolean vector per sentence; unselected tokens
+    contribute nothing to loss or gradient. The loss is divided by the
+    number of tokens in the batch, or of selected tokens with
+    `normalize_by_selected`. With no token selected the result is
+    (0, zero gradient).
     """
     if not sentences:
         raise ValueError("empty batch")
-    bool_masks = []
     for sentence, m in zip(sentences, masks):
-        if isinstance(m, np.ndarray) and m.dtype == bool:
-            if len(m) != len(sentence):
-                raise ValueError("mask length differs from sentence length")
-            bool_masks.append(m)
-        else:
-            bm = np.zeros(len(sentence), dtype=bool)
-            idx = sorted(m)
-            if idx and (idx[0] < 0 or idx[-1] >= len(sentence)):
-                raise ValueError("mask index out of range")
-            bm[idx] = True
-            bool_masks.append(bm)
-    loss, grad, _ = _masked_soft_ce(
-        params, sentences, teacher_dists, bool_masks, normalize_by_selected
-    )
-    return loss, grad
+        if not (isinstance(m, np.ndarray) and m.dtype == bool):
+            raise ValueError("mask must be a boolean array")
+        if len(m) != len(sentence):
+            raise ValueError("mask length differs from sentence length")
+    selected = sum(int(m.sum()) for m in masks)
+    grad = zeros_like(params)
+    if selected == 0:
+        return 0.0, grad
+    z = selected if normalize_by_selected else sum(len(s) for s in sentences)
+    loss = 0.0
+    for sentence, target, m in zip(sentences, teacher_dists, masks):
+        if len(sentence) == 0:
+            continue
+        ctx, x, h, probs = _forward_cache(params, sentence.tokens)
+        mcol = m.astype(np.float64)[:, None]
+        loss -= float((mcol * target * np.log(probs)).sum())
+        dlogits = mcol * (probs - target)
+        dlogits /= z
+        _backprop(params, ctx, x, h, dlogits, grad)
+    return loss / z, grad
 
 
 def sgd_step(params: TaggerParams, grad: TaggerParams, lr: float) -> TaggerParams:
@@ -266,12 +247,20 @@ def load_checkpoint(path) -> TaggerParams:
         magic = fh.readline().decode("utf-8").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a tagger checkpoint: {magic!r}")
-        config = TaggerConfig(**json.loads(fh.readline().decode("utf-8")))
-        template = zeros_like(init_params(config))
+        header = json.loads(fh.readline().decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
+        try:
+            config = TaggerConfig(**header)
+            template = zeros_like(init_params(config))
+        except TypeError as exc:
+            raise ValueError(f"bad checkpoint header: {exc}") from None
         blocks = []
         for block in template.blocks():
             raw = fh.read(block.size * 8)
             if len(raw) != block.size * 8:
                 raise ValueError("truncated checkpoint")
             blocks.append(np.frombuffer(raw, dtype="<f8").reshape(block.shape).copy())
+        if fh.read(1):
+            raise ValueError("trailing bytes after checkpoint data")
     return TaggerParams(config, *blocks)

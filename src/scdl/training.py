@@ -8,7 +8,6 @@ track; every `update_cycle` steps the teachers rewrite each other's track.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,6 +32,8 @@ from .tagger import (
 ABLATIONS = ("no_consistency", "no_confidence", "single_network", "no_teachers", "hard_labels")
 
 MODEL_ORDER = ("teacher1", "student1", "teacher2", "student2")
+
+TRACKS = ("noisy_i", "noisy_ii")  # network k trains on TRACKS[k - 1]
 
 
 class TrainingDiverged(RuntimeError):
@@ -64,7 +65,6 @@ class ScdlConfig:
     normalize_by_selected: bool = False
     cycle_counts_pretrain: bool = False
     warmup_steps: int = 0
-    parallel: bool = False
     ablations: frozenset = frozenset()
 
     def __post_init__(self):
@@ -149,6 +149,15 @@ class TrainState:
     sentences: list[AnnotatedSentence]
     step: int = 0
 
+    def models(self) -> dict[str, TaggerParams]:
+        """The four models by name, in MODEL_ORDER."""
+        return dict(
+            zip(
+                MODEL_ORDER,
+                (self.pair1.teacher, self.pair1.student, self.pair2.teacher, self.pair2.student),
+            )
+        )
+
 
 @dataclass
 class TrainResult:
@@ -194,19 +203,22 @@ def pretrain(
         raise ValueError("empty corpus")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    cfg1, cfg2 = config.tagger_configs(vocab.size)
-    p1, p2 = init_params(cfg1), init_params(cfg2)
+    params = [init_params(c) for c in config.tagger_configs(vocab.size)]
     for epoch in range(config.pretrain_epochs):
         order = rng.permutation(len(corpus))
         for batch_idx in _batches(order, config.batch_size):
             batch = [corpus[i] for i in batch_idx]
-            loss1, g1 = loss_hard(p1, batch, "noisy_i")
-            _check_finite(loss1, f"pretrain epoch {epoch} (network 1)")
-            p1 = sgd_step(p1, g1, config.gamma)
-            loss2, g2 = loss_hard(p2, batch, "noisy_ii")
-            _check_finite(loss2, f"pretrain epoch {epoch} (network 2)")
-            p2 = sgd_step(p2, g2, config.gamma)
-    return p1, p2
+            for k, track in enumerate(TRACKS):
+                loss, grad = loss_hard(params[k], batch, track)
+                _check_finite(loss, f"pretrain epoch {epoch} (network {k + 1})")
+                params[k] = sgd_step(params[k], grad, config.gamma)
+    return tuple(params)
+
+
+def _index_mask(indices, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(indices)] = True
+    return mask
 
 
 def self_denoise_step(
@@ -220,11 +232,14 @@ def self_denoise_step(
 ) -> tuple[TeacherStudentPair, MaskStats]:
     """One inner-loop step: select tokens, update student, EMA the teacher.
 
-    The teacher predicts on clean input; with student_word_dropout > 0 the
-    student is trained on a copy with random tokens blanked out, which
-    keeps student and teacher predictions apart (a deterministic forward
-    would otherwise sit at a zero-gradient fixed point once they agree).
-    When nothing is selected, both models are left untouched.
+    The teacher predicts on clean input. While teacher and student are
+    equal, soft targets are the student's own output and the gradient is
+    exactly zero. Every pair starts so after pretraining; with
+    student_word_dropout = 0, the default, it stays there up to rounding
+    in the EMA and no model's dev F1 moves. With student_word_dropout > 0
+    the student trains on a copy with random tokens blanked out, which
+    moves it off that point. When nothing is selected, both models are
+    left untouched.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -234,28 +249,17 @@ def self_denoise_step(
     dists = [forward(pair.teacher, s.tokens) for s in batch]
     masks = []
     targets = []
-    total = 0
     for sentence, d in zip(batch, dists):
         noisy = sentence.track(track)
-        n = len(sentence)
-        total += n
-        everything = set(range(n))
-        cp = (
-            everything
-            if "no_consistency" in abl
-            else select_consistent(noisy, labels_from_dists(d, vocab))
-        )
-        hcp = (
-            everything
-            if "no_confidence" in abl
-            else select_confident(d, config.delta)
-        )
-        masks.append(cp & hcp)
-        if "hard_labels" in abl:
-            targets.append(_one_hot(noisy, vocab.size))
-        else:
-            targets.append(d)
-    selected = sum(len(m) for m in masks)
+        mask = np.ones(len(sentence), dtype=bool)
+        if "no_consistency" not in abl:
+            mask &= _index_mask(select_consistent(noisy, labels_from_dists(d, vocab)), len(mask))
+        if "no_confidence" not in abl:
+            mask &= _index_mask(select_confident(d, config.delta), len(mask))
+        masks.append(mask)
+        targets.append(_one_hot(noisy, vocab.size) if "hard_labels" in abl else d)
+    selected = sum(int(m.sum()) for m in masks)
+    total = sum(len(s) for s in batch)
     if selected == 0:
         return pair, MaskStats(0, total, 0.0)
     student_batch = batch
@@ -297,15 +301,9 @@ def select_best(candidates) -> tuple[str, TaggerParams, float]:
 
 def evaluate_models(state: TrainState, dev, vocab: TagVocabulary) -> dict[str, SpanScore]:
     gold = [s.track("gold") for s in dev]
-    models = {
-        "teacher1": state.pair1.teacher,
-        "student1": state.pair1.student,
-        "teacher2": state.pair2.teacher,
-        "student2": state.pair2.student,
-    }
     return {
         name: span_prf1([predict_labels(p, s.tokens, vocab) for s in dev], gold, vocab)
-        for name, p in models.items()
+        for name, p in state.models().items()
     }
 
 
@@ -340,6 +338,9 @@ def train(
         sentences=corpus,
     )
     single = "single_network" in config.ablations
+    networks = [(k, TRACKS[k - 1], np.random.default_rng([config.seed, k])) for k in (1, 2)]
+    if single:
+        networks = networks[:1]
     per_epoch = math.ceil(len(corpus) / config.batch_size)
     cycle = config.update_cycle or 7 * per_epoch
     pretrain_steps = config.pretrain_epochs * per_epoch if config.cycle_counts_pretrain else 0
@@ -355,71 +356,34 @@ def train(
         for name in MODEL_ORDER:
             s = scores[name]
             history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
-        for track in ("noisy_i", "noisy_ii"):
+        for track in TRACKS:
             refinery.append((step, track, refinery_report(corpus, vocab, track)))
-        candidates = [
-            (
-                name,
-                getattr(state, "pair1" if name.endswith("1") else "pair2"),
-                scores[name].f1,
-            )
-            for name in MODEL_ORDER
-        ]
-        resolved = [
-            (name, (pair.teacher if name.startswith("teacher") else pair.student), f1)
-            for name, pair, f1 in candidates
-        ]
-        name, params, f1 = select_best(resolved)
+        name, params, f1 = select_best(
+            (name, params, scores[name].f1) for name, params in state.models().items()
+        )
         if best is None or f1 > best[2]:
             best = (name, params.copy(), f1)
 
     record(step=0)
     if epoch_callback is not None:
         epoch_callback(0, state)
-    drop_rng1 = np.random.default_rng([config.seed, 1])
-    drop_rng2 = np.random.default_rng([config.seed, 2])
-    executor = ThreadPoolExecutor(max_workers=2) if config.parallel else None
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(len(corpus))
-            for batch_idx in _batches(order, config.batch_size):
-                batch = [corpus[i] for i in batch_idx]
-                state.step += 1
-                lr = _warmup_lr(config, state.step)
-
-                def step1():
-                    return self_denoise_step(
-                        state.pair1, batch, "noisy_i", config, vocab, lr, drop_rng1
-                    )
-
-                def step2():
-                    return self_denoise_step(
-                        state.pair2, batch, "noisy_ii", config, vocab, lr, drop_rng2
-                    )
-
-                if single:
-                    state.pair1, stats1 = step1()
-                    selection_trace.append((state.step, "net1", stats1.selected, stats1.total))
-                elif executor is not None:
-                    f1_, f2_ = executor.submit(step1), executor.submit(step2)
-                    state.pair1, stats1 = f1_.result()
-                    state.pair2, stats2 = f2_.result()
-                    selection_trace.append((state.step, "net1", stats1.selected, stats1.total))
-                    selection_trace.append((state.step, "net2", stats2.selected, stats2.total))
-                else:
-                    state.pair1, stats1 = step1()
-                    state.pair2, stats2 = step2()
-                    selection_trace.append((state.step, "net1", stats1.selected, stats1.total))
-                    selection_trace.append((state.step, "net2", stats2.selected, stats2.total))
-
-                if not single and (state.step + pretrain_steps) % cycle == 0:
-                    collaborative_update(state, vocab)
-            record(state.step)
-            if epoch_callback is not None:
-                epoch_callback(epoch, state)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(corpus))
+        for batch_idx in _batches(order, config.batch_size):
+            batch = [corpus[i] for i in batch_idx]
+            state.step += 1
+            lr = _warmup_lr(config, state.step)
+            for k, track, drop_rng in networks:
+                pair, stats = self_denoise_step(
+                    getattr(state, f"pair{k}"), batch, track, config, vocab, lr, drop_rng
+                )
+                setattr(state, f"pair{k}", pair)
+                selection_trace.append((state.step, f"net{k}", stats.selected, stats.total))
+            if not single and (state.step + pretrain_steps) % cycle == 0:
+                collaborative_update(state, vocab)
+        record(state.step)
+        if epoch_callback is not None:
+            epoch_callback(epoch, state)
 
     name, params, f1 = best
     return TrainResult(

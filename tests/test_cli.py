@@ -178,6 +178,30 @@ class TestTrainCmd:
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_removed_parallel_option_is_usage_error(self, workspace, capsys):
+        # exit 1, not argparse's 2, which would read as divergence
+        train_args = [
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(workspace["dir"] / "p"),
+        ]
+        assert main(["train", *train_args, "--parallel"]) == 1
+        assert "--parallel" in capsys.readouterr().err
+        rc = main([
+            "sweep", "--corpus", str(workspace["gold"]), "--ks", "20",
+            "--seeds", "0", "--out", str(workspace["dir"] / "s.csv"), "--parallel",
+        ])
+        assert rc == 1
+        assert "--parallel" in capsys.readouterr().err
+        config = workspace["dir"] / "old.txt"
+        config.write_text(FAST_CONFIG + "parallel=True\n")
+        assert main(["train", "--config", str(config), *train_args]) == 1
+        assert "unknown entry 'parallel=True'" in capsys.readouterr().err
+        assert not (workspace["dir"] / "p").exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["train", "--help"]) == 0
+        assert "usage" in capsys.readouterr().out
+
 
 class TestEvalCmd:
     def test_eval_checkpoint(self, workspace, capsys):
@@ -204,6 +228,13 @@ class TestEvalCmd:
         rc = main(["eval", "--checkpoint", str(out_dir / "best.ckpt"),
                    "--corpus", str(two_types)])
         assert rc == 1
+
+    def test_bad_checkpoint_header(self, workspace, capsys):
+        ckpt = workspace["dir"] / "bad.ckpt"
+        ckpt.write_bytes(b'SCDL-TAGGER 1\n{"num_tags": 9, "bogus": 1}\n')
+        rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workspace["dev"])])
+        assert rc == 1
+        assert "bogus" in capsys.readouterr().err
 
 
 class TestAblateCmd:

@@ -161,19 +161,6 @@ class TestLosses:
             worst = max(worst, max_relative_error(grad, fd))
         assert worst < 1e-4
 
-    def test_soft_with_index_masks(self):
-        vocab = small_vocab()
-        rng = np.random.default_rng(0)
-        params = init_params(SMALL)
-        batch = random_batch(rng, vocab)
-        targets = [rng.dirichlet(np.ones(5), size=len(s)) for s in batch]
-        bool_masks = [rng.random(len(s)) < 0.5 for s in batch]
-        index_masks = [set(np.flatnonzero(m).tolist()) for m in bool_masks]
-        la, ga = loss_soft(params, batch, targets, bool_masks)
-        lb, gb = loss_soft(params, batch, targets, index_masks)
-        assert la == lb
-        assert ga.allclose(gb)
-
     def test_soft_empty_selection_zero(self):
         vocab = small_vocab()
         rng = np.random.default_rng(1)
@@ -185,17 +172,13 @@ class TestLosses:
         assert loss == 0.0
         assert all((b == 0).all() for b in grad.blocks())
 
-    def test_mask_index_out_of_range(self):
-        params = init_params(SMALL)
-        batch = [AnnotatedSentence(["a"], gold=[0])]
-        with pytest.raises(ValueError):
-            loss_soft(params, batch, [np.full((1, 5), 0.2)], [{3}])
-
     def test_mask_length_mismatch(self):
         params = init_params(SMALL)
         batch = [AnnotatedSentence(["a", "b"], gold=[0, 0])]
         with pytest.raises(ValueError):
             loss_soft(params, batch, [np.full((2, 5), 0.2)], [np.array([True])])
+        with pytest.raises(ValueError, match="boolean"):
+            loss_soft(params, batch, [np.full((2, 5), 0.2)], [np.array([1, 0])])
 
     def test_soft_with_one_hot_equals_hard(self):
         vocab = small_vocab()
@@ -282,4 +265,29 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def _with_header(self, tmp_path, header: bytes):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        magic, _, blocks = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + header + b"\n" + blocks)
+        return path
+
+    def test_unknown_header_key(self, tmp_path):
+        path = self._with_header(tmp_path, b'{"num_tags": 5, "bogus": 1}')
+        with pytest.raises(ValueError, match="bogus"):
+            load_checkpoint(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = self._with_header(tmp_path, b"[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        params = init_params(SMALL)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(path)

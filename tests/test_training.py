@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from scdl.corpus import TagVocabulary, inject_noise
-from scdl.denoise import TeacherStudentPair
-from scdl.tagger import init_params, loss_hard, sgd_step
+from scdl.denoise import (
+    TeacherStudentPair,
+    ema_update,
+    select_confident,
+    select_consistent,
+    token_selection,
+)
+from scdl.tagger import forward, init_params, labels_from_dists, loss_hard, loss_soft, sgd_step
 from scdl.training import (
     ABLATIONS,
     MODEL_ORDER,
     ScdlConfig,
     TrainingDiverged,
+    TrainState,
     _batches,
     _warmup_lr,
     pretrain,
@@ -63,7 +70,6 @@ class TestConfig:
             gamma=1.5,
             update_cycle=33,
             ablations=frozenset({"hard_labels", "no_teachers"}),
-            parallel=True,
             student_word_dropout=0.25,
         )
         assert ScdlConfig.from_text(config.to_text()) == config
@@ -80,7 +86,7 @@ class TestConfig:
 
     def test_text_bad_bool(self):
         with pytest.raises(ValueError, match="boolean"):
-            ScdlConfig.from_text("parallel=maybe\n")
+            ScdlConfig.from_text("normalize_by_selected=maybe\n")
 
     def test_tagger_configs_distinct(self):
         c1, c2 = ScdlConfig().tagger_configs(9)
@@ -151,6 +157,57 @@ class TestSelfDenoiseStep:
         ):
             assert np.allclose(new_t, 0.9 * old_t + 0.1 * new_s)
 
+    def test_live_selection_matches_composed_oracle(self, vocab):
+        """Partial masks: the step equals selection -> loss_soft -> SGD -> EMA."""
+        corpus = noisy_corpus(vocab)
+        batch = corpus[:8]
+        p, _ = pretrain(ScdlConfig(**{**FAST, "pretrain_epochs": 15}), corpus, vocab)
+        _, g = loss_hard(p, corpus[8:24], "noisy_i")
+        pair = TeacherStudentPair(p, sgd_step(p, g, 2.0), 0.9)  # teacher != student
+        delta = 0.8  # each filter alone and both together select different partial sets
+        oracles = {
+            frozenset(): lambda noisy, d: token_selection(noisy, d, delta, vocab),
+            frozenset({"no_consistency"}): lambda noisy, d: select_confident(d, delta),
+            frozenset({"no_confidence"}): lambda noisy, d: select_consistent(
+                noisy, labels_from_dists(d, vocab)
+            ),
+        }
+        for ablations, select in oracles.items():
+            config = ScdlConfig(**FAST, delta=delta, ablations=ablations)
+            stepped, stats = self_denoise_step(pair, batch, "noisy_i", config, vocab)
+
+            dists = [forward(pair.teacher, s.tokens) for s in batch]
+            masks = []
+            for s, d in zip(batch, dists):
+                m = np.zeros(len(s), dtype=bool)
+                m[sorted(select(s.noisy_i, d))] = True
+                masks.append(m)
+            loss, grad = loss_soft(pair.student, batch, dists, masks)
+            student = sgd_step(pair.student, grad, config.gamma)
+            expected = ema_update(TeacherStudentPair(pair.teacher, student, pair.alpha))
+
+            assert 0 < stats.selected < stats.total, ablations
+            assert stats.selected == sum(int(m.sum()) for m in masks)
+            assert stats.loss == loss
+            assert not params_equal(student, pair.student)
+            assert params_equal(stepped.student, expected.student)
+            assert params_equal(stepped.teacher, expected.teacher)
+
+    def test_dropout_zero_is_a_fixed_point(self, vocab):
+        """Pins the default-config behaviour: a fresh pair (teacher == student)
+        gets soft targets equal to the student's own output, so without word
+        dropout the student does not move. A change that breaks this fixed
+        point must update this test on purpose."""
+        corpus = noisy_corpus(vocab)
+        for dropout in (0.0, 0.25):
+            config = ScdlConfig(**FAST, delta=0.5, student_word_dropout=dropout)
+            pair = self._pair(config, corpus, vocab)
+            stepped, stats = self_denoise_step(
+                pair, corpus[:8], "noisy_i", config, vocab, dropout_rng=np.random.default_rng(0)
+            )
+            assert stats.selected > 0
+            assert params_equal(stepped.student, pair.student) == (dropout == 0.0)
+
     def test_empty_batch(self, vocab):
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab)
@@ -205,6 +262,16 @@ class TestSelectBest:
         scores = dict(zip(MODEL_ORDER, (0.1, 0.9, 0.4, 0.9)))
         candidates = [(n, params, scores[n]) for n in MODEL_ORDER]
         assert select_best(candidates)[0] == "student1"
+
+    def test_models_in_model_order(self, vocab):
+        p1, p2 = pretrain(ScdlConfig(**FAST), noisy_corpus(vocab), vocab)
+        state = TrainState(
+            TeacherStudentPair.from_params(p1, 0.9), TeacherStudentPair.from_params(p2, 0.9), []
+        )
+        models = state.models()
+        assert tuple(models) == MODEL_ORDER
+        assert models["teacher1"] is state.pair1.teacher
+        assert models["student2"] is state.pair2.student
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -304,18 +371,6 @@ class TestTrain:
         assert params_equal(a.best_params, b.best_params)
         assert [s.noisy_i for s in a.state.sentences] == [
             s.noisy_i for s in b.state.sentences
-        ]
-
-    def test_parallel_equals_serial(self, vocab):
-        corpus = noisy_corpus(vocab)
-        dev = self._dev(vocab)
-        serial = train(ScdlConfig(**FAST), corpus, dev, vocab)
-        parallel = train(ScdlConfig(**{**FAST, "parallel": True}), corpus, dev, vocab)
-        assert serial.best_f1 == parallel.best_f1
-        assert params_equal(serial.state.pair1.student, parallel.state.pair1.student)
-        assert params_equal(serial.state.pair2.student, parallel.state.pair2.student)
-        assert [s.noisy_i for s in serial.state.sentences] == [
-            s.noisy_i for s in parallel.state.sentences
         ]
 
     def test_no_teachers_keeps_pairs_identical(self, vocab):
