@@ -57,11 +57,11 @@ def _read(path) -> str:
         return fh.read()
 
 
-def _load_corpus(path, vocab=None, repair=False):
+def _load_corpus(path, vocab=None):
     text = _read(path)
     if vocab is None:
         vocab = infer_vocab(text)
-    return parse_conll(text, vocab, repair=repair), vocab
+    return parse_conll(text, vocab), vocab
 
 
 def _shared_vocab(*paths) -> TagVocabulary:

@@ -13,7 +13,11 @@ class ConllFormatError(ValueError):
 
 
 class BioValidationError(ValueError):
-    """A tag sequence violates the BIO scheme."""
+    """A tag sequence violates the BIO scheme at token `index`."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class TagVocabulary:
@@ -78,7 +82,7 @@ def validate_bio(tags, vocab: TagVocabulary) -> None:
     for j, code in enumerate(tags):
         if vocab.is_i(code) and prev not in (code, code - 1):
             raise BioValidationError(
-                f"token {j}: {vocab.decode(code)} does not continue an entity"
+                f"token {j}: {vocab.decode(code)} does not continue an entity", j
             )
         prev = code
 
@@ -175,7 +179,7 @@ def infer_vocab(text: str) -> TagVocabulary:
     return TagVocabulary(sorted(types))
 
 
-def parse_conll(text: str, vocab: TagVocabulary, repair: bool = False) -> list[AnnotatedSentence]:
+def parse_conll(text: str, vocab: TagVocabulary) -> list[AnnotatedSentence]:
     """Read "token<TAB>tag" lines, blank line between sentences.
 
     Noisy tracks start as copies of gold. Errors name the offending
@@ -186,25 +190,22 @@ def parse_conll(text: str, vocab: TagVocabulary, repair: bool = False) -> list[A
     tags: list[int] = []
     start_line = 1
 
-    def flush(end_line: int):
+    def flush():
         nonlocal tokens, tags
         if not tokens:
             return
-        seq = repair_bio(tags, vocab) if repair else tags
-        if not repair:
-            try:
-                validate_bio(seq, vocab)
-            except BioValidationError as exc:
-                j = int(str(exc).split(":")[0].split()[1])
-                raise BioValidationError(f"line {start_line + j}: {exc}") from None
+        try:
+            validate_bio(tags, vocab)
+        except BioValidationError as exc:
+            raise BioValidationError(f"line {start_line + exc.index}: {exc}", exc.index) from None
         sentences.append(
-            AnnotatedSentence(tokens, gold=list(seq), noisy_i=list(seq), noisy_ii=list(seq))
+            AnnotatedSentence(tokens, gold=list(tags), noisy_i=list(tags), noisy_ii=list(tags))
         )
         tokens, tags = [], []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
-            flush(lineno)
+            flush()
             start_line = lineno + 1
             continue
         token, sep, tag = line.partition("\t")
@@ -216,7 +217,7 @@ def parse_conll(text: str, vocab: TagVocabulary, repair: bool = False) -> list[A
             raise ConllFormatError(f"line {lineno}: unknown tag {tag!r}") from None
         tokens.append(token)
         tags.append(code)
-    flush(len(text.splitlines()) + 1)
+    flush()
     return sentences
 
 

@@ -161,19 +161,12 @@ def loss_hard(params: TaggerParams, sentences, track: str):
     return loss_soft(params, sentences, targets, masks)
 
 
-def loss_soft(
-    params: TaggerParams,
-    sentences,
-    teacher_dists,
-    masks,
-    normalize_by_selected: bool = False,
-):
+def loss_soft(params: TaggerParams, sentences, teacher_dists, masks):
     """Soft-label cross entropy over the selected tokens only.
 
     `masks` holds one boolean vector per sentence; unselected tokens
     contribute nothing to loss or gradient. The loss is divided by the
-    number of tokens in the batch, or of selected tokens with
-    `normalize_by_selected`. With no token selected the result is
+    number of tokens in the batch. With no token selected the result is
     (0, zero gradient).
     """
     if not sentences:
@@ -187,7 +180,7 @@ def loss_soft(
     grad = zeros_like(params)
     if selected == 0:
         return 0.0, grad
-    z = selected if normalize_by_selected else sum(len(s) for s in sentences)
+    z = sum(len(s) for s in sentences)
     loss = 0.0
     for sentence, target, m in zip(sentences, teacher_dists, masks):
         if len(sentence) == 0:

@@ -50,8 +50,6 @@ class ScdlConfig:
     update_cycle: int = 0  # 0 means "about seven epochs of the loaded corpus"
     pretrain_epochs: int = 6
     seed: int = 0
-    net1_seed: int = 11
-    net2_seed: int = 23
     hash_buckets: int = 4096
     net1_embed_dim: int = 24
     net1_window: int = 1
@@ -59,15 +57,16 @@ class ScdlConfig:
     net2_embed_dim: int = 20
     net2_window: int = 1
     net2_hidden_dim: int = 20
-    init_scale: float = 0.1
-    denoise_gamma: float = 0.0  # 0 means "use gamma"
     student_word_dropout: float = 0.0
-    normalize_by_selected: bool = False
-    cycle_counts_pretrain: bool = False
-    warmup_steps: int = 0
     ablations: frozenset = frozenset()
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be finite and > 0")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must be in [0, 1]")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must be in (0, 1]")
         if self.update_cycle < 0:
             raise ValueError("update_cycle must be >= 0")
         if self.batch_size < 1:
@@ -79,6 +78,7 @@ class ScdlConfig:
         unknown = set(self.ablations) - set(ABLATIONS)
         if unknown:
             raise ValueError(f"unknown ablations: {sorted(unknown)}")
+        self.tagger_configs(1)  # TaggerConfig checks hash_buckets and the dimensions
 
     def tagger_configs(self, num_tags: int) -> tuple[TaggerConfig, TaggerConfig]:
         c1 = TaggerConfig(
@@ -87,8 +87,7 @@ class ScdlConfig:
             embed_dim=self.net1_embed_dim,
             window=self.net1_window,
             hidden_dim=self.net1_hidden_dim,
-            init_seed=self.net1_seed,
-            init_scale=self.init_scale,
+            init_seed=11,
         )
         c2 = TaggerConfig(
             num_tags=num_tags,
@@ -96,8 +95,7 @@ class ScdlConfig:
             embed_dim=self.net2_embed_dim,
             window=self.net2_window,
             hidden_dim=self.net2_hidden_dim,
-            init_seed=self.net2_seed,
-            init_scale=self.init_scale,
+            init_seed=23,
         )
         return c1, c2
 
@@ -124,14 +122,11 @@ class ScdlConfig:
                 raise ValueError(f"config line {lineno}: unknown entry {line!r}")
             if key == "ablations":
                 kwargs[key] = frozenset(v for v in value.split(",") if v)
-            elif typed[key] == "bool":
-                if value not in ("True", "False", "true", "false", "1", "0"):
-                    raise ValueError(f"config line {lineno}: bad boolean {value!r}")
-                kwargs[key] = value in ("True", "true", "1")
-            elif typed[key] == "int":
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+                continue
+            try:
+                kwargs[key] = int(value) if typed[key] == "int" else float(value)
+            except ValueError:
+                raise ValueError(f"config line {lineno}: bad value for {key}: {value!r}") from None
         return cls(**kwargs)
 
 
@@ -227,7 +222,6 @@ def self_denoise_step(
     track: str,
     config: ScdlConfig,
     vocab: TagVocabulary,
-    lr: float | None = None,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[TeacherStudentPair, MaskStats]:
     """One inner-loop step: select tokens, update student, EMA the teacher.
@@ -238,13 +232,13 @@ def self_denoise_step(
     student_word_dropout = 0, the default, it stays there up to rounding
     in the EMA and no model's dev F1 moves. With student_word_dropout > 0
     the student trains on a copy with random tokens blanked out, which
-    moves it off that point. When nothing is selected, both models are
-    left untouched.
+    moves it off that point; it needs `dropout_rng`. When nothing is
+    selected, both models are left untouched.
     """
     if not batch:
         raise ValueError("empty batch")
-    if lr is None:
-        lr = config.denoise_gamma or config.gamma
+    if config.student_word_dropout > 0.0 and dropout_rng is None:
+        raise ValueError("student_word_dropout > 0 needs a dropout_rng")
     abl = config.ablations
     dists = [forward(pair.teacher, s.tokens) for s in batch]
     masks = []
@@ -263,7 +257,7 @@ def self_denoise_step(
     if selected == 0:
         return pair, MaskStats(0, total, 0.0)
     student_batch = batch
-    if config.student_word_dropout > 0.0 and dropout_rng is not None:
+    if config.student_word_dropout > 0.0:
         student_batch = []
         for sentence in batch:
             drop = dropout_rng.random(len(sentence)) < config.student_word_dropout
@@ -272,11 +266,9 @@ def self_denoise_step(
                     [PAD_TOKEN if d else t for t, d in zip(sentence.tokens, drop)]
                 )
             )
-    loss, grad = loss_soft(
-        pair.student, student_batch, targets, masks, config.normalize_by_selected
-    )
+    loss, grad = loss_soft(pair.student, student_batch, targets, masks)
     _check_finite(loss, "self denoising")
-    new_student = sgd_step(pair.student, grad, lr)
+    new_student = sgd_step(pair.student, grad, config.gamma)
     pair = ema_update(TeacherStudentPair(pair.teacher, new_student, pair.alpha))
     return pair, MaskStats(selected, total, loss)
 
@@ -305,13 +297,6 @@ def evaluate_models(state: TrainState, dev, vocab: TagVocabulary) -> dict[str, S
         name: span_prf1([predict_labels(p, s.tokens, vocab) for s in dev], gold, vocab)
         for name, p in state.models().items()
     }
-
-
-def _warmup_lr(config: ScdlConfig, step: int) -> float:
-    base = config.denoise_gamma or config.gamma
-    if config.warmup_steps <= 0:
-        return base
-    return base * min(1.0, step / config.warmup_steps)
 
 
 def train(
@@ -343,7 +328,6 @@ def train(
         networks = networks[:1]
     per_epoch = math.ceil(len(corpus) / config.batch_size)
     cycle = config.update_cycle or 7 * per_epoch
-    pretrain_steps = config.pretrain_epochs * per_epoch if config.cycle_counts_pretrain else 0
 
     history: list[CurvePoint] = []
     refinery: list[tuple[int, str, SpanScore]] = []
@@ -372,14 +356,13 @@ def train(
         for batch_idx in _batches(order, config.batch_size):
             batch = [corpus[i] for i in batch_idx]
             state.step += 1
-            lr = _warmup_lr(config, state.step)
             for k, track, drop_rng in networks:
                 pair, stats = self_denoise_step(
-                    getattr(state, f"pair{k}"), batch, track, config, vocab, lr, drop_rng
+                    getattr(state, f"pair{k}"), batch, track, config, vocab, drop_rng
                 )
                 setattr(state, f"pair{k}", pair)
                 selection_trace.append((state.step, f"net{k}", stats.selected, stats.total))
-            if not single and (state.step + pretrain_steps) % cycle == 0:
+            if not single and state.step % cycle == 0:
                 collaborative_update(state, vocab)
         record(state.step)
         if epoch_callback is not None:

@@ -22,6 +22,34 @@ net2_window=2
 net2_hidden_dim=8
 """
 
+# `ScdlConfig().to_text()` before seven unused fields were removed
+OLD_DEFAULT_CONFIG = """\
+batch_size=16
+max_epochs=7
+gamma=2.0
+alpha=0.995
+delta=0.9
+update_cycle=0
+pretrain_epochs=6
+seed=0
+net1_seed=11
+net2_seed=23
+hash_buckets=4096
+net1_embed_dim=24
+net1_window=1
+net1_hidden_dim=32
+net2_embed_dim=20
+net2_window=1
+net2_hidden_dim=20
+init_scale=0.1
+denoise_gamma=0.0
+student_word_dropout=0.0
+normalize_by_selected=False
+cycle_counts_pretrain=False
+warmup_steps=0
+ablations=
+"""
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -197,6 +225,43 @@ class TestTrainCmd:
         assert main(["train", "--config", str(config), *train_args]) == 1
         assert "unknown entry 'parallel=True'" in capsys.readouterr().err
         assert not (workspace["dir"] / "p").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("delta=1.5", "delta must be in (0, 1]"),
+            ("alpha=1.5", "alpha must be in [0, 1]"),
+            ("gamma=nan", "gamma must be finite and > 0"),
+            ("gamma=-1", "gamma must be finite and > 0"),
+            ("hash_buckets=1", "non-padding bucket"),
+            ("batch_size=abc", "config line 12: bad value for batch_size"),
+        ],
+    )
+    def test_bad_config_value_fails_before_work(self, workspace, capsys, line, message):
+        config = workspace["dir"] / "bad.txt"
+        config.write_text(FAST_CONFIG + line + "\n")
+        out_dir = workspace["dir"] / "bad_run"
+        rc = main([
+            "train", "--config", str(config),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_old_default_config_names_first_removed_key(self, workspace, capsys):
+        config = workspace["dir"] / "old.txt"
+        config.write_text(OLD_DEFAULT_CONFIG)
+        out_dir = workspace["dir"] / "old_run"
+        rc = main([
+            "train", "--config", str(config),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        assert "config line 9: unknown entry 'net1_seed=11'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["train", "--help"]) == 0

@@ -171,10 +171,9 @@ class TestConll:
     def test_invalid_bio_names_line(self, vocab):
         with pytest.raises(BioValidationError, match="line 3"):
             parse_conll("a\tO\n\nb\tI-PER\n", vocab)
-
-    def test_repair_mode(self, vocab):
-        sentences = parse_conll("b\tI-PER\n", vocab, repair=True)
-        assert sentences[0].gold == [1]
+        with pytest.raises(BioValidationError, match="line 2") as info:
+            parse_conll("a\tO\nb\tI-PER\n", vocab)
+        assert info.value.index == 1
 
     def test_empty_text(self, vocab):
         assert parse_conll("", vocab) == []

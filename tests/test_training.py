@@ -17,7 +17,6 @@ from scdl.training import (
     TrainingDiverged,
     TrainState,
     _batches,
-    _warmup_lr,
     pretrain,
     collaborative_update,
     select_best,
@@ -25,6 +24,16 @@ from scdl.training import (
     train,
 )
 from synthdata import make_synthetic_corpus
+
+REMOVED_KEYS = (
+    "net1_seed=11",
+    "net2_seed=23",
+    "init_scale=0.1",
+    "denoise_gamma=0.5",
+    "normalize_by_selected=True",
+    "cycle_counts_pretrain=True",
+    "warmup_steps=10",
+)
 
 FAST = dict(
     batch_size=16,
@@ -62,6 +71,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScdlConfig(ablations=frozenset({"bogus"}))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(delta=0.0), "delta"),
+            (dict(delta=1.5), "delta"),
+            (dict(alpha=-0.1), "alpha"),
+            (dict(alpha=1.5), "alpha"),
+            (dict(gamma=0.0), "gamma"),
+            (dict(gamma=float("nan")), "gamma"),
+            (dict(gamma=float("inf")), "gamma"),
+            (dict(hash_buckets=1), "bucket"),
+            (dict(net2_hidden_dim=0), "dimensions"),
+            (dict(net1_window=-1), "window"),
+        ],
+    )
+    def test_validation_at_construction(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ScdlConfig(**bad)
+
+    def test_validation_accepts_bounds(self):
+        ScdlConfig(delta=1.0, alpha=0.0)
+        ScdlConfig(alpha=1.0, hash_buckets=2)
+
     def test_all_ablations_known(self):
         ScdlConfig(ablations=frozenset(ABLATIONS))
 
@@ -84,9 +116,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 1"):
             ScdlConfig.from_text("bogus=1\n")
 
-    def test_text_bad_bool(self):
-        with pytest.raises(ValueError, match="boolean"):
-            ScdlConfig.from_text("normalize_by_selected=maybe\n")
+    @pytest.mark.parametrize("line", REMOVED_KEYS)
+    def test_text_removed_key(self, line):
+        with pytest.raises(ValueError, match=f"line 1: unknown entry '{line}'"):
+            ScdlConfig.from_text(line + "\n")
+
+    @pytest.mark.parametrize("line", ["batch_size=abc", "max_epochs=1.5", "gamma=fast"])
+    def test_text_bad_value_names_line_and_key(self, line):
+        key = line.partition("=")[0]
+        with pytest.raises(ValueError, match=f"config line 2: bad value for {key}"):
+            ScdlConfig.from_text("seed=1\n" + line + "\n")
 
     def test_tagger_configs_distinct(self):
         c1, c2 = ScdlConfig().tagger_configs(9)
@@ -208,6 +247,13 @@ class TestSelfDenoiseStep:
             assert stats.selected > 0
             assert params_equal(stepped.student, pair.student) == (dropout == 0.0)
 
+    def test_dropout_needs_a_generator(self, vocab):
+        config = ScdlConfig(**FAST, student_word_dropout=0.25)
+        corpus = noisy_corpus(vocab)
+        pair = self._pair(config, corpus, vocab)
+        with pytest.raises(ValueError, match="dropout_rng"):
+            self_denoise_step(pair, corpus[:8], "noisy_i", config, vocab)
+
     def test_empty_batch(self, vocab):
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab)
@@ -276,22 +322,6 @@ class TestSelectBest:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             select_best([("teacher1", None, float("nan"))])
-
-
-class TestWarmup:
-    def test_disabled_by_default(self):
-        config = ScdlConfig(**FAST)
-        assert _warmup_lr(config, 1) == config.gamma
-
-    def test_ramps_linearly(self):
-        config = ScdlConfig(**{**FAST, "warmup_steps": 10})
-        assert _warmup_lr(config, 5) == pytest.approx(config.gamma * 0.5)
-        assert _warmup_lr(config, 10) == config.gamma
-        assert _warmup_lr(config, 100) == config.gamma
-
-    def test_denoise_gamma_overrides(self):
-        config = ScdlConfig(**{**FAST, "denoise_gamma": 0.05})
-        assert _warmup_lr(config, 1) == 0.05
 
 
 class TestBatches:
@@ -399,19 +429,6 @@ class TestTrain:
         corpus = noisy_corpus(vocab)
         result = train(config, corpus, self._dev(vocab), vocab)
         assert [s.noisy_i for s in result.state.sentences] == [s.noisy_i for s in corpus]
-
-    def test_cycle_counts_pretrain_shifts_rewrites(self, vocab):
-        corpus = noisy_corpus(vocab, n=32)  # 2 steps per epoch
-        dev = self._dev(vocab)
-        base = dict(FAST, update_cycle=3, max_epochs=1, pretrain_epochs=1)
-        without = train(ScdlConfig(**base), corpus, dev, vocab)
-        counted = train(
-            ScdlConfig(**{**base, "cycle_counts_pretrain": True}), corpus, dev, vocab
-        )
-        # counted: pretrain contributes 2 steps, so step 1 triggers a rewrite;
-        # uncounted: steps 1 and 2 never hit a multiple of 3
-        assert [s.noisy_i for s in without.state.sentences] == [s.noisy_i for s in corpus]
-        assert [s.noisy_i for s in counted.state.sentences] != [s.noisy_i for s in corpus]
 
     def test_requires_gold_dev(self, vocab):
         from scdl.corpus import AnnotatedSentence
