@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from .corpus import (
     spans_from_bio,
     write_conll,
 )
-from .tagger import load_checkpoint, predict_labels, save_checkpoint
+from .tagger import atomic_open, load_checkpoint, predict_corpus, save_checkpoint
 from .training import (
     ABLATIONS,
     ScdlConfig,
@@ -40,16 +38,8 @@ from .training import (
 
 def atomic_write_text(path, text: str) -> None:
     """Write-then-rename so interrupted runs never leave truncated files."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _read(path) -> str:
@@ -182,9 +172,7 @@ def cmd_pretrain(args) -> int:
     lines = []
     for name, params in (("net1", p1), ("net2", p2)):
         save_checkpoint(params, out / f"{name}.ckpt")
-        score = metrics_mod.span_prf1(
-            [predict_labels(params, s.tokens, vocab) for s in dev_corpus], gold, vocab
-        )
+        score = metrics_mod.span_prf1(predict_corpus(params, dev_corpus, vocab), gold, vocab)
         point = metrics_mod.CurvePoint(0, name, "dev", score.precision, score.recall, score.f1)
         lines.append(_metrics_record(point, ""))
         print(f"{name}: dev F1 {score.f1:.4f}")
@@ -261,9 +249,7 @@ def cmd_eval(args) -> int:
         )
     sentences = parse_conll(text, vocab)
     gold = [s.track("gold") for s in sentences]
-    score = metrics_mod.span_prf1(
-        [predict_labels(params, s.tokens, vocab) for s in sentences], gold, vocab
-    )
+    score = metrics_mod.span_prf1(predict_corpus(params, sentences, vocab), gold, vocab)
     print(
         f"precision {score.precision:.4f} recall {score.recall:.4f} f1 {score.f1:.4f}"
     )

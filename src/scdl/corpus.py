@@ -87,16 +87,22 @@ def validate_bio(tags, vocab: TagVocabulary) -> None:
         prev = code
 
 
-def repair_bio(tags, vocab: TagVocabulary) -> list[int]:
-    """Turn every illegal I-t into B-t; legal sequences come back unchanged."""
-    out = []
-    prev = 0
-    for code in tags:
-        if vocab.is_i(code) and prev not in (code, code - 1):
-            code = code - 1
-        out.append(code)
-        prev = code
-    return out
+def repair_bio(tags, vocab: TagVocabulary, starts=None) -> np.ndarray:
+    """Turn every illegal I-t into B-t; legal sequences come back unchanged.
+
+    `tags` may hold several sentences back to back, with the boolean
+    `starts` marking the first token of each; by default it is one
+    sentence. I-t is legal after B-t or I-t, and a repaired I-t (now B-t)
+    keeps the next I-t legal, so each token depends only on the original
+    tag before it.
+    """
+    codes = np.asarray(tags, dtype=np.int64)
+    prev = np.zeros_like(codes)
+    prev[1:] = codes[:-1]
+    if starts is not None:
+        prev[starts] = 0
+    is_i = (codes > 0) & (codes % 2 == 0)
+    return codes - (is_i & (prev != codes) & (prev != codes - 1))
 
 
 @dataclass
@@ -127,7 +133,7 @@ class AnnotatedSentence:
         setattr(self, name, list(tags))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     start: int
     end: int  # inclusive
@@ -139,19 +145,13 @@ def spans_from_bio(tags, vocab: TagVocabulary) -> list[Span]:
     validate_bio(tags, vocab)
     spans = []
     start = None
-    current = None
     for j, code in enumerate(tags):
-        if vocab.is_b(code):
+        if code == 0 or code % 2 == 1:  # O or B-t closes the open span; I-t continues it
             if start is not None:
-                spans.append(Span(start, j - 1, current))
-            start, current = j, vocab.type_of(code)
-        elif code == 0:
-            if start is not None:
-                spans.append(Span(start, j - 1, current))
-            start = current = None
-        # I-t continues the open span
+                spans.append(Span(start, j - 1, vocab.type_of(tags[start])))
+            start = j if code else None
     if start is not None:
-        spans.append(Span(start, len(tags) - 1, current))
+        spans.append(Span(start, len(tags) - 1, vocab.type_of(tags[start])))
     return spans
 
 
@@ -239,6 +239,7 @@ class Gazetteer:
     """Surface form (token tuple) to the ordered entity types it may denote."""
 
     entries: dict[tuple[str, ...], tuple[str, ...]] = field(default_factory=dict)
+    max_len: int = field(init=False, repr=False, compare=False)  # longest surface, in tokens
 
     def __post_init__(self):
         for surface, types in self.entries.items():
@@ -246,10 +247,7 @@ class Gazetteer:
                 raise ValueError("empty surface form")
             if not types:
                 raise ValueError(f"no types for surface {surface!r}")
-
-    @property
-    def max_len(self) -> int:
-        return max((len(s) for s in self.entries), default=0)
+        self.max_len = max((len(s) for s in self.entries), default=0)
 
     @classmethod
     def parse(cls, text: str) -> "Gazetteer":

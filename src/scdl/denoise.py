@@ -33,20 +33,33 @@ class TeacherStudentPair:
         return cls(teacher=params.copy(), student=params.copy(), alpha=alpha)
 
 
+def consistent_mask(noisy_tags, pseudo_tags) -> np.ndarray:
+    """True where the noisy label equals the pseudo label (O included)."""
+    noisy, pseudo = np.asarray(noisy_tags), np.asarray(pseudo_tags)
+    if len(noisy) != len(pseudo):
+        raise ValueError("tag sequences differ in length")
+    return noisy == pseudo
+
+
+def confident_mask(teacher_dists: np.ndarray, delta: float) -> np.ndarray:
+    """True where the max teacher probability is >= delta (inclusive)."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta out of (0, 1]: {delta}")
+    return teacher_dists.max(axis=1) >= delta
+
+
+def _indices(mask: np.ndarray) -> set[int]:
+    return set(np.flatnonzero(mask).tolist())
+
+
 def select_consistent(noisy_tags, pseudo_tags) -> set[int]:
     """Indices where the noisy label equals the pseudo label (O included)."""
-    if len(noisy_tags) != len(pseudo_tags):
-        raise ValueError("tag sequences differ in length")
-    return {j for j, (y, p) in enumerate(zip(noisy_tags, pseudo_tags)) if y == p}
+    return _indices(consistent_mask(noisy_tags, pseudo_tags))
 
 
 def select_confident(teacher_dists: np.ndarray, delta: float) -> set[int]:
     """Indices whose max teacher probability is >= delta (inclusive)."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta out of (0, 1]: {delta}")
-    if len(teacher_dists) == 0:
-        return set()
-    return set(np.flatnonzero(teacher_dists.max(axis=1) >= delta).tolist())
+    return _indices(confident_mask(teacher_dists, delta))
 
 
 def token_selection(
@@ -54,7 +67,7 @@ def token_selection(
 ) -> set[int]:
     """Intersection of consistency and confidence selection."""
     pseudo = labels_from_dists(teacher_dists, vocab)
-    return select_consistent(noisy_tags, pseudo) & select_confident(teacher_dists, delta)
+    return _indices(consistent_mask(noisy_tags, pseudo) & confident_mask(teacher_dists, delta))
 
 
 def ema_update(pair: TeacherStudentPair) -> TeacherStudentPair:

@@ -7,13 +7,18 @@ expressive enough to memorize label noise.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import TagVocabulary, repair_bio
+from .corpus import AnnotatedSentence, TagVocabulary, repair_bio
 
 PAD_BUCKET = 0  # reserved for window overflow
 PAD_TOKEN = "\x00<pad>"  # surface sentinel that hashes to PAD_BUCKET
@@ -100,52 +105,142 @@ def zeros_like(params: TaggerParams) -> TaggerParams:
 
 def token_ids(tokens, buckets: int) -> np.ndarray:
     """Deterministic surface-form hashing into [1, buckets)."""
-    return np.array(
-        [
+    return np.fromiter(
+        (
             PAD_BUCKET if t == PAD_TOKEN else 1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1)
             for t in tokens
-        ],
+        ),
         dtype=np.int64,
+        count=len(tokens),
     )
 
 
-def _context_ids(ids: np.ndarray, window: int) -> np.ndarray:
-    n = len(ids)
-    padded = np.full(n + 2 * window, PAD_BUCKET, dtype=np.int64)
-    padded[window : window + n] = ids
-    return np.stack([padded[k : k + n] for k in range(2 * window + 1)], axis=1)
+@dataclass(eq=False)
+class TokenBatch:
+    """Sentences hashed once and laid end to end.
+
+    Sentence i is `ids[offsets[i]:offsets[i + 1]]`; `tracks` holds label
+    tracks in the same flat layout. Window ids are built per window size
+    on first use and carried over by `take`, so a corpus is hashed and
+    windowed once however many batches are drawn from it.
+    """
+
+    ids: np.ndarray  # (tokens,) hash buckets
+    offsets: np.ndarray  # (sentences + 1,)
+    buckets: int
+    tracks: dict[str, np.ndarray] = field(default_factory=dict)
+    _windows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def starts(self) -> np.ndarray:
+        """True at the first token of every sentence."""
+        mask = np.zeros(len(self.ids), dtype=bool)
+        lengths = np.diff(self.offsets)
+        mask[self.offsets[:-1][lengths > 0]] = True
+        return mask
+
+    def track(self, name: str) -> np.ndarray:
+        if name not in self.tracks:
+            raise ValueError(f"track {name!r} missing from the batch")
+        return self.tracks[name]
+
+    def context_ids(self, window: int) -> np.ndarray:
+        """(tokens, 2 * window + 1) ids of each token's window, PAD past sentence edges."""
+        if window not in self._windows:
+            n = len(self.ids)
+            lengths = np.diff(self.offsets)
+            pos = np.arange(n) - np.repeat(self.offsets[:-1], lengths)  # index in sentence
+            left = np.repeat(lengths, lengths) - pos  # tokens from here to the sentence end
+            columns = []
+            for k in range(-window, window + 1):
+                inside = (pos + k >= 0) & (k < left)
+                source = np.clip(np.arange(n) + k, 0, max(n - 1, 0))
+                columns.append(np.where(inside, self.ids[source], PAD_BUCKET))
+            self._windows[window] = np.stack(columns, axis=1)
+        return self._windows[window]
+
+    def take(self, sentences) -> "TokenBatch":
+        """The given sentences, in the given order, as a new batch."""
+        sentences = np.asarray(sentences, dtype=np.int64)
+        lengths = self.offsets[sentences + 1] - self.offsets[sentences]
+        offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        tokens = np.arange(offsets[-1]) + np.repeat(self.offsets[sentences] - offsets[:-1], lengths)
+        batch = TokenBatch(
+            self.ids[tokens],
+            offsets,
+            self.buckets,
+            {name: tags[tokens] for name, tags in self.tracks.items()},
+        )
+        batch._windows.update((w, ctx[tokens]) for w, ctx in self._windows.items())
+        return batch
+
+    def split(self, values) -> list[list]:
+        """A flat per-token array as one list per sentence."""
+        flat = np.asarray(values).tolist()
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _forward_cache(params: TaggerParams, tokens):
-    cfg = params.config
-    n = len(tokens)
-    if n == 0:
-        empty = np.zeros((0, cfg.num_tags))
-        return None, None, None, empty
-    ctx = _context_ids(token_ids(tokens, cfg.vocab_hash_buckets), cfg.window)
-    x = params.embedding[ctx].reshape(n, -1)
+def encode(sentences, buckets: int, tracks=AnnotatedSentence.TRACKS) -> TokenBatch:
+    """Hash sentences into one flat batch with the named tracks that all of them carry."""
+    lengths = [len(s.tokens) for s in sentences]
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    ids = token_ids(list(chain.from_iterable(s.tokens for s in sentences)), buckets)
+    flat = {}
+    for name in tracks:
+        values = [getattr(s, name) for s in sentences]
+        if all(v is not None for v in values):
+            flat[name] = np.fromiter(chain.from_iterable(values), dtype=np.int64, count=len(ids))
+    return TokenBatch(ids, offsets, buckets, flat)
+
+
+def as_batch(batch, buckets: int) -> TokenBatch:
+    """A TokenBatch as is, or a sequence of sentences hashed into one."""
+    if not isinstance(batch, TokenBatch):
+        return encode(batch, buckets)
+    if batch.buckets != buckets:
+        raise ValueError(f"batch hashed into {batch.buckets} buckets, model has {buckets}")
+    return batch
+
+
+def _forward_cache(params: TaggerParams, ctx: np.ndarray):
+    x = params.embedding[ctx].reshape(len(ctx), params.hidden_w.shape[0])
     h = np.tanh(x @ params.hidden_w + params.hidden_b)
     logits = h @ params.out_w + params.out_b
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     probs = e / e.sum(axis=1, keepdims=True)
-    return ctx, x, h, probs
+    return x, h, probs
 
 
-def forward(params: TaggerParams, tokens) -> np.ndarray:
-    """Per-token tag distributions, shape (len(tokens), num_tags)."""
-    return _forward_cache(params, tokens)[3]
+def forward(params: TaggerParams, batch) -> np.ndarray:
+    """Per-token tag distributions of a batch, shape (tokens, num_tags)."""
+    cfg = params.config
+    ctx = as_batch(batch, cfg.vocab_hash_buckets).context_ids(cfg.window)
+    return _forward_cache(params, ctx)[2]
 
 
-def _backprop(params, ctx, x, h, dlogits, grad):
-    grad.out_w += h.T @ dlogits
-    grad.out_b += dlogits.sum(axis=0)
+def _backprop(params, ctx, x, h, dlogits) -> TaggerParams:
     dh = dlogits @ params.out_w.T
     dpre = dh * (1.0 - h * h)
-    grad.hidden_w += x.T @ dpre
-    grad.hidden_b += dpre.sum(axis=0)
-    dx = (dpre @ params.hidden_w.T).reshape(ctx.shape[0], ctx.shape[1], -1)
-    np.add.at(grad.embedding, ctx.reshape(-1), dx.reshape(-1, dx.shape[2]))
+    dx = dpre @ params.hidden_w.T
+    # the embedding rows of repeated ids summed in token order, as np.add.at would
+    dim = params.embedding.shape[1]
+    cells = (ctx.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    embedding = np.bincount(cells, weights=dx.reshape(-1), minlength=params.embedding.size)
+    return TaggerParams(
+        params.config,
+        embedding.reshape(params.embedding.shape),
+        x.T @ dpre,
+        dpre.sum(axis=0),
+        h.T @ dlogits,
+        dlogits.sum(axis=0),
+    )
 
 
 def _one_hot(tags, num_tags) -> np.ndarray:
@@ -154,44 +249,49 @@ def _one_hot(tags, num_tags) -> np.ndarray:
     return out
 
 
-def loss_hard(params: TaggerParams, sentences, track: str):
+def loss_hard(params: TaggerParams, batch, track: str):
     """Mean token-level cross entropy on the chosen track, with gradient."""
-    targets = [_one_hot(s.track(track), params.config.num_tags) for s in sentences]
-    masks = [np.ones(len(s), dtype=bool) for s in sentences]
-    return loss_soft(params, sentences, targets, masks)
+    batch = as_batch(batch, params.config.vocab_hash_buckets)
+    tags = batch.track(track)
+    targets = _one_hot(tags, params.config.num_tags)
+    return loss_soft(params, batch, targets, np.ones(len(tags), dtype=bool))
 
 
-def loss_soft(params: TaggerParams, sentences, teacher_dists, masks):
+def _flat_rows(batch: TokenBatch, rows, what: str) -> np.ndarray:
+    """One array for the batch, from a flat array or one array per sentence."""
+    if isinstance(rows, np.ndarray):
+        if len(rows) != len(batch.ids):
+            raise ValueError(f"{what} length differs from the batch's token count")
+        return rows
+    if [len(r) for r in rows] != np.diff(batch.offsets).tolist():
+        raise ValueError(f"{what} length differs from sentence length")
+    return np.concatenate(rows)
+
+
+def loss_soft(params: TaggerParams, batch, teacher_dists, masks):
     """Soft-label cross entropy over the selected tokens only.
 
-    `masks` holds one boolean vector per sentence; unselected tokens
+    `teacher_dists` and `masks` are flat over the batch's tokens, or one
+    array per sentence; masks are boolean and unselected tokens
     contribute nothing to loss or gradient. The loss is divided by the
     number of tokens in the batch. With no token selected the result is
     (0, zero gradient).
     """
-    if not sentences:
+    if len(batch) == 0:
         raise ValueError("empty batch")
-    for sentence, m in zip(sentences, masks):
-        if not (isinstance(m, np.ndarray) and m.dtype == bool):
-            raise ValueError("mask must be a boolean array")
-        if len(m) != len(sentence):
-            raise ValueError("mask length differs from sentence length")
-    selected = sum(int(m.sum()) for m in masks)
-    grad = zeros_like(params)
-    if selected == 0:
-        return 0.0, grad
-    z = sum(len(s) for s in sentences)
-    loss = 0.0
-    for sentence, target, m in zip(sentences, teacher_dists, masks):
-        if len(sentence) == 0:
-            continue
-        ctx, x, h, probs = _forward_cache(params, sentence.tokens)
-        mcol = m.astype(np.float64)[:, None]
-        loss -= float((mcol * target * np.log(probs)).sum())
-        dlogits = mcol * (probs - target)
-        dlogits /= z
-        _backprop(params, ctx, x, h, dlogits, grad)
-    return loss / z, grad
+    batch = as_batch(batch, params.config.vocab_hash_buckets)
+    mask = _flat_rows(batch, masks, "mask")
+    if mask.dtype != bool:
+        raise ValueError("mask must be a boolean array")
+    if not mask.any():
+        return 0.0, zeros_like(params)
+    target = _flat_rows(batch, teacher_dists, "target")[mask]
+    z = len(batch.ids)
+    ctx = batch.context_ids(params.config.window)[mask]
+    x, h, probs = _forward_cache(params, ctx)
+    loss = -float((target * np.log(probs)).sum())
+    dlogits = (probs - target) / z
+    return loss / z, _backprop(params, ctx, x, h, dlogits)
 
 
 def sgd_step(params: TaggerParams, grad: TaggerParams, lr: float) -> TaggerParams:
@@ -201,17 +301,51 @@ def sgd_step(params: TaggerParams, grad: TaggerParams, lr: float) -> TaggerParam
     for p, g in zip(params.blocks(), grad.blocks()):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-        new_blocks.append(p - lr * g)
+        new = lr * g
+        new_blocks.append(np.subtract(p, new, out=new))  # p - lr * g, one allocation
     return TaggerParams(params.config, *new_blocks)
 
 
-def labels_from_dists(dists: np.ndarray, vocab: TagVocabulary) -> list[int]:
-    """Argmax (ties -> lowest code) followed by BIO repair."""
-    return repair_bio(np.argmax(dists, axis=1).tolist(), vocab)
+def labels_from_dists(dists: np.ndarray, vocab: TagVocabulary, starts=None) -> np.ndarray:
+    """Argmax (ties -> lowest code) followed by BIO repair; `starts` as in repair_bio."""
+    return repair_bio(np.argmax(dists, axis=1), vocab, starts)
 
 
-def predict_labels(params: TaggerParams, tokens, vocab: TagVocabulary) -> list[int]:
-    return labels_from_dists(forward(params, tokens), vocab)
+PREDICT_CHUNK = 256  # sentences per forward pass when predicting a whole corpus
+
+
+def predict_labels(params: TaggerParams, batch, vocab: TagVocabulary) -> np.ndarray:
+    """Flat labels of a batch, predicted PREDICT_CHUNK sentences at a time."""
+    batch = as_batch(batch, params.config.vocab_hash_buckets)
+    labels = []
+    for a in range(0, len(batch), PREDICT_CHUNK):
+        chunk = batch.take(np.arange(a, min(a + PREDICT_CHUNK, len(batch))))
+        labels.append(labels_from_dists(forward(params, chunk), vocab, chunk.starts))
+    return np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
+
+
+def predict_corpus(params: TaggerParams, sentences, vocab: TagVocabulary) -> list[list[int]]:
+    """Labels per sentence, hashing and predicting PREDICT_CHUNK sentences at a time."""
+    out = []
+    for a in range(0, len(sentences), PREDICT_CHUNK):
+        chunk = encode(sentences[a : a + PREDICT_CHUNK], params.config.vocab_hash_buckets, ())
+        out += chunk.split(predict_labels(params, chunk, vocab))
+    return out
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write-then-rename, so the file at `path` is the old one or the complete new one."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 CHECKPOINT_MAGIC = "SCDL-TAGGER 1"
@@ -229,7 +363,7 @@ def save_checkpoint(params: TaggerParams, path) -> None:
             "init_scale": params.config.init_scale,
         }
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{header}\n".encode("utf-8"))
         for block in params.blocks():
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())

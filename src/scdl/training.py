@@ -13,13 +13,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import AnnotatedSentence, TagVocabulary
-from .denoise import TeacherStudentPair, ema_update, select_confident, select_consistent
-from .metrics import CurvePoint, SpanScore, refinery_report, span_prf1
+from .denoise import TeacherStudentPair, confident_mask, consistent_mask, ema_update
+from .metrics import CurvePoint, SpanScore, corpus_spans, refinery_report, score_spans
 from .tagger import (
-    PAD_TOKEN,
+    PAD_BUCKET,
     TaggerConfig,
     TaggerParams,
+    TokenBatch,
     _one_hot,
+    as_batch,
+    encode,
     forward,
     init_params,
     labels_from_dists,
@@ -139,10 +142,20 @@ class MaskStats:
 
 @dataclass
 class TrainState:
+    """The two pairs and the training sentences, whose noisy tracks the
+    rewrites change; `corpus` holds the sentences hashed once, with the
+    same tracks flat."""
+
     pair1: TeacherStudentPair
     pair2: TeacherStudentPair
     sentences: list[AnnotatedSentence]
     step: int = 0
+    corpus: TokenBatch | None = None
+
+    def __post_init__(self):
+        if self.corpus is None:
+            buckets = self.pair1.student.config.vocab_hash_buckets
+            self.corpus = encode(self.sentences, buckets, TRACKS)
 
     def models(self) -> dict[str, TaggerParams]:
         """The four models by name, in MODEL_ORDER."""
@@ -170,6 +183,13 @@ def _check_finite(loss: float, where: str) -> None:
         raise TrainingDiverged(f"non-finite loss {loss!r} during {where}")
 
 
+def _check_parameters(models: dict[str, TaggerParams], where: str) -> None:
+    for name, params in models.items():
+        for block in TaggerParams.BLOCK_NAMES:
+            if not np.isfinite(getattr(params, block)).all():
+                raise TrainingDiverged(f"non-finite parameter in {name}.{block} {where}")
+
+
 def _copy_corpus(sentences) -> list[AnnotatedSentence]:
     return [
         AnnotatedSentence(
@@ -193,27 +213,30 @@ def pretrain(
     vocab: TagVocabulary,
     rng: np.random.Generator | None = None,
 ) -> tuple[TaggerParams, TaggerParams]:
-    """Warm up both taggers with hard cross entropy on the distant labels."""
-    if not corpus:
+    """Warm up both taggers with hard cross entropy on the distant labels.
+
+    `corpus` is a list of sentences or a TokenBatch of them.
+    """
+    if len(corpus) == 0:
         raise ValueError("empty corpus")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     params = [init_params(c) for c in config.tagger_configs(vocab.size)]
+    corpus = as_batch(corpus, config.hash_buckets)
+    for p in params:
+        corpus.context_ids(p.config.window)  # built once; every batch takes its rows
     for epoch in range(config.pretrain_epochs):
         order = rng.permutation(len(corpus))
         for batch_idx in _batches(order, config.batch_size):
-            batch = [corpus[i] for i in batch_idx]
+            batch = corpus.take(batch_idx)
             for k, track in enumerate(TRACKS):
                 loss, grad = loss_hard(params[k], batch, track)
                 _check_finite(loss, f"pretrain epoch {epoch} (network {k + 1})")
                 params[k] = sgd_step(params[k], grad, config.gamma)
+        _check_parameters(
+            {f"network{k + 1}": p for k, p in enumerate(params)}, f"after pretrain epoch {epoch}"
+        )
     return tuple(params)
-
-
-def _index_mask(indices, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[list(indices)] = True
-    return mask
 
 
 def self_denoise_step(
@@ -226,58 +249,52 @@ def self_denoise_step(
 ) -> tuple[TeacherStudentPair, MaskStats]:
     """One inner-loop step: select tokens, update student, EMA the teacher.
 
-    The teacher predicts on clean input. While teacher and student are
-    equal, soft targets are the student's own output and the gradient is
-    exactly zero. Every pair starts so after pretraining; with
+    `batch` is a list of sentences or a TokenBatch of them. The teacher
+    predicts on clean input. While teacher and student are equal, soft
+    targets are the student's own output and the gradient is exactly
+    zero. Every pair starts so after pretraining; with
     student_word_dropout = 0, the default, it stays there up to rounding
     in the EMA and no model's dev F1 moves. With student_word_dropout > 0
-    the student trains on a copy with random tokens blanked out, which
-    moves it off that point; it needs `dropout_rng`. When nothing is
-    selected, both models are left untouched.
+    the student trains on a copy with random tokens blanked to the
+    padding bucket, which moves it off that point; it needs
+    `dropout_rng`. When nothing is selected, both models are left
+    untouched.
     """
-    if not batch:
+    if len(batch) == 0:
         raise ValueError("empty batch")
     if config.student_word_dropout > 0.0 and dropout_rng is None:
         raise ValueError("student_word_dropout > 0 needs a dropout_rng")
     abl = config.ablations
-    dists = [forward(pair.teacher, s.tokens) for s in batch]
-    masks = []
-    targets = []
-    for sentence, d in zip(batch, dists):
-        noisy = sentence.track(track)
-        mask = np.ones(len(sentence), dtype=bool)
-        if "no_consistency" not in abl:
-            mask &= _index_mask(select_consistent(noisy, labels_from_dists(d, vocab)), len(mask))
-        if "no_confidence" not in abl:
-            mask &= _index_mask(select_confident(d, config.delta), len(mask))
-        masks.append(mask)
-        targets.append(_one_hot(noisy, vocab.size) if "hard_labels" in abl else d)
-    selected = sum(int(m.sum()) for m in masks)
-    total = sum(len(s) for s in batch)
+    batch = as_batch(batch, pair.student.config.vocab_hash_buckets)
+    noisy = batch.track(track)
+    dists = forward(pair.teacher, batch)
+    mask = np.ones(len(noisy), dtype=bool)
+    if "no_consistency" not in abl:
+        mask &= consistent_mask(noisy, labels_from_dists(dists, vocab, batch.starts))
+    if "no_confidence" not in abl:
+        mask &= confident_mask(dists, config.delta)
+    selected = int(mask.sum())
     if selected == 0:
-        return pair, MaskStats(0, total, 0.0)
+        return pair, MaskStats(0, len(noisy), 0.0)
+    targets = _one_hot(noisy, vocab.size) if "hard_labels" in abl else dists
     student_batch = batch
     if config.student_word_dropout > 0.0:
-        student_batch = []
-        for sentence in batch:
-            drop = dropout_rng.random(len(sentence)) < config.student_word_dropout
-            student_batch.append(
-                AnnotatedSentence(
-                    [PAD_TOKEN if d else t for t, d in zip(sentence.tokens, drop)]
-                )
-            )
-    loss, grad = loss_soft(pair.student, student_batch, targets, masks)
+        drop = dropout_rng.random(len(noisy)) < config.student_word_dropout
+        student_batch = TokenBatch(np.where(drop, PAD_BUCKET, batch.ids), batch.offsets, batch.buckets)
+    loss, grad = loss_soft(pair.student, student_batch, targets, mask)
     _check_finite(loss, "self denoising")
     new_student = sgd_step(pair.student, grad, config.gamma)
     pair = ema_update(TeacherStudentPair(pair.teacher, new_student, pair.alpha))
-    return pair, MaskStats(selected, total, loss)
+    return pair, MaskStats(selected, len(noisy), loss)
 
 
 def collaborative_update(state: TrainState, vocab: TagVocabulary) -> None:
     """Teachers rewrite each other's noisy track over the whole training set."""
-    for sentence in state.sentences:
-        sentence.set_track("noisy_i", predict_labels(state.pair2.teacher, sentence.tokens, vocab))
-        sentence.set_track("noisy_ii", predict_labels(state.pair1.teacher, sentence.tokens, vocab))
+    for track, teacher in (("noisy_i", state.pair2.teacher), ("noisy_ii", state.pair1.teacher)):
+        tags = predict_labels(teacher, state.corpus, vocab)
+        state.corpus.tracks[track] = tags
+        for sentence, sentence_tags in zip(state.sentences, state.corpus.split(tags)):
+            setattr(sentence, track, sentence_tags)
 
 
 def select_best(candidates) -> tuple[str, TaggerParams, float]:
@@ -291,10 +308,11 @@ def select_best(candidates) -> tuple[str, TaggerParams, float]:
     return best
 
 
-def evaluate_models(state: TrainState, dev, vocab: TagVocabulary) -> dict[str, SpanScore]:
-    gold = [s.track("gold") for s in dev]
+def evaluate_models(
+    state: TrainState, dev: TokenBatch, gold_spans, vocab: TagVocabulary
+) -> dict[str, SpanScore]:
     return {
-        name: span_prf1([predict_labels(p, s.tokens, vocab) for s in dev], gold, vocab)
+        name: score_spans(dev.split(predict_labels(p, dev, vocab)), gold_spans, vocab)
         for name, p in state.models().items()
     }
 
@@ -314,13 +332,18 @@ def train(
     if not dev_corpus or any(s.gold is None for s in dev_corpus):
         raise ValueError("dev corpus with gold track required")
     rng = np.random.default_rng(config.seed)
-    corpus = _copy_corpus(train_corpus)
+    sentences = _copy_corpus(train_corpus)
+    corpus = encode(sentences, config.hash_buckets, TRACKS)
+    dev = encode(dev_corpus, config.hash_buckets, ())
+    dev_gold = corpus_spans([s.gold for s in dev_corpus], vocab)
+    train_gold = corpus_spans([s.track("gold") for s in sentences], vocab)
     p1, p2 = pretrain(config, corpus, vocab, rng)
     alpha = 0.0 if "no_teachers" in config.ablations else config.alpha
     state = TrainState(
         pair1=TeacherStudentPair.from_params(p1, alpha),
         pair2=TeacherStudentPair.from_params(p2, alpha),
-        sentences=corpus,
+        sentences=sentences,
+        corpus=corpus,
     )
     single = "single_network" in config.ablations
     networks = [(k, TRACKS[k - 1], np.random.default_rng([config.seed, k])) for k in (1, 2)]
@@ -336,12 +359,13 @@ def train(
 
     def record(step: int):
         nonlocal best
-        scores = evaluate_models(state, dev_corpus, vocab)
+        _check_parameters(state.models(), f"at step {step}")
+        scores = evaluate_models(state, dev, dev_gold, vocab)
         for name in MODEL_ORDER:
             s = scores[name]
             history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
         for track in TRACKS:
-            refinery.append((step, track, refinery_report(corpus, vocab, track)))
+            refinery.append((step, track, refinery_report(sentences, vocab, track, train_gold)))
         name, params, f1 = select_best(
             (name, params, scores[name].f1) for name, params in state.models().items()
         )
@@ -354,7 +378,7 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(corpus))
         for batch_idx in _batches(order, config.batch_size):
-            batch = [corpus[i] for i in batch_idx]
+            batch = corpus.take(batch_idx)
             state.step += 1
             for k, track, drop_rng in networks:
                 pair, stats = self_denoise_step(

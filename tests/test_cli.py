@@ -206,6 +206,46 @@ class TestTrainCmd:
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pretrain_epochs, where",
+        [(1, "network1.embedding after pretrain epoch 0"), (0, "teacher1.embedding at step 0")],
+    )
+    def test_non_finite_parameter_exit_code(
+        self, workspace, capsys, monkeypatch, pretrain_epochs, where
+    ):
+        """A NaN in an embedding row that no token hashes to leaves every
+        loss finite, so only the parameter check can stop the run."""
+        import numpy as np
+
+        import scdl.training as training
+        from scdl.tagger import PAD_BUCKET, token_ids
+
+        words = [
+            line.split("\t")[0]
+            for path in ("train", "dev")
+            for line in workspace[path].read_text().splitlines()
+            if line
+        ]
+        unused = min(set(range(1, 512)) - set(token_ids(words, 512).tolist()) - {PAD_BUCKET})
+        original = training.init_params
+
+        def poisoned(config):
+            params = original(config)
+            params.embedding[unused, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(training, "init_params", poisoned)
+        workspace["config"].write_text(
+            FAST_CONFIG.replace("pretrain_epochs=1", f"pretrain_epochs={pretrain_epochs}")
+        )
+        rc = main([
+            "train", "--config", str(workspace["config"]),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(workspace["dir"] / "nan"),
+        ])
+        assert rc == 2
+        assert f"non-finite parameter in {where}" in capsys.readouterr().err
+
     def test_removed_parallel_option_is_usage_error(self, workspace, capsys):
         # exit 1, not argparse's 2, which would read as divergence
         train_args = [

@@ -73,13 +73,41 @@ class TestBioValidation:
             validate_bio([1, 4], vocab)  # B-PER then I-LOC
 
     def test_repair_fixes_illegal_i(self, vocab):
-        assert repair_bio([2], vocab) == [1]
-        assert repair_bio([0, 2, 2], vocab) == [0, 1, 2]
-        assert repair_bio([1, 4], vocab) == [1, 3]
+        assert repair_bio([2], vocab).tolist() == [1]
+        assert repair_bio([0, 2, 2], vocab).tolist() == [0, 1, 2]
+        assert repair_bio([1, 4], vocab).tolist() == [1, 3]
 
     def test_repair_keeps_legal(self, vocab):
         seq = [0, 1, 2, 0, 3, 4, 4]
-        assert repair_bio(seq, vocab) == seq
+        assert repair_bio(seq, vocab).tolist() == seq
+
+    @given(st.lists(st.lists(st.integers(0, 8), max_size=6), max_size=6))
+    @settings(max_examples=300)
+    def test_flat_repair_equals_sentence_loop(self, sentences):
+        """Repair of sentences laid end to end, with a start mask, equals
+        the sequential loop run on each sentence alone."""
+        vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
+
+        def repair_loop(tags):
+            out, prev = [], 0
+            for code in tags:
+                if vocab.is_i(code) and prev not in (code, code - 1):
+                    code = code - 1
+                out.append(code)
+                prev = code
+            return out
+
+        flat = [c for tags in sentences for c in tags]
+        starts = np.zeros(len(flat), dtype=bool)
+        pos = 0
+        for tags in sentences:
+            if tags:
+                starts[pos] = True
+            pos += len(tags)
+        expected = [c for tags in sentences for c in repair_loop(tags)]
+        assert repair_bio(flat, vocab, starts).tolist() == expected
+        for tags in sentences:
+            assert repair_bio(tags, vocab).tolist() == repair_loop(tags)
 
 
 @st.composite

@@ -1,19 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gradcheck import finite_difference_grad, max_relative_error
 from scdl.corpus import AnnotatedSentence, TagVocabulary
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from scdl.tagger import (
+    PAD_BUCKET,
     PAD_TOKEN,
     TaggerConfig,
+    encode,
     init_params,
     forward,
     labels_from_dists,
     load_checkpoint,
     loss_hard,
     loss_soft,
+    predict_corpus,
     predict_labels,
     save_checkpoint,
     sgd_step,
@@ -29,6 +36,18 @@ SMALL = TaggerConfig(
 
 def small_vocab():
     return TagVocabulary(["PER", "LOC"])
+
+
+def sentences_of(*token_lists):
+    return [AnnotatedSentence(list(tokens)) for tokens in token_lists]
+
+
+def context_ids_per_sentence(ids, window):
+    """Reference: one sentence's window ids, stacked from a PAD-filled copy."""
+    n = len(ids)
+    padded = np.full(n + 2 * window, PAD_BUCKET, dtype=np.int64)
+    padded[window : window + n] = ids
+    return np.stack([padded[k : k + n] for k in range(2 * window + 1)], axis=1)
 
 
 def random_batch(rng, vocab, n_sentences=3, max_len=6):
@@ -83,27 +102,71 @@ class TestHashing:
         assert np.array_equal(token_ids(["a", "b"], 100), token_ids(["a", "b"], 100))
 
 
+class TestFlatBatch:
+    words = st.sampled_from(["a", "b", "c", "d", PAD_TOKEN])
+
+    @given(st.lists(st.lists(words, max_size=5), max_size=6))
+    @settings(max_examples=200)
+    def test_context_ids_equal_per_sentence_stack(self, token_lists):
+        batch = encode(sentences_of(*token_lists), 12)
+        for window in (0, 1, 2):
+            expected = [
+                context_ids_per_sentence(token_ids(tokens, 12), window) for tokens in token_lists
+            ]
+            expected = np.concatenate(expected) if expected else np.zeros((0, 2 * window + 1))
+            got = batch.context_ids(window)
+            assert got.shape == (len(batch.ids), 2 * window + 1)
+            assert np.array_equal(got, expected)
+
+    def test_take_keeps_ids_tracks_and_windows(self):
+        corpus = make_synthetic_corpus(20, TagVocabulary(["PER", "LOC", "ORG", "MISC"]), seed=3)
+        full = encode(corpus, 64)
+        full.context_ids(1)
+        order = [7, 0, 19, 7]
+        part = full.take(order)
+        fresh = encode([corpus[i] for i in order], 64)
+        assert np.array_equal(part.ids, fresh.ids)
+        assert np.array_equal(part.offsets, fresh.offsets)
+        assert np.array_equal(part.track("noisy_i"), fresh.track("noisy_i"))
+        assert np.array_equal(part.context_ids(1), fresh.context_ids(1))
+        assert part.split(part.track("gold")) == [corpus[i].gold for i in order]
+
+    def test_flat_forward_equals_one_sentence_forward(self):
+        params = init_params(SMALL)
+        token_lists = [["a"], [], ["b", "c", "a", "d"], ["c", "c"]]
+        flat = forward(params, sentences_of(*token_lists))
+        batch = encode(sentences_of(*token_lists), SMALL.vocab_hash_buckets)
+        for rows, tokens in zip(batch.split(np.arange(len(flat))), token_lists):
+            alone = forward(params, sentences_of(tokens))
+            assert np.abs(flat[rows] - alone).max(initial=0.0) <= 1e-12
+
+    def test_hashed_batch_is_not_reused_across_bucket_counts(self):
+        batch = encode(sentences_of(["a", "b"]), 64)
+        with pytest.raises(ValueError, match="buckets"):
+            forward(init_params(SMALL), batch)
+
+
 class TestForward:
     def test_rows_are_distributions(self):
         params = init_params(SMALL)
-        probs = forward(params, ["a", "b", "c"])
+        probs = forward(params, sentences_of(["a", "b", "c"]))
         assert probs.shape == (3, 5)
         assert np.allclose(probs.sum(axis=1), 1.0)
         assert (probs > 0).all()
 
     def test_empty_sentence(self):
-        probs = forward(init_params(SMALL), [])
-        assert probs.shape == (0, 5)
+        assert forward(init_params(SMALL), []).shape == (0, 5)
+        assert forward(init_params(SMALL), sentences_of([])).shape == (0, 5)
 
     def test_zero_params_uniform(self):
         params = zeros_like(init_params(SMALL))
-        probs = forward(params, ["a", "b"])
+        probs = forward(params, sentences_of(["a", "b"]))
         assert np.allclose(probs, 1.0 / 5)
 
     def test_window_uses_context(self):
         params = init_params(SMALL)
-        p1 = forward(params, ["a", "b"])
-        p2 = forward(params, ["a", "c"])
+        p1 = forward(params, sentences_of(["a", "b"]))
+        p2 = forward(params, sentences_of(["a", "c"]))
         assert not np.allclose(p1[0], p2[0])
 
 
@@ -214,14 +277,14 @@ class TestPrediction:
     def test_ties_pick_lowest_code(self):
         vocab = small_vocab()
         dists = np.full((2, 5), 0.2)
-        assert labels_from_dists(dists, vocab) == [0, 0]
+        assert labels_from_dists(dists, vocab).tolist() == [0, 0]
 
     def test_argmax_then_repair(self):
         vocab = small_vocab()
         dists = np.zeros((2, 5))
         dists[0, 2] = 1.0  # bare I-PER
         dists[1, 2] = 1.0
-        assert labels_from_dists(dists, vocab) == [1, 2]
+        assert labels_from_dists(dists, vocab).tolist() == [1, 2]
 
     def test_predict_on_trained_corpus(self):
         vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
@@ -233,11 +296,12 @@ class TestPrediction:
             _, grad = loss_hard(params, corpus, "gold")
             params = sgd_step(params, grad, 2.0)
         correct = total = 0
-        for s in corpus:
-            predicted = predict_labels(params, s.tokens, vocab)
+        for predicted, s in zip(predict_corpus(params, corpus, vocab), corpus):
             correct += sum(p == g for p, g in zip(predicted, s.gold))
             total += len(s)
         assert correct / total > 0.9
+        flat = predict_labels(params, corpus, vocab)
+        assert flat.tolist() == [c for tags in predict_corpus(params, corpus, vocab) for c in tags]
 
 
 class TestCheckpoint:
@@ -280,6 +344,17 @@ class TestCheckpoint:
         path = self._with_header(tmp_path, b"[1, 2]")
         with pytest.raises(ValueError, match="not a JSON object"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(SMALL), path)
+        before = path.read_bytes()
+        broken = init_params(replace(SMALL, init_seed=1))
+        broken.out_b = np.array(["not a number"] * SMALL.num_tags, dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, path)  # fails after the header and first blocks
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_trailing_bytes(self, tmp_path):
         params = init_params(SMALL)

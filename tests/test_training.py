@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scdl.corpus import TagVocabulary, inject_noise
+from scdl.corpus import AnnotatedSentence, TagVocabulary, inject_noise
 from scdl.denoise import (
     TeacherStudentPair,
     ema_update,
@@ -9,7 +9,16 @@ from scdl.denoise import (
     select_consistent,
     token_selection,
 )
-from scdl.tagger import forward, init_params, labels_from_dists, loss_hard, loss_soft, sgd_step
+from scdl.tagger import (
+    PAD_TOKEN,
+    encode,
+    forward,
+    init_params,
+    labels_from_dists,
+    loss_hard,
+    loss_soft,
+    sgd_step,
+)
 from scdl.training import (
     ABLATIONS,
     MODEL_ORDER,
@@ -215,7 +224,8 @@ class TestSelfDenoiseStep:
             config = ScdlConfig(**FAST, delta=delta, ablations=ablations)
             stepped, stats = self_denoise_step(pair, batch, "noisy_i", config, vocab)
 
-            dists = [forward(pair.teacher, s.tokens) for s in batch]
+            offsets = encode(batch, config.hash_buckets).offsets
+            dists = np.split(forward(pair.teacher, batch), offsets[1:-1])
             masks = []
             for s, d in zip(batch, dists):
                 m = np.zeros(len(s), dtype=bool)
@@ -247,6 +257,36 @@ class TestSelfDenoiseStep:
             assert stats.selected > 0
             assert params_equal(stepped.student, pair.student) == (dropout == 0.0)
 
+    def test_id_dropout_equals_pad_token_dropout(self, vocab):
+        """Blanking ids to the padding bucket with one draw per batch equals
+        building PAD_TOKEN sentences with one draw per sentence."""
+        corpus = noisy_corpus(vocab)
+        batch = corpus[:8]
+        config = ScdlConfig(
+            **FAST,
+            student_word_dropout=0.3,
+            ablations=frozenset({"no_consistency", "no_confidence"}),
+        )
+        p, _ = pretrain(config, corpus, vocab)
+        _, g = loss_hard(p, corpus[8:24], "noisy_i")
+        pair = TeacherStudentPair(p, sgd_step(p, g, 2.0), 0.9)
+        stepped, stats = self_denoise_step(
+            pair, batch, "noisy_i", config, vocab, dropout_rng=np.random.default_rng(4)
+        )
+
+        rng = np.random.default_rng(4)
+        blanked = [
+            AnnotatedSentence(
+                [PAD_TOKEN if d else t for t, d in zip(s.tokens, rng.random(len(s)) < 0.3)]
+            )
+            for s in batch
+        ]
+        assert any(PAD_TOKEN in s.tokens for s in blanked)
+        dists = forward(pair.teacher, batch)
+        loss, grad = loss_soft(pair.student, blanked, dists, np.ones(len(dists), dtype=bool))
+        assert stats.loss == loss
+        assert params_equal(stepped.student, sgd_step(pair.student, grad, config.gamma))
+
     def test_dropout_needs_a_generator(self, vocab):
         config = ScdlConfig(**FAST, student_word_dropout=0.25)
         corpus = noisy_corpus(vocab)
@@ -264,7 +304,7 @@ class TestSelfDenoiseStep:
 
 class TestCollaborativeUpdate:
     def test_tracks_become_peer_teacher_predictions(self, vocab):
-        from scdl.tagger import predict_labels
+        from scdl.tagger import predict_corpus
         from scdl.training import TrainState
 
         config = ScdlConfig(**FAST)
@@ -276,9 +316,9 @@ class TestCollaborativeUpdate:
             sentences=corpus,
         )
         collaborative_update(state, vocab)
-        for s in corpus:
-            assert s.noisy_i == predict_labels(p2, s.tokens, vocab)
-            assert s.noisy_ii == predict_labels(p1, s.tokens, vocab)
+        assert [s.noisy_i for s in corpus] == predict_corpus(p2, corpus, vocab)
+        assert [s.noisy_ii for s in corpus] == predict_corpus(p1, corpus, vocab)
+        assert state.corpus.track("noisy_i").tolist() == [c for s in corpus for c in s.noisy_i]
 
     def test_idempotent_for_fixed_teachers(self, vocab):
         from scdl.training import TrainState
