@@ -23,10 +23,9 @@ from .corpus import (
     infer_vocab,
     inject_noise,
     parse_conll,
-    spans_from_bio,
     write_conll,
 )
-from .tagger import atomic_open, load_checkpoint, predict_corpus, save_checkpoint
+from .tagger import atomic_open, encode, load_checkpoint, predict_labels, save_checkpoint
 from .training import (
     ABLATIONS,
     ScdlConfig,
@@ -70,34 +69,33 @@ def _track_checksum(sentences, track: str) -> str:
 
 
 def _annotation_summary(sentences, distant_tags, vocab) -> dict:
-    correct = incomplete = inaccurate = other = 0
-    for sentence, tags in zip(sentences, distant_tags):
-        gold_spans = spans_from_bio(sentence.track("gold"), vocab)
-        pred_spans = {(s.start, s.end): s.entity_type for s in spans_from_bio(tags, vocab)}
-        for span in gold_spans:
-            got = pred_spans.get((span.start, span.end))
-            if got == span.entity_type:
-                correct += 1
-            elif got is not None:
-                inaccurate += 1
-            elif all(tags[j] == 0 for j in range(span.start, span.end + 1)):
-                incomplete += 1
-            else:
-                other += 1
+    """How each gold span fared under distant annotation."""
+    gold, starts = corpus_mod.flat_tags([s.track("gold") for s in sentences])
+    distant, _ = corpus_mod.flat_tags(distant_tags)
+    g_begin, g_end, g_code = corpus_mod.bio_spans(gold, vocab, starts)
+    d_begin, d_end, d_code = corpus_mod.bio_spans(distant, vocab, starts)
+    # gold span g[k] and distant span d[k] share a begin
+    _, g, d = np.intersect1d(g_begin, d_begin, assume_unique=True, return_indices=True)
+    same = g_end[g] == d_end[d]
+    matched = int(np.count_nonzero(same))
+    correct = int(np.count_nonzero(same & (g_code[g] == d_code[d])))
+    tagged = np.concatenate(([0], np.cumsum(distant != 0)))  # tagged tokens before each index
+    incomplete = int(np.count_nonzero(tagged[g_end + 1] == tagged[g_begin]))
     return {
-        "gold_spans": correct + incomplete + inaccurate + other,
+        "gold_spans": len(g_begin),
         "correct": correct,
         "incomplete": incomplete,
-        "inaccurate": inaccurate,
-        "other": other,
+        "inaccurate": matched - correct,
+        "other": len(g_begin) - matched - incomplete,
     }
 
 
 def cmd_annotate(args) -> int:
-    sentences, gold_vocab = _load_corpus(args.corpus)
+    text = _read(args.corpus)
     gaz = Gazetteer.parse(_read(args.gazetteer))
-    gaz_types = sorted({t for types in gaz.entries.values() for t in types})
-    vocab = TagVocabulary(sorted(set(gold_vocab.entity_types) | set(gaz_types)))
+    gaz_types = {t for types in gaz.entries.values() for t in types}
+    vocab = TagVocabulary(sorted(set(infer_vocab(text).entity_types) | gaz_types))
+    sentences = parse_conll(text, vocab)
     rng = np.random.default_rng(args.seed)
     distant = [
         distant_annotate(
@@ -105,23 +103,14 @@ def cmd_annotate(args) -> int:
         )
         for s in sentences
     ]
+    summary = _annotation_summary(sentences, distant, vocab)
     out_sentences = [
-        corpus_mod.AnnotatedSentence(list(s.tokens), gold=tags)
-        for s, tags in zip(sentences, distant)
+        corpus_mod.AnnotatedSentence(s.tokens, gold=tags) for s, tags in zip(sentences, distant)
     ]
     atomic_write_text(args.out, write_conll(out_sentences, vocab, "gold"))
-    summary = _annotation_summary(
-        [corpus_mod.AnnotatedSentence(s.tokens, gold=_recode(s.track("gold"), gold_vocab, vocab)) for s in sentences],
-        distant,
-        vocab,
-    )
     atomic_write_text(args.summary or args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     return 0
-
-
-def _recode(tags, src: TagVocabulary, dst: TagVocabulary) -> list[int]:
-    return [dst.encode(src.decode(c)) for c in tags]
 
 
 def cmd_inject(args) -> int:
@@ -168,11 +157,12 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "config.txt", config.to_text())
-    gold = [s.track("gold") for s in dev_corpus]
+    dev = encode(dev_corpus, config.hash_buckets, ("gold",))
     lines = []
     for name, params in (("net1", p1), ("net2", p2)):
         save_checkpoint(params, out / f"{name}.ckpt")
-        score = metrics_mod.span_prf1(predict_corpus(params, dev_corpus, vocab), gold, vocab)
+        predicted = predict_labels(params, dev, vocab)
+        score = metrics_mod.score_tags(predicted, dev.track("gold"), vocab, dev.starts)
         point = metrics_mod.CurvePoint(0, name, "dev", score.precision, score.recall, score.f1)
         lines.append(_metrics_record(point, ""))
         print(f"{name}: dev F1 {score.f1:.4f}")
@@ -247,9 +237,9 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint expects {params.config.num_tags} tags, corpus has {vocab.size}"
         )
-    sentences = parse_conll(text, vocab)
-    gold = [s.track("gold") for s in sentences]
-    score = metrics_mod.span_prf1(predict_corpus(params, sentences, vocab), gold, vocab)
+    batch = encode(parse_conll(text, vocab), params.config.vocab_hash_buckets, ("gold",))
+    predicted = predict_labels(params, batch, vocab)
+    score = metrics_mod.score_tags(predicted, batch.track("gold"), vocab, batch.starts)
     print(
         f"precision {score.precision:.4f} recall {score.recall:.4f} f1 {score.f1:.4f}"
     )

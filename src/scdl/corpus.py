@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -140,19 +141,41 @@ class Span:
     entity_type: str
 
 
+def bio_spans(tags, vocab: TagVocabulary, starts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(begin, end, code) arrays of the maximal entity spans of BIO-valid tags.
+
+    `tags` and `starts` are as in repair_bio, so a span never crosses a
+    sentence start. `end` is inclusive and `code` is the span's B-t code;
+    spans come sorted by begin. A tag that repair_bio would change raises
+    BioValidationError naming its flat index.
+    """
+    codes = np.asarray(tags, dtype=np.int64)
+    bad = np.flatnonzero(repair_bio(codes, vocab, starts) != codes)
+    if len(bad):
+        j = int(bad[0])
+        raise BioValidationError(f"token {j}: {vocab.decode(codes[j])} does not continue an entity", j)
+    is_i = (codes > 0) & (codes % 2 == 0)
+    begin = np.flatnonzero(codes % 2 == 1)
+    # in valid BIO a span ends where the next token does not continue it
+    end = np.flatnonzero((codes > 0) & ~np.append(is_i[1:], False))
+    return begin, end, codes[begin]
+
+
+def flat_tags(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sentence tag lists laid end to end, with repair_bio's `starts` mask."""
+    lengths = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
+    tags = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    starts = np.zeros(len(tags), dtype=bool)
+    starts[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    return tags, starts
+
+
 def spans_from_bio(tags, vocab: TagVocabulary) -> list[Span]:
     """Maximal entity spans of a BIO-valid sequence, sorted by start."""
-    validate_bio(tags, vocab)
-    spans = []
-    start = None
-    for j, code in enumerate(tags):
-        if code == 0 or code % 2 == 1:  # O or B-t closes the open span; I-t continues it
-            if start is not None:
-                spans.append(Span(start, j - 1, vocab.type_of(tags[start])))
-            start = j if code else None
-    if start is not None:
-        spans.append(Span(start, len(tags) - 1, vocab.type_of(tags[start])))
-    return spans
+    begin, end, code = bio_spans(tags, vocab)
+    return [
+        Span(b, e, vocab.type_of(c)) for b, e, c in zip(begin.tolist(), end.tolist(), code.tolist())
+    ]
 
 
 def bio_from_spans(spans, length: int, vocab: TagVocabulary) -> list[int]:
@@ -257,11 +280,14 @@ class Gazetteer:
             if not line.strip():
                 continue
             surface, sep, types = line.partition("\t")
-            if not sep or not surface or not types:
+            if not sep or not surface.strip() or not types:
                 raise ConllFormatError(
                     f"line {lineno}: expected 'surface<TAB>TYPE1,TYPE2', got {line!r}"
                 )
-            entries[tuple(surface.split())] = tuple(t.strip() for t in types.split(","))
+            types = tuple(t.strip() for t in types.split(","))
+            if "" in types:
+                raise ConllFormatError(f"line {lineno}: empty entity type in {line!r}")
+            entries[tuple(surface.split())] = types
         return cls(entries)
 
     def write(self) -> str:

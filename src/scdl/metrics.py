@@ -5,7 +5,9 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .corpus import TagVocabulary, spans_from_bio
+import numpy as np
+
+from .corpus import TagVocabulary, bio_spans, flat_tags
 
 
 @dataclass(frozen=True)
@@ -28,20 +30,19 @@ class SpanScore:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def corpus_spans(tags_corpus, vocab: TagVocabulary) -> list[set]:
-    """The span set of each sentence, to score many predictions against."""
-    return [set(spans_from_bio(tags, vocab)) for tags in tags_corpus]
+def score_tags(predicted, gold, vocab: TagVocabulary, starts=None) -> SpanScore:
+    """Exact-match span score of flat predicted tags against flat gold tags.
 
-
-def score_spans(predicted, gold_spans, vocab: TagVocabulary) -> SpanScore:
-    """span_prf1 against one gold span set per sentence; lengths are not checked."""
-    tp = n_pred = n_gold = 0
-    for pred_tags, gold in zip(predicted, gold_spans):
-        pred = set(spans_from_bio(pred_tags, vocab))
-        tp += len(pred & gold)
-        n_pred += len(pred)
-        n_gold += len(gold)
-    return SpanScore(tp, n_pred, n_gold)
+    Both lay the same sentences end to end, `starts` as in repair_bio.
+    """
+    if len(predicted) != len(gold):
+        raise ValueError("predicted and gold tags differ in length")
+    p_begin, p_end, p_code = bio_spans(predicted, vocab, starts)
+    g_begin, g_end, g_code = bio_spans(gold, vocab, starts)
+    # begins are unique within a track: a match shares its begin, end and code
+    _, p, g = np.intersect1d(p_begin, g_begin, assume_unique=True, return_indices=True)
+    tp = int(np.count_nonzero((p_end[p] == g_end[g]) & (p_code[p] == g_code[g])))
+    return SpanScore(tp, len(p_begin), len(g_begin))
 
 
 def span_prf1(predicted, gold, vocab: TagVocabulary) -> SpanScore:
@@ -54,22 +55,16 @@ def span_prf1(predicted, gold, vocab: TagVocabulary) -> SpanScore:
         raise ValueError("predicted and gold corpora differ in length")
     if any(len(p) != len(g) for p, g in zip(predicted, gold)):
         raise ValueError("sentence length mismatch")
-    return score_spans(predicted, (set(spans_from_bio(g, vocab)) for g in gold), vocab)
+    tags, starts = flat_tags(predicted)
+    return score_tags(tags, flat_tags(gold)[0], vocab, starts)
 
 
-def refinery_report(
-    sentences, vocab: TagVocabulary, track: str = "noisy_i", gold_spans=None
-) -> SpanScore:
-    """How close a rewritten noisy track has come to the gold labels.
-
-    `gold_spans` (from corpus_spans) saves re-extracting the gold spans.
-    """
-    if gold_spans is None:
-        for s in sentences:
-            if s.gold is None:
-                raise ValueError("refinery report requires the gold track")
-        return span_prf1([s.track(track) for s in sentences], [s.gold for s in sentences], vocab)
-    return score_spans([s.track(track) for s in sentences], gold_spans, vocab)
+def refinery_report(sentences, vocab: TagVocabulary, track: str = "noisy_i") -> SpanScore:
+    """How close a rewritten noisy track has come to the gold labels."""
+    for s in sentences:
+        if s.gold is None:
+            raise ValueError("refinery report requires the gold track")
+    return span_prf1([s.track(track) for s in sentences], [s.gold for s in sentences], vocab)
 
 
 @dataclass(frozen=True)

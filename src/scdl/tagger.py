@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 import zlib
@@ -48,6 +49,16 @@ class TaggerConfig:
     def context_width(self) -> int:
         return 2 * self.window + 1
 
+    def block_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shape of each parameter block, in TaggerParams.BLOCK_NAMES order."""
+        return (
+            (self.vocab_hash_buckets, self.embed_dim),
+            (self.context_width * self.embed_dim, self.hidden_dim),
+            (self.hidden_dim,),
+            (self.hidden_dim, self.num_tags),
+            (self.num_tags,),
+        )
+
     def structurally_distinct(self, other: "TaggerConfig") -> bool:
         return (
             self.embed_dim != other.embed_dim
@@ -85,18 +96,7 @@ class TaggerParams:
 def init_params(config: TaggerConfig) -> TaggerParams:
     rng = np.random.default_rng(config.init_seed)
     s = config.init_scale
-
-    def u(*shape):
-        return rng.uniform(-s, s, size=shape)
-
-    return TaggerParams(
-        config,
-        embedding=u(config.vocab_hash_buckets, config.embed_dim),
-        hidden_w=u(config.context_width * config.embed_dim, config.hidden_dim),
-        hidden_b=u(config.hidden_dim),
-        out_w=u(config.hidden_dim, config.num_tags),
-        out_b=u(config.num_tags),
-    )
+    return TaggerParams(config, *(rng.uniform(-s, s, size=shape) for shape in config.block_shapes()))
 
 
 def zeros_like(params: TaggerParams) -> TaggerParams:
@@ -324,15 +324,6 @@ def predict_labels(params: TaggerParams, batch, vocab: TagVocabulary) -> np.ndar
     return np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
 
 
-def predict_corpus(params: TaggerParams, sentences, vocab: TagVocabulary) -> list[list[int]]:
-    """Labels per sentence, hashing and predicting PREDICT_CHUNK sentences at a time."""
-    out = []
-    for a in range(0, len(sentences), PREDICT_CHUNK):
-        chunk = encode(sentences[a : a + PREDICT_CHUNK], params.config.vocab_hash_buckets, ())
-        out += chunk.split(predict_labels(params, chunk, vocab))
-    return out
-
-
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
     """Write-then-rename, so the file at `path` is the old one or the complete new one."""
@@ -374,20 +365,29 @@ def load_checkpoint(path) -> TaggerParams:
         magic = fh.readline().decode("utf-8").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a tagger checkpoint: {magic!r}")
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except RecursionError:
+            raise ValueError("checkpoint header nests too deeply") from None
         if not isinstance(header, dict):
             raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
+        for key in ("num_tags", "vocab_hash_buckets", "embed_dim", "window", "hidden_dim"):
+            if key in header and type(header[key]) is not int:
+                raise ValueError(f"bad checkpoint header: {key} is not an integer: {header[key]!r}")
         try:
             config = TaggerConfig(**header)
-            template = zeros_like(init_params(config))
         except TypeError as exc:
             raise ValueError(f"bad checkpoint header: {exc}") from None
-        blocks = []
-        for block in template.blocks():
-            raw = fh.read(block.size * 8)
-            if len(raw) != block.size * 8:
-                raise ValueError("truncated checkpoint")
-            blocks.append(np.frombuffer(raw, dtype="<f8").reshape(block.shape).copy())
-        if fh.read(1):
+        shapes = config.block_shapes()
+        # sized from the header before anything is allocated
+        expected = 8 * sum(math.prod(shape) for shape in shapes)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < expected:
+            raise ValueError("truncated checkpoint")
+        if left > expected:
             raise ValueError("trailing bytes after checkpoint data")
+        blocks = [
+            np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+            for shape in shapes
+        ]
     return TaggerParams(config, *blocks)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import AnnotatedSentence, TagVocabulary
 from .denoise import TeacherStudentPair, confident_mask, consistent_mask, ema_update
-from .metrics import CurvePoint, SpanScore, corpus_spans, refinery_report, score_spans
+from .metrics import CurvePoint, SpanScore, score_tags
 from .tagger import (
     PAD_BUCKET,
     TaggerConfig,
@@ -308,11 +308,11 @@ def select_best(candidates) -> tuple[str, TaggerParams, float]:
     return best
 
 
-def evaluate_models(
-    state: TrainState, dev: TokenBatch, gold_spans, vocab: TagVocabulary
-) -> dict[str, SpanScore]:
+def evaluate_models(state: TrainState, dev: TokenBatch, vocab: TagVocabulary) -> dict[str, SpanScore]:
+    """Span score of each model on `dev`, which carries the gold track."""
+    gold, starts = dev.track("gold"), dev.starts
     return {
-        name: score_spans(dev.split(predict_labels(p, dev, vocab)), gold_spans, vocab)
+        name: score_tags(predict_labels(p, dev, vocab), gold, vocab, starts)
         for name, p in state.models().items()
     }
 
@@ -329,14 +329,13 @@ def train(
     The caller's corpora are not mutated; the live noisy tracks end up on
     `result.state.sentences`.
     """
-    if not dev_corpus or any(s.gold is None for s in dev_corpus):
-        raise ValueError("dev corpus with gold track required")
+    if not dev_corpus or any(s.gold is None for s in [*train_corpus, *dev_corpus]):
+        raise ValueError("training and dev corpora with gold track required")
     rng = np.random.default_rng(config.seed)
     sentences = _copy_corpus(train_corpus)
-    corpus = encode(sentences, config.hash_buckets, TRACKS)
-    dev = encode(dev_corpus, config.hash_buckets, ())
-    dev_gold = corpus_spans([s.gold for s in dev_corpus], vocab)
-    train_gold = corpus_spans([s.track("gold") for s in sentences], vocab)
+    corpus = encode(sentences, config.hash_buckets, ("gold",) + TRACKS)
+    dev = encode(dev_corpus, config.hash_buckets, ("gold",))
+    gold, starts = corpus.track("gold"), corpus.starts
     p1, p2 = pretrain(config, corpus, vocab, rng)
     alpha = 0.0 if "no_teachers" in config.ablations else config.alpha
     state = TrainState(
@@ -360,12 +359,12 @@ def train(
     def record(step: int):
         nonlocal best
         _check_parameters(state.models(), f"at step {step}")
-        scores = evaluate_models(state, dev, dev_gold, vocab)
+        scores = evaluate_models(state, dev, vocab)
         for name in MODEL_ORDER:
             s = scores[name]
             history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
         for track in TRACKS:
-            refinery.append((step, track, refinery_report(sentences, vocab, track, train_gold)))
+            refinery.append((step, track, score_tags(corpus.track(track), gold, vocab, starts)))
         name, params, f1 = select_best(
             (name, params, scores[name].f1) for name, params in state.models().items()
         )

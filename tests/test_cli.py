@@ -1,10 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scdl.cli as cli
 from scdl.cli import main
-from scdl.corpus import inject_noise, parse_conll, write_conll
+from scdl.corpus import (
+    AnnotatedSentence,
+    inject_noise,
+    parse_conll,
+    repair_bio,
+    spans_from_bio,
+    write_conll,
+)
 from scdl.training import ABLATIONS, TrainingDiverged
 from synthdata import default_vocab, make_synthetic_corpus
 
@@ -116,6 +125,40 @@ class TestAnnotate:
         )
         assert summary["incomplete"] > 0  # the tiny gazetteer misses most mentions
         parse_conll(out.read_text(), default_vocab())
+
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=8), max_size=8))
+    @settings(max_examples=300)
+    def test_summary_equals_sentence_loop(self, raw):
+        """The flat summary equals one dict lookup per gold span, sentence by sentence."""
+        vocab = default_vocab()
+        gold = [repair_bio([g for g, _ in pairs], vocab).tolist() for pairs in raw]
+        distant = [repair_bio([d for _, d in pairs], vocab).tolist() for pairs in raw]
+        sentences = [AnnotatedSentence(["w"] * len(tags), gold=tags) for tags in gold]
+        counts = dict.fromkeys(("correct", "incomplete", "inaccurate", "other"), 0)
+        for sentence, tags in zip(sentences, distant):
+            pred_spans = {(s.start, s.end): s.entity_type for s in spans_from_bio(tags, vocab)}
+            for span in spans_from_bio(sentence.gold, vocab):
+                got = pred_spans.get((span.start, span.end))
+                if got == span.entity_type:
+                    counts["correct"] += 1
+                elif got is not None:
+                    counts["inaccurate"] += 1
+                elif all(tags[j] == 0 for j in range(span.start, span.end + 1)):
+                    counts["incomplete"] += 1
+                else:
+                    counts["other"] += 1
+        expected = {"gold_spans": sum(counts.values()), **counts}
+        assert cli._annotation_summary(sentences, distant, vocab) == expected
+
+    def test_empty_gazetteer_type_exit_code(self, workspace, capsys):
+        gaz = workspace["dir"] / "gaz.tsv"
+        gaz.write_text("per0\tPER\nloc0\tLOC,\n")
+        out = workspace["dir"] / "distant.conll"
+        rc = main(["annotate", "--corpus", str(workspace["gold"]), "--gazetteer", str(gaz),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "line 2: empty entity type" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPretrainCmd:
@@ -340,6 +383,14 @@ class TestEvalCmd:
         rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workspace["dev"])])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_header_claiming_a_huge_body(self, workspace, capsys):
+        ckpt = workspace["dir"] / "huge.ckpt"
+        header = {"num_tags": 9, "vocab_hash_buckets": 10**9, "embed_dim": 64}
+        ckpt.write_bytes(b"SCDL-TAGGER 1\n" + json.dumps(header).encode() + b"\n" + bytes(64))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workspace["dev"])])
+        assert rc == 1
+        assert "truncated checkpoint" in capsys.readouterr().err
 
 
 class TestAblateCmd:

@@ -11,7 +11,9 @@ from scdl.corpus import (
     Span,
     TagVocabulary,
     bio_from_spans,
+    bio_spans,
     distant_annotate,
+    flat_tags,
     format_alteration_log,
     infer_vocab,
     inject_noise,
@@ -168,6 +170,59 @@ class TestSpans:
         validate_bio(repair_bio(tags, vocab), vocab)
 
 
+def spans_loop(tags, vocab):
+    """Reference: (start, end, type) of each maximal span, one scan over valid BIO."""
+    spans = []
+    start = None
+    for j, code in enumerate(tags):
+        if code == 0 or code % 2 == 1:  # O or B-t closes the open span; I-t continues it
+            if start is not None:
+                spans.append((start, j - 1, vocab.type_of(tags[start])))
+            start = j if code else None
+    if start is not None:
+        spans.append((start, len(tags) - 1, vocab.type_of(tags[start])))
+    return spans
+
+
+class TestFlatSpans:
+    @given(st.lists(st.lists(st.integers(0, 8), max_size=6), max_size=6))
+    @settings(max_examples=300)
+    def test_flat_spans_equal_sentence_loop(self, raw):
+        """Spans of sentences laid end to end, including empty and 1-token
+        ones, equal the reference loop on each sentence shifted by its offset."""
+        vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
+        sentences = [repair_bio(tags, vocab).tolist() for tags in raw]
+        expected, starts, offset = [], [], 0
+        for tags in sentences:
+            expected += [(b + offset, e + offset, t) for b, e, t in spans_loop(tags, vocab)]
+            starts += [j == 0 for j in range(len(tags))]
+            offset += len(tags)
+            assert [(s.start, s.end, s.entity_type) for s in spans_from_bio(tags, vocab)] == (
+                spans_loop(tags, vocab)
+            )
+        flat, flat_starts = flat_tags(sentences)
+        assert flat.tolist() == [c for tags in sentences for c in tags]
+        assert flat_starts.tolist() == starts
+        begin, end, code = bio_spans(flat, vocab, flat_starts)
+        got = [(b, e, vocab.type_of(c)) for b, e, c in zip(begin.tolist(), end.tolist(), code.tolist())]
+        assert got == expected
+
+    def test_i_at_sentence_start_raises(self, vocab):
+        b, i = vocab.b_code("PER"), vocab.i_code("PER")
+        tags, starts = flat_tags([[0, b], [i, 0]])
+        with pytest.raises(BioValidationError, match="token 2") as info:
+            bio_spans(tags, vocab, starts)
+        assert info.value.index == 2
+        begin, end, _ = bio_spans(tags, vocab)  # one sentence: B-PER I-PER is a span
+        assert (begin.tolist(), end.tolist()) == ([1], [2])
+
+    def test_invalid_tag_raises(self, vocab):
+        with pytest.raises(BioValidationError, match="token 1"):
+            bio_spans([1, 4], vocab)  # B-PER then I-LOC
+        with pytest.raises(BioValidationError, match="token 0"):
+            spans_from_bio([2], vocab)
+
+
 CONLL_SAMPLE = "Jack\tB-PER\nLucas\tI-PER\nvisited\tO\nParis\tB-LOC\n\nEOF\tO\n"
 
 
@@ -227,6 +282,14 @@ class TestGazetteer:
 
     def test_empty_gazetteer(self):
         assert Gazetteer.parse("").max_len == 0
+
+    def test_empty_type_or_surface_names_line(self):
+        with pytest.raises(ConllFormatError, match="line 1: empty entity type"):
+            Gazetteer.parse("paris\tLOC,\n")
+        with pytest.raises(ConllFormatError, match="line 2: empty entity type"):
+            Gazetteer.parse("paris\tLOC\nrome\t, LOC\n")
+        with pytest.raises(ConllFormatError, match="line 2: expected"):
+            Gazetteer.parse("paris\tLOC\n \tLOC\n")
 
 
 class TestDistantAnnotate:

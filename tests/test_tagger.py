@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,6 @@ from scdl.tagger import (
     load_checkpoint,
     loss_hard,
     loss_soft,
-    predict_corpus,
     predict_labels,
     save_checkpoint,
     sgd_step,
@@ -295,13 +296,15 @@ class TestPrediction:
         for _ in range(300):
             _, grad = loss_hard(params, corpus, "gold")
             params = sgd_step(params, grad, 2.0)
+        batch = encode(corpus, cfg.vocab_hash_buckets, ())
+        per_sentence = batch.split(predict_labels(params, batch, vocab))
         correct = total = 0
-        for predicted, s in zip(predict_corpus(params, corpus, vocab), corpus):
+        for predicted, s in zip(per_sentence, corpus):
             correct += sum(p == g for p, g in zip(predicted, s.gold))
             total += len(s)
         assert correct / total > 0.9
         flat = predict_labels(params, corpus, vocab)
-        assert flat.tolist() == [c for tags in predict_corpus(params, corpus, vocab) for c in tags]
+        assert flat.tolist() == [c for tags in per_sentence for c in tags]
 
 
 class TestCheckpoint:
@@ -338,6 +341,30 @@ class TestCheckpoint:
     def test_unknown_header_key(self, tmp_path):
         path = self._with_header(tmp_path, b'{"num_tags": 5, "bogus": 1}')
         with pytest.raises(ValueError, match="bogus"):
+            load_checkpoint(path)
+
+    def test_body_sized_from_header_before_allocating(self, tmp_path):
+        header = json.dumps({"num_tags": 5, "vocab_hash_buckets": 2**20, "embed_dim": 16})
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"SCDL-TAGGER 1\n" + header.encode() + b"\n" + bytes(80))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("value", ["4.0", "true", '"4"', "null", "[4]"])
+    def test_non_integer_dimension(self, tmp_path, value):
+        path = self._with_header(tmp_path, b'{"num_tags": 5, "embed_dim": ' + value.encode() + b"}")
+        with pytest.raises(ValueError, match="embed_dim is not an integer"):
+            load_checkpoint(path)
+
+    def test_deeply_nested_header(self, tmp_path):
+        path = self._with_header(tmp_path, b"[" * 100_000)
+        with pytest.raises(ValueError, match="nests too deeply"):
             load_checkpoint(path)
 
     def test_header_not_an_object(self, tmp_path):

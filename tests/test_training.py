@@ -304,7 +304,7 @@ class TestSelfDenoiseStep:
 
 class TestCollaborativeUpdate:
     def test_tracks_become_peer_teacher_predictions(self, vocab):
-        from scdl.tagger import predict_corpus
+        from scdl.tagger import encode, predict_labels
         from scdl.training import TrainState
 
         config = ScdlConfig(**FAST)
@@ -316,8 +316,9 @@ class TestCollaborativeUpdate:
             sentences=corpus,
         )
         collaborative_update(state, vocab)
-        assert [s.noisy_i for s in corpus] == predict_corpus(p2, corpus, vocab)
-        assert [s.noisy_ii for s in corpus] == predict_corpus(p1, corpus, vocab)
+        batch = encode(corpus, config.hash_buckets, ())
+        assert [s.noisy_i for s in corpus] == batch.split(predict_labels(p2, batch, vocab))
+        assert [s.noisy_ii for s in corpus] == batch.split(predict_labels(p1, batch, vocab))
         assert state.corpus.track("noisy_i").tolist() == [c for s in corpus for c in s.noisy_i]
 
     def test_idempotent_for_fixed_teachers(self, vocab):
@@ -478,6 +479,18 @@ class TestTrain:
             train(config, noisy_corpus(vocab), [], vocab)
         with pytest.raises(ValueError):
             train(config, noisy_corpus(vocab), [AnnotatedSentence(["a"])], vocab)
+
+    def test_requires_gold_train_before_pretraining(self, vocab, monkeypatch):
+        import scdl.training as training
+
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretraining started")
+
+        monkeypatch.setattr(training, "pretrain", no_pretraining)
+        corpus = noisy_corpus(vocab)
+        corpus[3].gold = None
+        with pytest.raises(ValueError, match="training and dev corpora with gold track required"):
+            train(ScdlConfig(**FAST), corpus, self._dev(vocab), vocab)
 
     def test_epoch_callback_sees_every_epoch(self, vocab):
         config = ScdlConfig(**{**FAST, "max_epochs": 2})
