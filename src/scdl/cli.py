@@ -28,6 +28,7 @@ from .corpus import (
 from .tagger import atomic_open, encode, load_checkpoint, predict_labels, save_checkpoint
 from .training import (
     ABLATIONS,
+    TRACKS,
     ScdlConfig,
     TrainingDiverged,
     pretrain,
@@ -60,12 +61,14 @@ def _shared_vocab(*paths) -> TagVocabulary:
     return TagVocabulary(sorted(types))
 
 
-def _track_checksum(sentences, track: str) -> str:
-    h = hashlib.md5()
-    for s in sentences:
-        h.update(bytes(s.track(track)))
-        h.update(b"\n")
-    return h.hexdigest()
+def _track_checksum(tags, offsets, num_tags: int) -> str:
+    """MD5 of a flat track, each sentence's codes followed by a newline.
+
+    A code and the newline take one byte while the vocabulary has at most
+    256 tags, and four little-endian bytes beyond, so no code wraps.
+    """
+    width = np.uint8 if num_tags <= 256 else np.dtype("<u4")
+    return hashlib.md5(np.insert(tags.astype(width), offsets[1:], 10).tobytes()).hexdigest()
 
 
 def _annotation_summary(sentences, distant_tags, vocab) -> dict:
@@ -179,11 +182,6 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "config.txt", config.to_text())
 
-    checksums = {
-        "noisy_i_initial": _track_checksum(train_corpus, "noisy_i"),
-        "noisy_ii_initial": _track_checksum(train_corpus, "noisy_ii"),
-    }
-
     epochs_seen = []
 
     def on_epoch(epoch: int, state) -> None:
@@ -193,8 +191,13 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
 
     result = train(config, train_corpus, dev_corpus, vocab, epoch_callback=on_epoch)
 
-    checksums["noisy_i_final"] = _track_checksum(result.state.sentences, "noisy_i")
-    checksums["noisy_ii_final"] = _track_checksum(result.state.sentences, "noisy_ii")
+    final = result.state.corpus  # the parsed sentences laid flat, with the rewritten tracks
+    initial = {t: corpus_mod.flat_tags([s.track(t) for s in train_corpus])[0] for t in TRACKS}
+    checksums = {
+        f"{track}_{when}": _track_checksum(tracks[track], final.offsets, vocab.size)
+        for when, tracks in (("initial", initial), ("final", final.tracks))
+        for track in TRACKS
+    }
 
     lines = [_metrics_record(p, ablation_label) for p in result.history]
     atomic_write_text(out / "metrics.jsonl", "\n".join(lines) + "\n")
@@ -268,6 +271,9 @@ def cmd_sweep(args) -> int:
     ks = [float(k) for k in args.ks.split(",") if k.strip()]
     if not ks:
         raise ValueError("empty k list")
+    for k in ks:  # every k is checked before the first run
+        if not 0 <= k <= 100:
+            raise ValueError(f"k out of range [0, 100]: {k:g}")
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ValueError("empty seed list")
@@ -278,10 +284,11 @@ def cmd_sweep(args) -> int:
     for k in ks:
         for seed in seeds:
             noisy, _log = inject_noise(base_train, k, vocab, seed=seed)
-            initial = metrics_mod.refinery_report(noisy, vocab)
             run_cfg = replace(config, seed=seed)
             scdl_result = train(run_cfg, noisy, dev, vocab)
-            final = metrics_mod.refinery_report(scdl_result.state.sentences, vocab)
+            # noisy_i scored against gold at step 0 and after the last epoch
+            scores = [score for _, track, score in scdl_result.refinery if track == "noisy_i"]
+            initial, final = scores[0], scores[-1]
             baseline_cfg = replace(
                 run_cfg,
                 max_epochs=0,

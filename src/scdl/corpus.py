@@ -312,6 +312,8 @@ def distant_annotate(
     stays O: incomplete noise). Ambiguous entries resolve by
     `ambiguity_rule` ("first" or "random"), which may mislabel.
     """
+    if not 0.0 <= coverage <= 1.0:
+        raise ValueError(f"coverage must be in [0, 1], got {coverage!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
     if ambiguity_rule not in ("first", "random"):
@@ -371,44 +373,38 @@ def inject_noise(
     if not 0 <= k_percent <= 100:
         raise ValueError(f"k_percent out of range: {k_percent}")
     rng = np.random.default_rng(seed)
-    mentions = []
-    for idx, sentence in enumerate(sentences):
-        for span in spans_from_bio(sentence.track("gold"), vocab):
-            mentions.append((idx, span))
-    n_alter = round(k_percent / 100 * len(mentions))
-    if not mentions and k_percent > 0:
+    gold, starts = flat_tags([s.track("gold") for s in sentences])
+    begin, end, code = bio_spans(gold, vocab, starts)
+    offsets = np.cumsum([0] + [len(s.gold) for s in sentences])
+    sent_idx = np.searchsorted(offsets, begin, side="right") - 1  # the sentence of each begin
+    n_alter = round(k_percent / 100 * len(begin))
+    if not len(begin) and k_percent > 0:
         warnings.warn("corpus has no entity mentions; noise injection is a no-op")
+    noisy = gold.copy()
+    log = []
+    if n_alter:
+        chosen = sorted(rng.choice(len(begin), size=n_alter, replace=False).tolist())
+        others = {t: [u for u in vocab.entity_types if u != t] for t in vocab.entity_types}
+        for m in chosen:
+            b, e, old_type = int(begin[m]), int(end[m]), vocab.type_of(int(code[m]))
+            retype = rng.random() < 0.5
+            if retype and others[old_type]:
+                pool = others[old_type]
+                new_label = pool[int(rng.integers(len(pool)))]
+                noisy[b] = vocab.b_code(new_label)
+                noisy[b + 1 : e + 1] = vocab.i_code(new_label)
+            else:
+                noisy[b : e + 1] = 0
+                new_label = "O"
+            idx = int(sent_idx[m])
+            start = int(offsets[idx])
+            log.append(Alteration(idx, b - start, e - start, old_type, new_label))
+        bio_spans(noisy, vocab, starts)  # an alteration replaces a whole span: BIO stays valid
+    flat = noisy.tolist()
     out = [
         AnnotatedSentence(
-            list(s.tokens),
-            gold=list(s.track("gold")),
-            noisy_i=list(s.track("gold")),
-            noisy_ii=list(s.track("gold")),
+            list(s.tokens), gold=list(s.track("gold")), noisy_i=flat[a:b], noisy_ii=flat[a:b]
         )
-        for s in sentences
+        for s, a, b in zip(sentences, offsets[:-1].tolist(), offsets[1:].tolist())
     ]
-    if n_alter == 0:
-        return out, []
-    chosen = sorted(rng.choice(len(mentions), size=n_alter, replace=False).tolist())
-    log = []
-    others = {t: [u for u in vocab.entity_types if u != t] for t in vocab.entity_types}
-    for m in chosen:
-        idx, span = mentions[m]
-        retype = rng.random() < 0.5
-        if retype and others[span.entity_type]:
-            pool = others[span.entity_type]
-            new_type = pool[int(rng.integers(len(pool)))]
-            new_tags = [vocab.b_code(new_type)] + [vocab.i_code(new_type)] * (
-                span.end - span.start
-            )
-            new_label = new_type
-        else:
-            new_tags = [0] * (span.end - span.start + 1)
-            new_label = "O"
-        for track in ("noisy_i", "noisy_ii"):
-            tags = out[idx].track(track)
-            tags[span.start : span.end + 1] = new_tags
-        log.append(Alteration(idx, span.start, span.end, span.entity_type, new_label))
-    for sentence in out:
-        validate_bio(sentence.noisy_i, vocab)
     return out, log

@@ -340,6 +340,7 @@ def atomic_open(path, mode: str = "w"):
 
 
 CHECKPOINT_MAGIC = "SCDL-TAGGER 1"
+HEADER_LINE_LIMIT = 1 << 17  # bytes per header line read; a real header is under 300
 
 
 def save_checkpoint(params: TaggerParams, path) -> None:
@@ -360,13 +361,20 @@ def save_checkpoint(params: TaggerParams, path) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
+def _header_line(fh) -> str:
+    line = fh.readline(HEADER_LINE_LIMIT)
+    if len(line) == HEADER_LINE_LIMIT and not line.endswith(b"\n"):
+        raise ValueError(f"checkpoint header line longer than {HEADER_LINE_LIMIT} bytes")
+    return line.decode("utf-8")
+
+
 def load_checkpoint(path) -> TaggerParams:
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("utf-8").rstrip("\n")
+        magic = _header_line(fh).rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a tagger checkpoint: {magic!r}")
         try:
-            header = json.loads(fh.readline().decode("utf-8"))
+            header = json.loads(_header_line(fh))
         except RecursionError:
             raise ValueError("checkpoint header nests too deeply") from None
         if not isinstance(header, dict):

@@ -142,20 +142,24 @@ class MaskStats:
 
 @dataclass
 class TrainState:
-    """The two pairs and the training sentences, whose noisy tracks the
-    rewrites change; `corpus` holds the sentences hashed once, with the
-    same tracks flat."""
+    """The two pairs and the training corpus hashed once, whose flat noisy
+    tracks the rewrites replace; `tokens` are the sentences' token lists."""
 
     pair1: TeacherStudentPair
     pair2: TeacherStudentPair
-    sentences: list[AnnotatedSentence]
+    corpus: TokenBatch
+    tokens: list[list[str]]
     step: int = 0
-    corpus: TokenBatch | None = None
 
-    def __post_init__(self):
-        if self.corpus is None:
-            buckets = self.pair1.student.config.vocab_hash_buckets
-            self.corpus = encode(self.sentences, buckets, TRACKS)
+    @property
+    def sentences(self) -> list[AnnotatedSentence]:
+        """The training sentences with their tracks split from `corpus`,
+        built anew on each access; a track the batch lacks is None."""
+        rows = {name: self.corpus.split(tags) for name, tags in self.corpus.tracks.items()}
+        return [
+            AnnotatedSentence(tokens, **{name: tags[i] for name, tags in rows.items()})
+            for i, tokens in enumerate(self.tokens)
+        ]
 
     def models(self) -> dict[str, TaggerParams]:
         """The four models by name, in MODEL_ORDER."""
@@ -188,18 +192,6 @@ def _check_parameters(models: dict[str, TaggerParams], where: str) -> None:
         for block in TaggerParams.BLOCK_NAMES:
             if not np.isfinite(getattr(params, block)).all():
                 raise TrainingDiverged(f"non-finite parameter in {name}.{block} {where}")
-
-
-def _copy_corpus(sentences) -> list[AnnotatedSentence]:
-    return [
-        AnnotatedSentence(
-            list(s.tokens),
-            gold=None if s.gold is None else list(s.gold),
-            noisy_i=None if s.noisy_i is None else list(s.noisy_i),
-            noisy_ii=None if s.noisy_ii is None else list(s.noisy_ii),
-        )
-        for s in sentences
-    ]
 
 
 def _batches(order: np.ndarray, batch_size: int):
@@ -291,10 +283,7 @@ def self_denoise_step(
 def collaborative_update(state: TrainState, vocab: TagVocabulary) -> None:
     """Teachers rewrite each other's noisy track over the whole training set."""
     for track, teacher in (("noisy_i", state.pair2.teacher), ("noisy_ii", state.pair1.teacher)):
-        tags = predict_labels(teacher, state.corpus, vocab)
-        state.corpus.tracks[track] = tags
-        for sentence, sentence_tags in zip(state.sentences, state.corpus.split(tags)):
-            setattr(sentence, track, sentence_tags)
+        state.corpus.tracks[track] = predict_labels(teacher, state.corpus, vocab)
 
 
 def select_best(candidates) -> tuple[str, TaggerParams, float]:
@@ -326,14 +315,15 @@ def train(
 ) -> TrainResult:
     """Full pipeline; returns the best of the four models on dev span F1.
 
-    The caller's corpora are not mutated; the live noisy tracks end up on
-    `result.state.sentences`.
+    The caller's corpora are not mutated: `encode` copies their tags. The
+    live rewritten tracks are `result.state.corpus.tracks["noisy_i"]` and
+    `["noisy_ii"]`, flat in the batch layout; `result.state.sentences` is
+    a copy built on each access, so editing its tags changes nothing.
     """
     if not dev_corpus or any(s.gold is None for s in [*train_corpus, *dev_corpus]):
         raise ValueError("training and dev corpora with gold track required")
     rng = np.random.default_rng(config.seed)
-    sentences = _copy_corpus(train_corpus)
-    corpus = encode(sentences, config.hash_buckets, ("gold",) + TRACKS)
+    corpus = encode(train_corpus, config.hash_buckets, ("gold",) + TRACKS)
     dev = encode(dev_corpus, config.hash_buckets, ("gold",))
     gold, starts = corpus.track("gold"), corpus.starts
     p1, p2 = pretrain(config, corpus, vocab, rng)
@@ -341,8 +331,8 @@ def train(
     state = TrainState(
         pair1=TeacherStudentPair.from_params(p1, alpha),
         pair2=TeacherStudentPair.from_params(p2, alpha),
-        sentences=sentences,
         corpus=corpus,
+        tokens=[s.tokens for s in train_corpus],
     )
     single = "single_network" in config.ablations
     networks = [(k, TRACKS[k - 1], np.random.default_rng([config.seed, k])) for k in (1, 2)]

@@ -1,5 +1,8 @@
+import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +11,15 @@ import scdl.cli as cli
 from scdl.cli import main
 from scdl.corpus import (
     AnnotatedSentence,
+    TagVocabulary,
+    flat_tags,
     inject_noise,
     parse_conll,
     repair_bio,
     spans_from_bio,
     write_conll,
 )
+from scdl.metrics import refinery_report
 from scdl.training import ABLATIONS, TrainingDiverged
 from synthdata import default_vocab, make_synthetic_corpus
 
@@ -160,6 +166,19 @@ class TestAnnotate:
         assert "line 2: empty entity type" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("coverage", ["1.5", "-0.1", "nan"])
+    def test_coverage_out_of_range(self, workspace, capsys, coverage):
+        gaz = workspace["dir"] / "gaz.tsv"
+        gaz.write_text("per0\tPER\n")
+        out = workspace["dir"] / "distant.conll"
+        rc = main(["annotate", "--corpus", str(workspace["gold"]), "--gazetteer", str(gaz),
+                   "--coverage", coverage, "--out", str(out)])
+        assert rc == 1
+        assert "coverage must be in [0, 1]" in capsys.readouterr().err
+        assert sorted(p.name for p in workspace["dir"].iterdir()) == sorted(
+            ["gold.conll", "train.conll", "dev.conll", "config.txt", "gaz.tsv"]
+        )
+
 
 class TestPretrainCmd:
     def test_run_dir(self, workspace):
@@ -174,6 +193,53 @@ class TestPretrainCmd:
         assert (out_dir / "net2.ckpt").exists()
         assert (out_dir / "config.txt").exists()
         assert len((out_dir / "metrics.jsonl").read_text().splitlines()) == 2
+
+
+def sentence_checksum(rows) -> str:
+    """The per-sentence track checksum that `scdl train` has always written."""
+    h = hashlib.md5()
+    for codes in rows:
+        h.update(bytes(codes))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestTrackChecksum:
+    @given(st.lists(st.lists(st.integers(0, 255), max_size=6), max_size=8), st.integers(0, 256))
+    @settings(max_examples=300)
+    def test_flat_equals_sentence_loop(self, rows, num_tags):
+        num_tags = max(num_tags, 1 + max((c for r in rows for c in r), default=0))
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        flat = flat_tags(rows)[0]
+        assert cli._track_checksum(flat, offsets, num_tags) == sentence_checksum(rows)
+
+    def test_wide_codes_take_four_bytes(self):
+        rows = [[0, 256, 257], [], [300]]
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        expected = hashlib.md5(
+            b"".join(c.to_bytes(4, "little") for r in rows for c in [*r, 10])
+        ).hexdigest()
+        assert cli._track_checksum(flat_tags(rows)[0], offsets, 301) == expected
+
+    def test_train_with_130_entity_types(self, tmp_path, capsys):
+        """Codes of 256 and more appear in the noisy tracks that are checksummed."""
+        types = [f"T{i:03d}" for i in range(130)]
+        vocab = TagVocabulary(types)  # the last type owns codes 259 and 260
+        corpus = [
+            AnnotatedSentence(["w", f"e{t}", f"f{t}", "x"], gold=[0, vocab.b_code(t), vocab.i_code(t), 0])
+            for t in types
+        ]
+        train_path, dev_path = tmp_path / "train.conll", tmp_path / "dev.conll"
+        train_path.write_text(write_conll(corpus, vocab, "gold"))  # every type, so 261 tags
+        dev_path.write_text(write_conll(corpus[-10:], vocab, "gold"))
+        config = tmp_path / "config.txt"
+        config.write_text(FAST_CONFIG)
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--config", str(config), "--train", str(train_path),
+                   "--dev", str(dev_path), "--out-dir", str(out_dir)])
+        assert rc == 0, capsys.readouterr().err
+        sums = json.loads((out_dir / "best.json").read_text())["track_checksums"]
+        assert len(sums) == 4
 
 
 class TestTrainCmd:
@@ -392,6 +458,20 @@ class TestEvalCmd:
         assert rc == 1
         assert "truncated checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", [b"", b"SCDL-TAGGER 1\n"])
+    def test_header_line_without_newline(self, workspace, capsys, prefix):
+        ckpt = workspace["dir"] / "endless.ckpt"
+        ckpt.write_bytes(prefix + b"x" * (4 << 20))
+        tracemalloc.start()
+        try:
+            rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workspace["dev"])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert "checkpoint header line longer than 131072 bytes" in capsys.readouterr().err
+        assert peak < 2**20
+
 
 class TestAblateCmd:
     def test_all_variants_run(self, workspace):
@@ -428,6 +508,48 @@ class TestSweepCmd:
         assert len(lines) == 1 + 2 * 2 * 2
         methods = {line.split(",")[2] for line in lines[1:]}
         assert methods == {"scdl", "pretrain_only"}
+
+    def test_refinery_columns_score_noisy_and_final_tracks(self, workspace, monkeypatch):
+        vocab = default_vocab()
+        original = cli.train
+        expected = []
+
+        def scored_train(config, noisy, dev, vocab_):
+            result = original(config, noisy, dev, vocab_)
+            initial = refinery_report(noisy, vocab)
+            expected.append((initial.f1, refinery_report(result.state.sentences, vocab).f1))
+            return result
+
+        monkeypatch.setattr(cli, "train", scored_train)
+        config = workspace["dir"] / "rewrites.txt"  # three steps an epoch: rewrite at step 2
+        config.write_text(FAST_CONFIG.replace("update_cycle=5", "update_cycle=2"))
+        out = workspace["dir"] / "sweep.csv"
+        rc = main([
+            "sweep", "--config", str(config), "--corpus", str(workspace["gold"]),
+            "--ks", "20,60", "--seeds", "0,1", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(expected) == 8
+        for row, (initial, final) in zip(rows, expected):
+            if row[2] == "pretrain_only":  # scored like the scdl run of its cell
+                final = initial
+            assert row[4:] == [f"{initial:.6f}", f"{final:.6f}"]
+        assert any(row[4] != row[5] for row in rows)
+
+    def test_every_k_checked_before_training(self, workspace, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = workspace["dir"] / "s.csv"
+        rc = main([
+            "sweep", "--corpus", str(workspace["gold"]), "--ks", "10,200",
+            "--seeds", "0", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "k out of range [0, 100]: 200" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_k_list(self, workspace):
         rc = main([

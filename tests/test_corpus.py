@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdl.corpus import (
+    Alteration,
     AnnotatedSentence,
     BioValidationError,
     ConllFormatError,
@@ -338,6 +341,55 @@ class TestDistantAnnotate:
         tags = distant_annotate("a b b a b".split(), gaz, vocab, coverage=0.7, seed=3)
         validate_bio(tags, vocab)
 
+    @pytest.mark.parametrize("coverage", [1.5, -0.1, float("nan")])
+    def test_coverage_out_of_range(self, vocab, coverage):
+        with pytest.raises(ValueError, match="coverage must be in"):
+            distant_annotate(["a"], Gazetteer.parse("a\tPER\n"), vocab, coverage=coverage)
+
+
+def inject_noise_loop(sentences, k_percent, vocab, seed=0):
+    """inject_noise as it was written sentence by sentence: the reference."""
+    rng = np.random.default_rng(seed)
+    mentions = []
+    for idx, sentence in enumerate(sentences):
+        for span in spans_from_bio(sentence.track("gold"), vocab):
+            mentions.append((idx, span))
+    n_alter = round(k_percent / 100 * len(mentions))
+    out = [
+        AnnotatedSentence(
+            list(s.tokens),
+            gold=list(s.track("gold")),
+            noisy_i=list(s.track("gold")),
+            noisy_ii=list(s.track("gold")),
+        )
+        for s in sentences
+    ]
+    if n_alter == 0:
+        return out, []
+    chosen = sorted(rng.choice(len(mentions), size=n_alter, replace=False).tolist())
+    log = []
+    others = {t: [u for u in vocab.entity_types if u != t] for t in vocab.entity_types}
+    for m in chosen:
+        idx, span = mentions[m]
+        retype = rng.random() < 0.5
+        if retype and others[span.entity_type]:
+            pool = others[span.entity_type]
+            new_type = pool[int(rng.integers(len(pool)))]
+            new_tags = [vocab.b_code(new_type)] + [vocab.i_code(new_type)] * (
+                span.end - span.start
+            )
+            new_label = new_type
+        else:
+            new_tags = [0] * (span.end - span.start + 1)
+            new_label = "O"
+        for track in ("noisy_i", "noisy_ii"):
+            tags = out[idx].track(track)
+            tags[span.start : span.end + 1] = new_tags
+        log.append(Alteration(idx, span.start, span.end, span.entity_type, new_label))
+    for sentence in out:
+        validate_bio(sentence.noisy_i, vocab)
+    return out, log
+
 
 class TestInjectNoise:
     def _mention_count(self, sentences, vocab):
@@ -406,6 +458,29 @@ class TestInjectNoise:
         plain = [AnnotatedSentence(["a"], gold=[0])]
         with pytest.warns(UserWarning):
             inject_noise(plain, 50, vocab)
+
+    @given(
+        st.lists(st.lists(st.integers(0, 8), max_size=7), max_size=10),
+        st.floats(0, 100),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([("PER", "LOC", "ORG", "MISC"), ("PER",)]),
+    )
+    @settings(max_examples=300)
+    def test_flat_pass_equals_sentence_loop(self, raw, k, seed, types):
+        vocab = TagVocabulary(types)
+        sentences = [
+            AnnotatedSentence([f"w{j}" for j in range(len(r))], gold=repair_bio(
+                [c % vocab.size for c in r], vocab).tolist())
+            for r in raw
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            noisy, log = inject_noise(sentences, k, vocab, seed=seed)
+            expected, expected_log = inject_noise_loop(sentences, k, vocab, seed=seed)
+        assert noisy == expected
+        assert log == expected_log
+        assert format_alteration_log(log) == format_alteration_log(expected_log)
+        assert all(s.noisy_i is not s.noisy_ii for s in noisy)
 
     def test_log_format(self, vocab):
         sentences = make_synthetic_corpus(10, vocab, seed=6)

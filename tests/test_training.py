@@ -22,6 +22,7 @@ from scdl.tagger import (
 from scdl.training import (
     ABLATIONS,
     MODEL_ORDER,
+    TRACKS,
     ScdlConfig,
     TrainingDiverged,
     TrainState,
@@ -302,40 +303,83 @@ class TestSelfDenoiseStep:
             self_denoise_step(pair, [], "noisy_i", config, vocab)
 
 
+def track_snapshot(corpus):
+    return [[list(s.track(t)) for t in AnnotatedSentence.TRACKS] for s in corpus]
+
+
+def fresh_state(config, corpus, vocab, p1, p2):
+    return TrainState(
+        pair1=TeacherStudentPair.from_params(p1, 0.9),
+        pair2=TeacherStudentPair.from_params(p2, 0.9),
+        corpus=encode(corpus, config.hash_buckets, ("gold",) + TRACKS),
+        tokens=[s.tokens for s in corpus],
+    )
+
+
 class TestCollaborativeUpdate:
     def test_tracks_become_peer_teacher_predictions(self, vocab):
-        from scdl.tagger import encode, predict_labels
-        from scdl.training import TrainState
+        from scdl.tagger import predict_labels
 
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab)
+        before = track_snapshot(corpus)
         p1, p2 = pretrain(config, corpus, vocab)
-        state = TrainState(
-            pair1=TeacherStudentPair.from_params(p1, 0.9),
-            pair2=TeacherStudentPair.from_params(p2, 0.9),
-            sentences=corpus,
-        )
+        state = fresh_state(config, corpus, vocab, p1, p2)
         collaborative_update(state, vocab)
         batch = encode(corpus, config.hash_buckets, ())
-        assert [s.noisy_i for s in corpus] == batch.split(predict_labels(p2, batch, vocab))
-        assert [s.noisy_ii for s in corpus] == batch.split(predict_labels(p1, batch, vocab))
-        assert state.corpus.track("noisy_i").tolist() == [c for s in corpus for c in s.noisy_i]
+        assert [s.noisy_i for s in state.sentences] == batch.split(predict_labels(p2, batch, vocab))
+        assert [s.noisy_ii for s in state.sentences] == batch.split(predict_labels(p1, batch, vocab))
+        assert state.corpus.track("noisy_i").tolist() == [
+            c for s in state.sentences for c in s.noisy_i
+        ]
+        assert track_snapshot(corpus) == before  # the caller's corpus is not mutated
 
     def test_idempotent_for_fixed_teachers(self, vocab):
-        from scdl.training import TrainState
-
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab)
         p1, p2 = pretrain(config, corpus, vocab)
+        state = fresh_state(config, corpus, vocab, p1, p2)
+        collaborative_update(state, vocab)
+        first = [s.noisy_i for s in state.sentences]
+        collaborative_update(state, vocab)
+        assert [s.noisy_i for s in state.sentences] == first
+
+
+class TestTrainState:
+    def test_sentences_split_the_flat_tracks(self, vocab):
+        config = ScdlConfig(**FAST)
+        corpus = noisy_corpus(vocab)
+        result = train(config, corpus, make_synthetic_corpus(24, vocab, seed=999), vocab)
+        state = result.state
+        sentences = state.sentences
+        assert len(sentences) == len(corpus)
+        for s, original in zip(sentences, corpus):
+            assert s.tokens is original.tokens  # the caller's token lists, not copied
+        for name in AnnotatedSentence.TRACKS:
+            assert [s.track(name) for s in sentences] == state.corpus.split(state.corpus.track(name))
+
+    def test_sentences_built_on_each_access(self, vocab):
+        config = ScdlConfig(**FAST)
+        corpus = noisy_corpus(vocab, n=8)
+        p1, p2 = pretrain(config, corpus, vocab)
+        state = fresh_state(config, corpus, vocab, p1, p2)
+        flat = state.corpus.track("noisy_i").copy()
+        state.sentences[0].noisy_i[0] = 99
+        assert state.sentences[0].noisy_i[0] != 99
+        assert np.array_equal(state.corpus.track("noisy_i"), flat)
+
+    def test_missing_track_is_none(self, vocab):
+        config = ScdlConfig(**FAST)
+        corpus = noisy_corpus(vocab, n=8)
+        p1, p2 = pretrain(config, corpus, vocab)
         state = TrainState(
-            pair1=TeacherStudentPair.from_params(p1, 0.9),
-            pair2=TeacherStudentPair.from_params(p2, 0.9),
-            sentences=corpus,
+            TeacherStudentPair.from_params(p1, 0.9),
+            TeacherStudentPair.from_params(p2, 0.9),
+            encode(corpus, config.hash_buckets, TRACKS),
+            [s.tokens for s in corpus],
         )
-        collaborative_update(state, vocab)
-        first = [list(s.noisy_i) for s in corpus]
-        collaborative_update(state, vocab)
-        assert [s.noisy_i for s in corpus] == first
+        assert all(s.gold is None for s in state.sentences)
+        assert [s.noisy_ii for s in state.sentences] == [s.noisy_ii for s in corpus]
 
 
 class TestSelectBest:
@@ -353,7 +397,10 @@ class TestSelectBest:
     def test_models_in_model_order(self, vocab):
         p1, p2 = pretrain(ScdlConfig(**FAST), noisy_corpus(vocab), vocab)
         state = TrainState(
-            TeacherStudentPair.from_params(p1, 0.9), TeacherStudentPair.from_params(p2, 0.9), []
+            TeacherStudentPair.from_params(p1, 0.9),
+            TeacherStudentPair.from_params(p2, 0.9),
+            encode([], 512),
+            [],
         )
         models = state.models()
         assert tuple(models) == MODEL_ORDER
@@ -407,11 +454,12 @@ class TestTrain:
         assert params_equal(result.state.pair2.student, p2)  # single_network idle
 
     def test_corpus_not_mutated(self, vocab):
-        config = ScdlConfig(**FAST)
+        config = ScdlConfig(**{**FAST, "max_epochs": 2})
         corpus = noisy_corpus(vocab)
-        snapshot = [list(s.noisy_i) for s in corpus]
-        train(config, corpus, self._dev(vocab), vocab)
-        assert [s.noisy_i for s in corpus] == snapshot
+        snapshot = track_snapshot(corpus)
+        result = train(config, corpus, self._dev(vocab), vocab)
+        assert [s.noisy_i for s in result.state.sentences] != [s.noisy_i for s in corpus]
+        assert track_snapshot(corpus) == snapshot
 
     def test_history_and_refinery_shapes(self, vocab):
         config = ScdlConfig(**{**FAST, "max_epochs": 2})
