@@ -94,6 +94,8 @@ def _annotation_summary(sentences, distant_tags, vocab) -> dict:
 
 
 def cmd_annotate(args) -> int:
+    if not 0.0 <= args.coverage <= 1.0:  # a corpus with no sentences never reaches distant_annotate
+        raise ValueError(f"coverage must be in [0, 1], got {args.coverage!r}")
     text = _read(args.corpus)
     gaz = Gazetteer.parse(_read(args.gazetteer))
     gaz_types = {t for types in gaz.entries.values() for t in types}

@@ -70,14 +70,20 @@ def token_selection(
     return _indices(consistent_mask(noisy_tags, pseudo) & confident_mask(teacher_dists, delta))
 
 
-def ema_update(pair: TeacherStudentPair) -> TeacherStudentPair:
-    """teacher <- alpha * teacher + (1 - alpha) * student; student untouched."""
+def ema_update(pair: TeacherStudentPair, *, in_place: bool = False) -> TeacherStudentPair:
+    """teacher <- alpha * teacher + (1 - alpha) * student; student untouched.
+
+    The new teacher goes into a copy or, with `in_place`, into the
+    teacher's own buffers, which must not share memory with the student's.
+    Either way each element rounds exactly as alpha * t + (1 - alpha) * s.
+    """
+    if not in_place:
+        pair = TeacherStudentPair(pair.teacher.copy(), pair.student, pair.alpha)
     a = pair.alpha
-    new_teacher = TaggerParams(
-        pair.teacher.config,
-        *[a * t + (1.0 - a) * s for t, s in zip(pair.teacher.blocks(), pair.student.blocks())],
-    )
-    return TeacherStudentPair(new_teacher, pair.student, a)
+    for t, s in zip(pair.teacher.blocks(), pair.student.blocks()):
+        t *= a
+        t += (1.0 - a) * s
+    return pair
 
 
 def ema_closed_form(

@@ -103,6 +103,33 @@ def zeros_like(params: TaggerParams) -> TaggerParams:
     return TaggerParams(params.config, *[np.zeros_like(b) for b in params.blocks()])
 
 
+@dataclass
+class RowSparseGrad:
+    """A gradient whose embedding block is zero outside the rows a batch touched.
+
+    `rows` are the touched buckets in increasing order and `row_values`
+    their gradient rows; the other blocks are dense. `embedding` and
+    `blocks()` give the dense table, as a TaggerParams gradient would.
+    """
+
+    config: TaggerConfig
+    rows: np.ndarray  # (touched,)
+    row_values: np.ndarray  # (touched, embed_dim)
+    hidden_w: np.ndarray
+    hidden_b: np.ndarray
+    out_w: np.ndarray
+    out_b: np.ndarray
+
+    @property
+    def embedding(self) -> np.ndarray:
+        dense = np.zeros((self.config.vocab_hash_buckets, self.config.embed_dim))
+        dense[self.rows] = self.row_values
+        return dense
+
+    def blocks(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in TaggerParams.BLOCK_NAMES]
+
+
 def token_ids(tokens, buckets: int) -> np.ndarray:
     """Deterministic surface-form hashing into [1, buckets)."""
     return np.fromiter(
@@ -121,8 +148,9 @@ class TokenBatch:
 
     Sentence i is `ids[offsets[i]:offsets[i + 1]]`; `tracks` holds label
     tracks in the same flat layout. Window ids are built per window size
-    on first use and carried over by `take`, so a corpus is hashed and
-    windowed once however many batches are drawn from it.
+    on first use and carried over by `take`, as is the sentence-start
+    mask, so a corpus is hashed and windowed once however many batches
+    are drawn from it.
     """
 
     ids: np.ndarray  # (tokens,) hash buckets
@@ -130,6 +158,7 @@ class TokenBatch:
     buckets: int
     tracks: dict[str, np.ndarray] = field(default_factory=dict)
     _windows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _starts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -137,10 +166,11 @@ class TokenBatch:
     @property
     def starts(self) -> np.ndarray:
         """True at the first token of every sentence."""
-        mask = np.zeros(len(self.ids), dtype=bool)
-        lengths = np.diff(self.offsets)
-        mask[self.offsets[:-1][lengths > 0]] = True
-        return mask
+        if self._starts is None:
+            self._starts = np.zeros(len(self.ids), dtype=bool)
+            lengths = np.diff(self.offsets)
+            self._starts[self.offsets[:-1][lengths > 0]] = True
+        return self._starts
 
     def track(self, name: str) -> np.ndarray:
         if name not in self.tracks:
@@ -176,6 +206,8 @@ class TokenBatch:
             {name: tags[tokens] for name, tags in self.tracks.items()},
         )
         batch._windows.update((w, ctx[tokens]) for w, ctx in self._windows.items())
+        if self._starts is not None:
+            batch._starts = self._starts[tokens]  # whole sentences, so their first tokens
         return batch
 
     def split(self, values) -> list[list]:
@@ -225,17 +257,23 @@ def forward(params: TaggerParams, batch) -> np.ndarray:
     return _forward_cache(params, ctx)[2]
 
 
-def _backprop(params, ctx, x, h, dlogits) -> TaggerParams:
+def _backprop(params, ctx, x, h, dlogits) -> RowSparseGrad:
     dh = dlogits @ params.out_w.T
     dpre = dh * (1.0 - h * h)
     dx = dpre @ params.hidden_w.T
-    # the embedding rows of repeated ids summed in token order, as np.add.at would
-    dim = params.embedding.shape[1]
-    cells = (ctx.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
-    embedding = np.bincount(cells, weights=dx.reshape(-1), minlength=params.embedding.size)
-    return TaggerParams(
+    buckets, dim = params.embedding.shape
+    seen = np.zeros(buckets, dtype=bool)
+    seen[ctx] = True
+    rows = np.flatnonzero(seen)
+    local = np.zeros(buckets, dtype=np.int64)
+    local[rows] = np.arange(len(rows))
+    # the rows of repeated ids summed in token order, as np.add.at would
+    cells = (local[ctx].reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    values = np.bincount(cells, weights=dx.reshape(-1), minlength=len(rows) * dim)
+    return RowSparseGrad(
         params.config,
-        embedding.reshape(params.embedding.shape),
+        rows,
+        values.reshape(len(rows), dim),
         x.T @ dpre,
         dpre.sum(axis=0),
         h.T @ dlogits,
@@ -294,16 +332,33 @@ def loss_soft(params: TaggerParams, batch, teacher_dists, masks):
     return loss / z, _backprop(params, ctx, x, h, dlogits)
 
 
-def sgd_step(params: TaggerParams, grad: TaggerParams, lr: float) -> TaggerParams:
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    new_blocks = []
-    for p, g in zip(params.blocks(), grad.blocks()):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-        new = lr * g
-        new_blocks.append(np.subtract(p, new, out=new))  # p - lr * g, one allocation
-    return TaggerParams(params.config, *new_blocks)
+def sgd_step(params: TaggerParams, grad, lr: float, *, in_place: bool = False) -> TaggerParams:
+    """params - lr * grad, into a copy or, with `in_place`, into `params` itself.
+
+    A RowSparseGrad changes only its touched embedding rows; on the rest
+    p - lr * 0.0 == p, so the result is the dense step's bit for bit.
+    """
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError("learning rate must be finite and positive")
+    if isinstance(grad, RowSparseGrad):
+        updates = [("embedding", grad.rows, grad.row_values)]
+    else:
+        updates = [("embedding", None, grad.embedding)]
+    updates += [(name, None, getattr(grad, name)) for name in TaggerParams.BLOCK_NAMES[1:]]
+    for name, rows, g in updates:  # (block, touched rows or None for all, values)
+        p = getattr(params, name)
+        shape = p.shape if rows is None else (len(rows), *p.shape[1:])
+        if shape != g.shape:
+            raise ValueError(f"shape mismatch: {shape} vs {g.shape}")
+    if not in_place:
+        params = params.copy()
+    for name, rows, g in updates:
+        p = getattr(params, name)
+        if rows is None:
+            p -= lr * g
+        else:
+            p[rows] -= lr * g
+    return params
 
 
 def labels_from_dists(dists: np.ndarray, vocab: TagVocabulary, starts=None) -> np.ndarray:

@@ -224,7 +224,7 @@ def pretrain(
             for k, track in enumerate(TRACKS):
                 loss, grad = loss_hard(params[k], batch, track)
                 _check_finite(loss, f"pretrain epoch {epoch} (network {k + 1})")
-                params[k] = sgd_step(params[k], grad, config.gamma)
+                sgd_step(params[k], grad, config.gamma, in_place=True)
         _check_parameters(
             {f"network{k + 1}": p for k, p in enumerate(params)}, f"after pretrain epoch {epoch}"
         )
@@ -238,6 +238,8 @@ def self_denoise_step(
     config: ScdlConfig,
     vocab: TagVocabulary,
     dropout_rng: np.random.Generator | None = None,
+    *,
+    in_place: bool = False,
 ) -> tuple[TeacherStudentPair, MaskStats]:
     """One inner-loop step: select tokens, update student, EMA the teacher.
 
@@ -250,7 +252,8 @@ def self_denoise_step(
     the student trains on a copy with random tokens blanked to the
     padding bucket, which moves it off that point; it needs
     `dropout_rng`. When nothing is selected, both models are left
-    untouched.
+    untouched. The updated models are copies or, with `in_place`, the
+    pair's own buffers written over.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -275,8 +278,8 @@ def self_denoise_step(
         student_batch = TokenBatch(np.where(drop, PAD_BUCKET, batch.ids), batch.offsets, batch.buckets)
     loss, grad = loss_soft(pair.student, student_batch, targets, mask)
     _check_finite(loss, "self denoising")
-    new_student = sgd_step(pair.student, grad, config.gamma)
-    pair = ema_update(TeacherStudentPair(pair.teacher, new_student, pair.alpha))
+    student = sgd_step(pair.student, grad, config.gamma, in_place=in_place)
+    pair = ema_update(TeacherStudentPair(pair.teacher, student, pair.alpha), in_place=in_place)
     return pair, MaskStats(selected, len(noisy), loss)
 
 
@@ -319,6 +322,10 @@ def train(
     live rewritten tracks are `result.state.corpus.tracks["noisy_i"]` and
     `["noisy_ii"]`, flat in the batch layout; `result.state.sentences` is
     a copy built on each access, so editing its tags changes nothing.
+    Training writes SGD and EMA steps into the models' own buffers: the
+    models of `result.state`, and of the state `epoch_callback` receives,
+    are live, so a callback that keeps them must copy them.
+    `result.best_params` is a copy.
     """
     if not dev_corpus or any(s.gold is None for s in [*train_corpus, *dev_corpus]):
         raise ValueError("training and dev corpora with gold track required")
@@ -371,7 +378,7 @@ def train(
             state.step += 1
             for k, track, drop_rng in networks:
                 pair, stats = self_denoise_step(
-                    getattr(state, f"pair{k}"), batch, track, config, vocab, drop_rng
+                    getattr(state, f"pair{k}"), batch, track, config, vocab, drop_rng, in_place=True
                 )
                 setattr(state, f"pair{k}", pair)
                 selection_trace.append((state.step, f"net{k}", stats.selected, stats.total))

@@ -179,6 +179,24 @@ class TestAnnotate:
             ["gold.conll", "train.conll", "dev.conll", "config.txt", "gaz.tsv"]
         )
 
+    @pytest.mark.parametrize("coverage", ["1.5", "-0.1", "nan"])
+    def test_coverage_checked_on_an_empty_corpus(self, tmp_path, capsys, coverage):
+        """distant_annotate never runs on a corpus with no sentences, so the
+        command checks --coverage itself, before it reads any input."""
+        corpus, gaz, out = tmp_path / "empty.conll", tmp_path / "gaz.tsv", tmp_path / "distant.conll"
+        corpus.write_text("")
+        gaz.write_text("per0\tPER\n")
+        argv = ["annotate", "--corpus", str(corpus), "--gazetteer", str(gaz),
+                "--coverage", coverage, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"coverage must be in [0, 1], got {coverage}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.conll", "gaz.tsv"]
+        corpus.unlink()  # checked before the missing corpus is noticed
+        assert main(argv) == 1
+        assert "coverage must be in [0, 1]" in capsys.readouterr().err
+        corpus.write_text("")
+        assert main([*argv[:-3], "1.0", *argv[-2:]]) == 0  # an empty corpus is fine otherwise
+
 
 class TestPretrainCmd:
     def test_run_dir(self, workspace):

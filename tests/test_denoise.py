@@ -159,6 +159,29 @@ class TestEma:
         updated = ema_update(pair)
         assert updated.student is pair.student
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.995, 1.0])
+    def test_in_place_equals_pure(self, alpha):
+        rng = np.random.default_rng(5)
+        teacher, student = random_grads(rng, init_params(TINY), 2)
+        teacher.embedding[0, 0] = -0.0
+        student.embedding[0, 0] = 0.0
+        pair = TeacherStudentPair(teacher, student, alpha)
+        t_before, s_before = teacher.copy(), student.copy()
+        pure = ema_update(pair)
+        assert pure.student is student
+        for new, old, s in zip(pure.teacher.blocks(), t_before.blocks(), student.blocks()):
+            assert new.tobytes() == (alpha * old + (1.0 - alpha) * s).tobytes()
+        inputs = zip(teacher.blocks() + student.blocks(), t_before.blocks() + s_before.blocks())
+        for a, b in inputs:
+            assert a.tobytes() == b.tobytes()  # the pure form leaves its inputs alone
+        buffers = [id(b) for b in teacher.blocks()]
+        assert ema_update(pair, in_place=True) is pair
+        assert [id(b) for b in pair.teacher.blocks()] == buffers
+        for a, b in zip(pair.teacher.blocks(), pure.teacher.blocks()):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(student.blocks(), s_before.blocks()):
+            assert a.tobytes() == b.tobytes()
+
     def test_closed_form_empty(self):
         theta0 = init_params(TINY)
         result = ema_closed_form(theta0, [], 0.1, 0.99)

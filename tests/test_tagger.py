@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from scdl.tagger import (
     PAD_BUCKET,
     PAD_TOKEN,
+    RowSparseGrad,
     TaggerConfig,
+    TaggerParams,
+    _forward_cache,
     encode,
     init_params,
     forward,
@@ -33,6 +36,11 @@ from synthdata import make_synthetic_corpus
 SMALL = TaggerConfig(
     num_tags=5, vocab_hash_buckets=12, embed_dim=4, window=1, hidden_dim=5, init_seed=0
 )
+
+
+def same_bits(a, b) -> bool:
+    """Every block equal byte for byte, so -0.0 differs from 0.0."""
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks(), b.blocks()))
 
 
 def small_vocab():
@@ -140,6 +148,16 @@ class TestFlatBatch:
         for rows, tokens in zip(batch.split(np.arange(len(flat))), token_lists):
             alone = forward(params, sentences_of(tokens))
             assert np.abs(flat[rows] - alone).max(initial=0.0) <= 1e-12
+
+    def test_take_carries_sentence_starts(self):
+        full = encode(sentences_of(["a", "b"], [], ["c"], ["d", "a", "b"]), 64)
+        starts = full.starts
+        assert full.starts is starts  # built once
+        part = full.take([3, 1, 0, 3])
+        fresh = encode(sentences_of(["d", "a", "b"], [], ["a", "b"], ["d", "a", "b"]), 64)
+        assert part._starts is not None
+        assert np.array_equal(part.starts, fresh.starts)
+        assert part.starts.tolist() == [True, False, False, True, False, True, False, False]
 
     def test_hashed_batch_is_not_reused_across_bucket_counts(self):
         batch = encode(sentences_of(["a", "b"]), 64)
@@ -258,7 +276,78 @@ class TestLosses:
         assert all(np.array_equal(a, b) for a, b in zip(gh.blocks(), gs.blocks()))
 
 
+class TestRowSparseGradient:
+    words = st.sampled_from(["a", "b", "c", PAD_TOKEN])
+
+    @given(
+        st.lists(st.lists(words, max_size=4), min_size=1, max_size=6),
+        st.integers(0, 2),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dense_embedding_equals_add_at_reference(self, token_lists, window, seed):
+        """Repeated ids, the PAD bucket, 1-token and empty sentences: the
+        touched rows' values are the zero-filled np.add.at table's, bit for bit."""
+        rng = np.random.default_rng(seed)
+        config = replace(SMALL, vocab_hash_buckets=7, window=window, init_seed=seed)
+        params = init_params(config)
+        batch = encode(sentences_of(*token_lists), 7)
+        n = len(batch.ids)
+        targets = rng.dirichlet(np.ones(5), size=n)
+        mask = rng.random(n) < 0.8
+        _, grad = loss_soft(params, batch, targets, mask)
+
+        # the dense backward: zero-fill, then np.add.at in token order
+        ctx = batch.context_ids(window)[mask]
+        x, h, probs = _forward_cache(params, ctx)
+        dpre = ((probs - targets[mask]) / n) @ params.out_w.T * (1.0 - h * h)
+        dx = dpre @ params.hidden_w.T
+        expected = np.zeros_like(params.embedding)
+        np.add.at(expected, ctx.reshape(-1), dx.reshape(-1, config.embed_dim))
+
+        assert grad.embedding.tobytes() == expected.tobytes()
+        if mask.any():
+            assert isinstance(grad, RowSparseGrad)
+            assert np.array_equal(grad.rows, np.unique(ctx))
+            assert grad.row_values.tobytes() == expected[grad.rows].tobytes()
+            assert np.array_equal(grad.hidden_w, x.T @ dpre)
+            assert same_bits(grad, TaggerParams(config, *grad.blocks()))
+
+    def test_pad_bucket_row_is_touched_at_sentence_edges(self):
+        batch = random_batch(np.random.default_rng(0), small_vocab())
+        _, grad = loss_hard(init_params(SMALL), batch, "gold")
+        assert PAD_BUCKET in grad.rows.tolist()
+
+
 class TestSgd:
+    def test_in_place_equals_pure_for_sparse_and_dense_gradients(self):
+        rng = np.random.default_rng(3)
+        params = init_params(SMALL)
+        _, sparse = loss_hard(params, random_batch(rng, small_vocab()), "noisy_i")
+        untouched = np.setdiff1d(np.arange(SMALL.vocab_hash_buckets), sparse.rows)
+        assert len(untouched) > 0
+        params.embedding[untouched[0]] = -0.0  # p - lr * 0.0 keeps the sign of zero
+        dense = TaggerParams(SMALL, *sparse.blocks())
+        before = params.copy()
+        results = []
+        for grad in (sparse, dense):
+            pure = sgd_step(params, grad, 2.0)
+            assert same_bits(params, before)  # the pure form leaves its input alone
+            target = params.copy()
+            assert sgd_step(target, grad, 2.0, in_place=True) is target
+            assert same_bits(target, pure)
+            results.append(pure)
+        assert same_bits(*results)
+        assert np.signbit(results[0].embedding[untouched[0]]).all()
+        assert not same_bits(results[0], before)
+
+    def test_sparse_gradient_shape_checked(self):
+        params = init_params(SMALL)
+        dense = zeros_like(params).blocks()[1:]
+        grad = RowSparseGrad(SMALL, np.array([1, 2]), np.zeros((2, 3)), *dense)  # embed_dim is 4
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sgd_step(params, grad, 1.0, in_place=True)
+
     def test_functional_update(self):
         params = init_params(SMALL)
         before = params.copy()
@@ -272,6 +361,12 @@ class TestSgd:
         params = init_params(SMALL)
         with pytest.raises(ValueError):
             sgd_step(params, zeros_like(params), 0.0)
+
+    @pytest.mark.parametrize("lr", [math.inf, math.nan])
+    def test_non_finite_lr_rejected(self, lr):
+        params = init_params(SMALL)
+        with pytest.raises(ValueError, match="finite"):
+            sgd_step(params, zeros_like(params), lr, in_place=True)
 
 
 class TestPrediction:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scdl.corpus import AnnotatedSentence, TagVocabulary, inject_noise
+from scdl.metrics import CurvePoint, score_tags
 from scdl.denoise import (
     TeacherStudentPair,
     ema_update,
@@ -17,6 +18,7 @@ from scdl.tagger import (
     labels_from_dists,
     loss_hard,
     loss_soft,
+    predict_labels,
     sgd_step,
 )
 from scdl.training import (
@@ -62,6 +64,10 @@ FAST = dict(
 
 def params_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.blocks(), b.blocks()))
+
+
+def same_bits(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks(), b.blocks()))
 
 
 def noisy_corpus(vocab, n=48, seed=0):
@@ -288,6 +294,31 @@ class TestSelfDenoiseStep:
         assert stats.loss == loss
         assert params_equal(stepped.student, sgd_step(pair.student, grad, config.gamma))
 
+    def test_in_place_equals_pure(self, vocab):
+        """Dropout and partial masks: writing into the pair's buffers gives the
+        pure step's models bit for bit, and the pure step leaves its pair alone."""
+        corpus = noisy_corpus(vocab)
+        config = ScdlConfig(**FAST, delta=0.6, student_word_dropout=0.25)
+        p, _ = pretrain(config, corpus, vocab)
+        _, g = loss_hard(p, corpus[8:24], "noisy_i")
+        pair = TeacherStudentPair(p, sgd_step(p, g, 2.0), 0.9)
+        before = TeacherStudentPair(pair.teacher.copy(), pair.student.copy(), 0.9)
+        batch = encode(corpus[:8], config.hash_buckets)
+        pure, stats = self_denoise_step(
+            pair, batch, "noisy_i", config, vocab, dropout_rng=np.random.default_rng(2)
+        )
+        assert 0 < stats.selected < stats.total
+        assert same_bits(pair.teacher, before.teacher) and same_bits(pair.student, before.student)
+        assert not params_equal(pure.student, pair.student)
+
+        buffers = [id(b) for b in pair.teacher.blocks() + pair.student.blocks()]
+        live, live_stats = self_denoise_step(
+            pair, batch, "noisy_i", config, vocab, dropout_rng=np.random.default_rng(2), in_place=True
+        )
+        assert live_stats == stats
+        assert [id(b) for b in live.teacher.blocks() + live.student.blocks()] == buffers
+        assert same_bits(live.teacher, pure.teacher) and same_bits(live.student, pure.student)
+
     def test_dropout_needs_a_generator(self, vocab):
         config = ScdlConfig(**FAST, student_word_dropout=0.25)
         corpus = noisy_corpus(vocab)
@@ -452,6 +483,83 @@ class TestTrain:
         assert params_equal(result.state.pair1.student, p1)
         assert params_equal(result.state.pair1.teacher, p1)  # no_teachers copies
         assert params_equal(result.state.pair2.student, p2)  # single_network idle
+
+    def test_in_place_run_equals_pure_reference_loop(self, vocab):
+        """train, which updates its models in place, against a loop of the pure
+        functions: the same final models, tracks and history, bit for bit."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 4}, delta=0.6, student_word_dropout=0.25)
+        corpus = noisy_corpus(vocab)
+        dev_corpus = self._dev(vocab)
+        result = train(config, corpus, dev_corpus, vocab)
+
+        rng = np.random.default_rng(config.seed)
+        flat = encode(corpus, config.hash_buckets, ("gold",) + TRACKS)
+        dev = encode(dev_corpus, config.hash_buckets, ("gold",))
+        nets = [init_params(c) for c in config.tagger_configs(vocab.size)]
+        for _ in range(config.pretrain_epochs):
+            for idx in _batches(rng.permutation(len(corpus)), config.batch_size):
+                batch = flat.take(idx)
+                for k, track in enumerate(TRACKS):
+                    nets[k] = sgd_step(nets[k], loss_hard(nets[k], batch, track)[1], config.gamma)
+        pairs = [TeacherStudentPair.from_params(q, config.alpha) for q in nets]
+        drop_rngs = [np.random.default_rng([config.seed, k]) for k in (1, 2)]
+        history, selections, step, rewrites = [], [], 0, 0
+
+        def record():
+            models = (pairs[0].teacher, pairs[0].student, pairs[1].teacher, pairs[1].student)
+            for name, model in zip(MODEL_ORDER, models):
+                s = score_tags(predict_labels(model, dev, vocab), dev.track("gold"), vocab, dev.starts)
+                history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
+
+        record()
+        for _ in range(config.max_epochs):
+            for idx in _batches(rng.permutation(len(corpus)), config.batch_size):
+                batch = flat.take(idx)
+                step += 1
+                for k in range(2):
+                    pairs[k], stats = self_denoise_step(
+                        pairs[k], batch, TRACKS[k], config, vocab, drop_rngs[k]
+                    )
+                    selections.append((step, f"net{k + 1}", stats.selected, stats.total))
+                if step % config.update_cycle == 0:
+                    rewrites += 1
+                    noisy_i = predict_labels(pairs[1].teacher, flat, vocab)
+                    flat.tracks["noisy_ii"] = predict_labels(pairs[0].teacher, flat, vocab)
+                    flat.tracks["noisy_i"] = noisy_i
+            record()
+
+        assert rewrites >= 1
+        assert any(0 < sel < total for _, _, sel, total in selections)
+        assert result.selection_trace == selections
+        assert result.history == history
+        models = (pairs[0].teacher, pairs[0].student, pairs[1].teacher, pairs[1].student)
+        for live, reference in zip(result.state.models().values(), models):
+            assert same_bits(live, reference)
+        for track in TRACKS:
+            assert np.array_equal(result.state.corpus.tracks[track], flat.tracks[track])
+
+    def test_best_params_survive_later_steps(self, vocab):
+        """The best model is copied out of the buffers that training keeps writing."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 3}, delta=0.6, student_word_dropout=0.25)
+        kept = {}
+
+        def keep(epoch, state):
+            kept[epoch] = {name: p.copy() for name, p in state.models().items()}
+
+        result = train(config, noisy_corpus(vocab), self._dev(vocab), vocab, epoch_callback=keep)
+        steps = sorted({p.step for p in result.history})
+        best_step = next(
+            p.step for p in result.history
+            if p.model == result.best_model and p.f1 == result.best_f1
+        )
+        best_epoch = steps.index(best_step)
+        assert best_epoch < config.max_epochs  # training ran past the best step
+        assert same_bits(result.best_params, kept[best_epoch][result.best_model])
+        final = result.state.models()[result.best_model]
+        assert not params_equal(final, result.best_params)
+        for pair in (result.state.pair1, result.state.pair2):
+            for t, s in zip(pair.teacher.blocks(), pair.student.blocks()):
+                assert not np.shares_memory(t, s)
 
     def test_corpus_not_mutated(self, vocab):
         config = ScdlConfig(**{**FAST, "max_epochs": 2})
