@@ -7,12 +7,14 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
+from . import tagger as tagger_mod
 from .corpus import (
     BioValidationError,
     ConllFormatError,
@@ -20,9 +22,8 @@ from .corpus import (
     TagVocabulary,
     distant_annotate,
     format_alteration_log,
-    infer_vocab,
     inject_noise,
-    parse_conll,
+    read_conll,
     write_conll,
 )
 from .tagger import atomic_open, encode, load_checkpoint, predict_labels, save_checkpoint
@@ -47,18 +48,20 @@ def _read(path) -> str:
         return fh.read()
 
 
-def _load_corpus(path, vocab=None):
-    text = _read(path)
-    if vocab is None:
-        vocab = infer_vocab(text)
-    return parse_conll(text, vocab), vocab
+def _recode(codes, source: TagVocabulary, target: TagVocabulary) -> np.ndarray:
+    """Tag codes of `source` as the codes of the same tags in `target`."""
+    return np.array([target.encode(tag) for tag in source.tags], dtype=np.int64)[codes]
 
 
-def _shared_vocab(*paths) -> TagVocabulary:
-    types = set()
-    for path in paths:
-        types.update(infer_vocab(_read(path)).entity_types)
-    return TagVocabulary(sorted(types))
+def _load_corpora(*paths):
+    """The sentences of each file, read once, with the vocabulary of all their types."""
+    read = [read_conll(text) for text in [_read(path) for path in paths]]  # open all before parsing any
+    vocab = TagVocabulary(sorted(set().union(*(own.entity_types for *_, own in read))))
+    corpora = [
+        corpus_mod.annotated_sentences(tokens, _recode(codes, own, vocab), offsets)
+        for tokens, codes, offsets, own in read
+    ]
+    return corpora, vocab
 
 
 def _track_checksum(tags, offsets, num_tags: int) -> str:
@@ -71,10 +74,8 @@ def _track_checksum(tags, offsets, num_tags: int) -> str:
     return hashlib.md5(np.insert(tags.astype(width), offsets[1:], 10).tobytes()).hexdigest()
 
 
-def _annotation_summary(sentences, distant_tags, vocab) -> dict:
-    """How each gold span fared under distant annotation."""
-    gold, starts = corpus_mod.flat_tags([s.track("gold") for s in sentences])
-    distant, _ = corpus_mod.flat_tags(distant_tags)
+def _annotation_summary(gold, distant, starts, vocab) -> dict:
+    """How each gold span fared under distant annotation, on flat tags."""
     g_begin, g_end, g_code = corpus_mod.bio_spans(gold, vocab, starts)
     d_begin, d_end, d_code = corpus_mod.bio_spans(distant, vocab, starts)
     # gold span g[k] and distant span d[k] share a begin
@@ -98,28 +99,28 @@ def cmd_annotate(args) -> int:
         raise ValueError(f"coverage must be in [0, 1], got {args.coverage!r}")
     text = _read(args.corpus)
     gaz = Gazetteer.parse(_read(args.gazetteer))
+    tokens, gold, offsets, own = read_conll(text)
     gaz_types = {t for types in gaz.entries.values() for t in types}
-    vocab = TagVocabulary(sorted(set(infer_vocab(text).entity_types) | gaz_types))
-    sentences = parse_conll(text, vocab)
+    vocab = TagVocabulary(sorted(set(own.entity_types) | gaz_types))
+    gold = _recode(gold, own, vocab)
     rng = np.random.default_rng(args.seed)
+    bounds = offsets.tolist()
     distant = [
         distant_annotate(
-            s.tokens, gaz, vocab, coverage=args.coverage, ambiguity_rule=args.rule, rng=rng
+            tokens[a:b], gaz, vocab, coverage=args.coverage, ambiguity_rule=args.rule, rng=rng
         )
-        for s in sentences
+        for a, b in zip(bounds[:-1], bounds[1:])
     ]
-    summary = _annotation_summary(sentences, distant, vocab)
-    out_sentences = [
-        corpus_mod.AnnotatedSentence(s.tokens, gold=tags) for s, tags in zip(sentences, distant)
-    ]
-    atomic_write_text(args.out, write_conll(out_sentences, vocab, "gold"))
+    distant = np.fromiter(chain.from_iterable(distant), dtype=np.int64, count=len(tokens))
+    summary = _annotation_summary(gold, distant, corpus_mod.sentence_starts(offsets), vocab)
+    atomic_write_text(args.out, corpus_mod.format_conll(tokens, distant, offsets, vocab))
     atomic_write_text(args.summary or args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     return 0
 
 
 def cmd_inject(args) -> int:
-    sentences, vocab = _load_corpus(args.corpus)
+    [sentences], vocab = _load_corpora(args.corpus)
     noisy, log = inject_noise(sentences, args.k, vocab, seed=args.seed)
     atomic_write_text(args.out, write_conll(noisy, vocab, "noisy_i"))
     atomic_write_text(args.log or args.out + ".alterations.tsv", format_alteration_log(log))
@@ -155,9 +156,7 @@ def _load_config(args) -> ScdlConfig:
 
 def cmd_pretrain(args) -> int:
     config = _load_config(args)
-    vocab = _shared_vocab(args.train, args.dev)
-    train_corpus, _ = _load_corpus(args.train, vocab)
-    dev_corpus, _ = _load_corpus(args.dev, vocab)
+    (train_corpus, dev_corpus), vocab = _load_corpora(args.train, args.dev)
     p1, p2 = pretrain(config, train_corpus, vocab)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,9 +175,7 @@ def cmd_pretrain(args) -> int:
 
 
 def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> int:
-    vocab = _shared_vocab(train_path, dev_path)
-    train_corpus, _ = _load_corpus(train_path, vocab)
-    dev_corpus, _ = _load_corpus(dev_path, vocab)
+    (train_corpus, dev_corpus), vocab = _load_corpora(train_path, dev_path)
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -236,13 +233,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    text = _read(args.corpus)
-    vocab = infer_vocab(text)
+    tokens, gold, offsets, vocab = read_conll(_read(args.corpus))
     if vocab.size != params.config.num_tags:
         raise ValueError(
             f"checkpoint expects {params.config.num_tags} tags, corpus has {vocab.size}"
         )
-    batch = encode(parse_conll(text, vocab), params.config.vocab_hash_buckets, ("gold",))
+    ids = tagger_mod.token_ids(tokens, params.config.vocab_hash_buckets)
+    batch = tagger_mod.TokenBatch(ids, offsets, params.config.vocab_hash_buckets, {"gold": gold})
     predicted = predict_labels(params, batch, vocab)
     score = metrics_mod.score_tags(predicted, batch.track("gold"), vocab, batch.starts)
     print(
@@ -280,13 +277,13 @@ def cmd_sweep(args) -> int:
     if not seeds:
         raise ValueError("empty seed list")
     config = _load_config(args)
-    sentences, vocab = _load_corpus(args.corpus)
+    run_configs = [replace(config, seed=seed) for seed in seeds]  # each seed checked before any run
+    [sentences], vocab = _load_corpora(args.corpus)
     base_train, dev = _split_holdout(sentences)
     rows = []
     for k in ks:
-        for seed in seeds:
+        for seed, run_cfg in zip(seeds, run_configs):
             noisy, _log = inject_noise(base_train, k, vocab, seed=seed)
-            run_cfg = replace(config, seed=seed)
             scdl_result = train(run_cfg, noisy, dev, vocab)
             # noisy_i scored against gold at step 0 and after the last epoch
             scores = [score for _, track, score in scdl_result.refinery if track == "noisy_i"]
@@ -392,6 +389,9 @@ def main(argv=None) -> int:
         return 2
     except (ConllFormatError, BioValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

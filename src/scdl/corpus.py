@@ -161,13 +161,19 @@ def bio_spans(tags, vocab: TagVocabulary, starts=None) -> tuple[np.ndarray, np.n
     return begin, end, codes[begin]
 
 
+def sentence_starts(offsets) -> np.ndarray:
+    """repair_bio's `starts` mask of sentences laid end to end at `offsets`."""
+    offsets = np.asarray(offsets)
+    starts = np.zeros(int(offsets[-1]), dtype=bool)
+    starts[offsets[:-1][np.diff(offsets) > 0]] = True
+    return starts
+
+
 def flat_tags(rows) -> tuple[np.ndarray, np.ndarray]:
     """Per-sentence tag lists laid end to end, with repair_bio's `starts` mask."""
     lengths = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
     tags = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-    starts = np.zeros(len(tags), dtype=bool)
-    starts[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
-    return tags, starts
+    return tags, sentence_starts(np.concatenate(([0], np.cumsum(lengths))))
 
 
 def spans_from_bio(tags, vocab: TagVocabulary) -> list[Span]:
@@ -189,17 +195,75 @@ def bio_from_spans(spans, length: int, vocab: TagVocabulary) -> list[int]:
     return tags
 
 
-def infer_vocab(text: str) -> TagVocabulary:
-    """Entity types found in interchange text, in sorted order."""
-    types = set()
-    for line in text.splitlines():
-        line = line.rstrip("\n")
+def read_conll(text: str, vocab: TagVocabulary | None = None):
+    """Tokens, int64 tag codes, sentence offsets and vocabulary of CoNLL text, in one pass.
+
+    Sentence i is tokens[offsets[i]:offsets[i + 1]], and none is empty. By
+    default the vocabulary holds the sorted types of the B-t and I-t tags.
+    Errors name the 1-based line of the first malformed line or unknown
+    tag, unless a sentence closed before it breaks BIO.
+    """
+    tokens, tags = [], []
+    offsets, first_lines = [0], []  # where each sentence starts, in tokens and in lines
+    start, malformed = 1, None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
+            if len(tokens) > offsets[-1]:
+                offsets.append(len(tokens))
+                first_lines.append(start)
+            start = lineno + 1
             continue
-        _, _, tag = line.partition("\t")
-        if tag.startswith(("B-", "I-")):
-            types.add(tag[2:])
-    return TagVocabulary(sorted(types))
+        token, _, tag = line.partition("\t")
+        if not (token and tag):
+            malformed = ConllFormatError(f"line {lineno}: expected 'token<TAB>tag', got {line!r}")
+            break
+        tokens.append(token)
+        tags.append(tag)
+    closed = len(first_lines)  # sentences a blank line, or the end of the text, closed
+    if len(tokens) > offsets[-1]:
+        offsets.append(len(tokens))
+        first_lines.append(start)
+        closed += malformed is None
+    offsets = np.array(offsets, dtype=np.int64)
+    distinct = set(tags)
+    if vocab is None:
+        vocab = TagVocabulary(sorted({t[2:] for t in distinct if t.startswith(("B-", "I-"))}))
+    table = {t: vocab._code.get(t, -1) for t in distinct}
+    codes = np.fromiter(map(table.__getitem__, tags), dtype=np.int64, count=len(tags))
+
+    def locate(j):  # the sentence of flat token j, and j's index in it
+        s = int(np.searchsorted(offsets, j, side="right")) - 1
+        return s, j - int(offsets[s])
+
+    error = malformed
+    unknown = np.flatnonzero(codes < 0)
+    if len(unknown):  # the scan stopped at a malformed line, so this one comes first
+        u = int(unknown[0])
+        closed, j = locate(u)
+        error = ConllFormatError(f"line {first_lines[closed] + j}: unknown tag {tags[u]!r}")
+    try:
+        bio_spans(codes[: offsets[closed]], vocab, sentence_starts(offsets[: closed + 1]))
+    except BioValidationError as exc:
+        s, j = locate(exc.index)
+        message = f"line {first_lines[s] + j}: token {j}: {tags[exc.index]}"
+        raise BioValidationError(f"{message} does not continue an entity", j) from None
+    if error is not None:
+        raise error
+    return tokens, codes, offsets, vocab
+
+
+def infer_vocab(text: str) -> TagVocabulary:
+    """Entity types found in interchange text, in sorted order; raises as read_conll."""
+    return read_conll(text)[3]
+
+
+def annotated_sentences(tokens, codes, offsets) -> list[AnnotatedSentence]:
+    """Flat tokens and gold codes split into sentences whose noisy tracks start as copies of gold."""
+    tags, bounds = np.asarray(codes).tolist(), np.asarray(offsets).tolist()
+    return [
+        AnnotatedSentence(tokens[a:b], gold=tags[a:b], noisy_i=tags[a:b], noisy_ii=tags[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def parse_conll(text: str, vocab: TagVocabulary) -> list[AnnotatedSentence]:
@@ -208,53 +272,22 @@ def parse_conll(text: str, vocab: TagVocabulary) -> list[AnnotatedSentence]:
     Noisy tracks start as copies of gold. Errors name the offending
     1-based line number.
     """
-    sentences: list[AnnotatedSentence] = []
-    tokens: list[str] = []
-    tags: list[int] = []
-    start_line = 1
+    return annotated_sentences(*read_conll(text, vocab)[:3])
 
-    def flush():
-        nonlocal tokens, tags
-        if not tokens:
-            return
-        try:
-            validate_bio(tags, vocab)
-        except BioValidationError as exc:
-            raise BioValidationError(f"line {start_line + exc.index}: {exc}", exc.index) from None
-        sentences.append(
-            AnnotatedSentence(tokens, gold=list(tags), noisy_i=list(tags), noisy_ii=list(tags))
-        )
-        tokens, tags = [], []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            flush()
-            start_line = lineno + 1
-            continue
-        token, sep, tag = line.partition("\t")
-        if not sep or not token or not tag:
-            raise ConllFormatError(f"line {lineno}: expected 'token<TAB>tag', got {line!r}")
-        try:
-            code = vocab.encode(tag)
-        except KeyError:
-            raise ConllFormatError(f"line {lineno}: unknown tag {tag!r}") from None
-        tokens.append(token)
-        tags.append(code)
-    flush()
-    return sentences
+def format_conll(tokens, codes, offsets, vocab: TagVocabulary) -> str:
+    """Flat tokens and tag codes as interchange text, a blank line between sentences."""
+    lines = [f"{tok}\t{vocab.tags[c]}" for tok, c in zip(tokens, np.asarray(codes).tolist())]
+    bounds = np.asarray(offsets).tolist()
+    return "\n".join("\n".join(lines[a:b]) + "\n" for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def write_conll(sentences, vocab: TagVocabulary, track: str = "gold") -> str:
     """Inverse of parse_conll for the chosen track."""
-    blocks = []
-    for sentence in sentences:
-        tags = sentence.track(track)
-        blocks.append(
-            "\n".join(f"{tok}\t{vocab.decode(c)}" for tok, c in zip(sentence.tokens, tags))
-        )
-    if not blocks:
-        return ""
-    return "\n\n".join(blocks) + "\n"
+    rows = [list(zip(s.tokens, s.track(track))) for s in sentences]
+    pairs = list(chain.from_iterable(rows))
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    return format_conll([tok for tok, _ in pairs], [c for _, c in pairs], offsets, vocab)
 
 
 @dataclass
@@ -263,6 +296,7 @@ class Gazetteer:
 
     entries: dict[tuple[str, ...], tuple[str, ...]] = field(default_factory=dict)
     max_len: int = field(init=False, repr=False, compare=False)  # longest surface, in tokens
+    first_tokens: frozenset = field(init=False, repr=False, compare=False)  # of every surface
 
     def __post_init__(self):
         for surface, types in self.entries.items():
@@ -271,6 +305,7 @@ class Gazetteer:
             if not types:
                 raise ValueError(f"no types for surface {surface!r}")
         self.max_len = max((len(s) for s in self.entries), default=0)
+        self.first_tokens = frozenset(s[0] for s in self.entries)
 
     @classmethod
     def parse(cls, text: str) -> "Gazetteer":
@@ -319,27 +354,25 @@ def distant_annotate(
     if ambiguity_rule not in ("first", "random"):
         raise ValueError(f"unknown ambiguity rule {ambiguity_rule!r}")
     tags = [0] * len(tokens)
-    i = 0
-    while i < len(tokens):
-        matched = 0
-        types = None
-        for length in range(min(gaz.max_len, len(tokens) - i), 0, -1):
-            candidate = tuple(tokens[i : i + length])
-            if candidate in gaz.entries:
-                matched, types = length, gaz.entries[candidate]
-                break
-        if not matched:
-            i += 1
+    end = 0  # tokens before `end` belong to an earlier match
+    for i, token in enumerate(tokens):
+        if i < end or token not in gaz.first_tokens:
             continue
+        for length in range(min(gaz.max_len, len(tokens) - i), 0, -1):
+            types = gaz.entries.get(tuple(tokens[i : i + length]))
+            if types is not None:
+                break
+        else:
+            continue
+        end = i + length
         if rng.random() < coverage:
             if len(types) == 1 or ambiguity_rule == "first":
                 chosen = types[0]
             else:
                 chosen = types[int(rng.integers(len(types)))]
             tags[i] = vocab.b_code(chosen)
-            for j in range(i + 1, i + matched):
+            for j in range(i + 1, end):
                 tags[j] = vocab.i_code(chosen)
-        i += matched
     return tags
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, TagVocabulary, repair_bio
+from .corpus import AnnotatedSentence, TagVocabulary, repair_bio, sentence_starts
 
 PAD_BUCKET = 0  # reserved for window overflow
 PAD_TOKEN = "\x00<pad>"  # surface sentinel that hashes to PAD_BUCKET
@@ -131,15 +131,12 @@ class RowSparseGrad:
 
 
 def token_ids(tokens, buckets: int) -> np.ndarray:
-    """Deterministic surface-form hashing into [1, buckets)."""
-    return np.fromiter(
-        (
-            PAD_BUCKET if t == PAD_TOKEN else 1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1)
-            for t in tokens
-        ),
-        dtype=np.int64,
-        count=len(tokens),
-    )
+    """Deterministic surface-form hashing into [1, buckets); each distinct form is hashed once."""
+    bucket = {
+        t: PAD_BUCKET if t == PAD_TOKEN else 1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1)
+        for t in set(tokens)
+    }
+    return np.fromiter(map(bucket.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
 @dataclass(eq=False)
@@ -167,9 +164,7 @@ class TokenBatch:
     def starts(self) -> np.ndarray:
         """True at the first token of every sentence."""
         if self._starts is None:
-            self._starts = np.zeros(len(self.ids), dtype=bool)
-            lengths = np.diff(self.offsets)
-            self._starts[self.offsets[:-1][lengths > 0]] = True
+            self._starts = sentence_starts(self.offsets)
         return self._starts
 
     def track(self, name: str) -> np.ndarray:

@@ -76,6 +76,8 @@ class ScdlConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0 or self.pretrain_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.student_word_dropout < 1.0:
             raise ValueError("student_word_dropout must be in [0, 1)")
         unknown = set(self.ablations) - set(ABLATIONS)

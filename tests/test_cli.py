@@ -154,7 +154,8 @@ class TestAnnotate:
                 else:
                     counts["other"] += 1
         expected = {"gold_spans": sum(counts.values()), **counts}
-        assert cli._annotation_summary(sentences, distant, vocab) == expected
+        flat_gold, starts = flat_tags(gold)
+        assert cli._annotation_summary(flat_gold, flat_tags(distant)[0], starts, vocab) == expected
 
     def test_empty_gazetteer_type_exit_code(self, workspace, capsys):
         gaz = workspace["dir"] / "gaz.tsv"
@@ -402,6 +403,7 @@ class TestTrainCmd:
             ("gamma=-1", "gamma must be finite and > 0"),
             ("hash_buckets=1", "non-padding bucket"),
             ("batch_size=abc", "config line 12: bad value for batch_size"),
+            ("seed=-1", "seed must be >= 0"),
         ],
     )
     def test_bad_config_value_fails_before_work(self, workspace, capsys, line, message):
@@ -416,6 +418,30 @@ class TestTrainCmd:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_negative_seed_flag_fails_before_work(self, workspace, capsys):
+        out_dir = workspace["dir"] / "neg_run"
+        rc = main([
+            "train", "--config", str(workspace["config"]), "--seed", "-1",
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_out_of_memory_exits_1(self, workspace, capsys):
+        """An embedding table of 10**13 rows cannot even be addressed, so
+        allocating it fails at once, and the command says so."""
+        config = workspace["dir"] / "huge.txt"
+        config.write_text(FAST_CONFIG + "hash_buckets=10000000000000\n")
+        rc = main([
+            "train", "--config", str(config),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(workspace["dir"] / "huge_run"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
 
     def test_old_default_config_names_first_removed_key(self, workspace, capsys):
         config = workspace["dir"] / "old.txt"
@@ -567,6 +593,20 @@ class TestSweepCmd:
         ])
         assert rc == 1
         assert "k out of range [0, 100]: 200" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_seed_checked_before_training(self, workspace, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = workspace["dir"] / "s.csv"
+        rc = main([
+            "sweep", "--corpus", str(workspace["gold"]), "--ks", "10",
+            "--seeds", "0,-1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_k_list(self, workspace):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdl.corpus import (
@@ -13,6 +13,7 @@ from scdl.corpus import (
     Gazetteer,
     Span,
     TagVocabulary,
+    annotated_sentences,
     bio_from_spans,
     bio_spans,
     distant_annotate,
@@ -21,6 +22,7 @@ from scdl.corpus import (
     infer_vocab,
     inject_noise,
     parse_conll,
+    read_conll,
     repair_bio,
     spans_from_bio,
     validate_bio,
@@ -270,6 +272,139 @@ class TestConll:
         assert v.entity_types == ("ANT", "ZOO")
 
 
+def infer_vocab_loop(text):
+    """infer_vocab as it was written before the flat reader: the reference."""
+    types = set()
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        _, _, tag = line.partition("\t")
+        if tag.startswith(("B-", "I-")):
+            types.add(tag[2:])
+    return TagVocabulary(sorted(types))
+
+
+def parse_conll_loop(text, vocab):
+    """parse_conll as it was written line by line, one BIO check per sentence: the reference."""
+    sentences, tokens, tags = [], [], []
+    start_line = 1
+
+    def flush():
+        nonlocal tokens, tags
+        if not tokens:
+            return
+        try:
+            validate_bio(tags, vocab)
+        except BioValidationError as exc:
+            raise BioValidationError(f"line {start_line + exc.index}: {exc}", exc.index) from None
+        sentences.append(
+            AnnotatedSentence(tokens, gold=list(tags), noisy_i=list(tags), noisy_ii=list(tags))
+        )
+        tokens, tags = [], []
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            flush()
+            start_line = lineno + 1
+            continue
+        token, sep, tag = line.partition("\t")
+        if not sep or not token or not tag:
+            raise ConllFormatError(f"line {lineno}: expected 'token<TAB>tag', got {line!r}")
+        try:
+            code = vocab.encode(tag)
+        except KeyError:
+            raise ConllFormatError(f"line {lineno}: unknown tag {tag!r}") from None
+        tokens.append(token)
+        tags.append(code)
+    flush()
+    return sentences
+
+
+def write_conll_loop(sentences, vocab, track="gold"):
+    """write_conll as it was written sentence by sentence: the reference."""
+    blocks = []
+    for sentence in sentences:
+        tags = sentence.track(track)
+        blocks.append(
+            "\n".join(f"{tok}\t{vocab.decode(c)}" for tok, c in zip(sentence.tokens, tags))
+        )
+    if not blocks:
+        return ""
+    return "\n\n".join(blocks) + "\n"
+
+
+def outcome(parse, *args):
+    """What a reader returns, or the class, message and BIO index of what it raises."""
+    try:
+        return parse(*args)
+    except (ConllFormatError, BioValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+CONLL_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", " "]
+
+
+@st.composite
+def conll_texts(draw):
+    """CoNLL-like text: token lines, blank and whitespace-only lines, malformed
+    lines and unknown tags, joined by line breaks that str.splitlines knows
+    or by a space, which puts a space into the tag before it."""
+    token = st.text(alphabet="ab é", min_size=1, max_size=3)
+    tag = st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-ORG", "B-XYZ", "X", "O\tO"])
+    good = st.builds(lambda t, g: f"{t}\t{g}", token, tag)
+    bad = st.sampled_from(["a", "\tO", "a\t", "a O", "\t"])
+    blank = st.sampled_from(["", " ", "\t", " \t "])
+    kind = st.sampled_from(["good"] * 6 + ["blank"] * 2 + ["bad"])
+    lines = [draw({"good": good, "blank": blank, "bad": bad}[k]) for k in draw(st.lists(kind))]
+    breaks = [draw(st.sampled_from(CONLL_BREAKS)) for _ in lines]
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text[: -len(breaks[-1])] if lines and draw(st.booleans()) else text
+
+
+class TestFlatReader:
+    @given(conll_texts())
+    @settings(max_examples=500)
+    @example("a\tI-PER\nb\n")  # the BIO error's sentence is still open at the malformed line
+    @example("a\tI-PER\n\nb\n")  # it closed before
+    @example("a\tI-PER\nb\tX\n")
+    @example("a\tI-PER\n\nb\tX\n")
+    @example("a\tO\n \t \nb\tI-PER\r\nc\tO\u2028\x85d e\tB-PER\x1cf\tI-PER\x0b")
+    def test_parse_equals_line_loop(self, text):
+        vocab = TagVocabulary(["PER", "LOC"])
+        assert outcome(parse_conll, text, vocab) == outcome(parse_conll_loop, text, vocab)
+
+    @given(conll_texts())
+    @settings(max_examples=500)
+    @example("a\tB-XYZ\nb\tI-PER\n\nc\tI-XYZ\n")
+    def test_inferred_vocab_equals_two_passes(self, text):
+        vocab = infer_vocab_loop(text)
+        expected = outcome(parse_conll_loop, text, vocab)
+        got = outcome(read_conll, text)
+        if isinstance(expected, list):
+            tokens, codes, offsets, inferred = got
+            assert inferred == vocab
+            assert annotated_sentences(tokens, codes, offsets) == expected
+            assert offsets.dtype == codes.dtype == np.int64
+        else:
+            assert got == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.text(alphabet="ab é", min_size=1, max_size=3), max_size=4),
+                st.lists(st.integers(0, 4), max_size=5),
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=300)
+    def test_write_equals_sentence_loop(self, rows):
+        """Bytes equal, for empty sentences and tag lists shorter or longer than the tokens."""
+        vocab = TagVocabulary(["PER", "LOC"])
+        sentences = [AnnotatedSentence(tokens, gold=tags) for tokens, tags in rows]
+        assert write_conll(sentences, vocab) == write_conll_loop(sentences, vocab)
+
+
 class TestGazetteer:
     def test_parse_write_roundtrip(self):
         text = "Jack Lucas\tPER\nAmazon\tORG,LOC\n"
@@ -345,6 +480,64 @@ class TestDistantAnnotate:
     def test_coverage_out_of_range(self, vocab, coverage):
         with pytest.raises(ValueError, match="coverage must be in"):
             distant_annotate(["a"], Gazetteer.parse("a\tPER\n"), vocab, coverage=coverage)
+
+
+def distant_annotate_loop(tokens, gaz, vocab, coverage, ambiguity_rule, rng):
+    """distant_annotate as it was written, trying every position: the reference."""
+    tags = [0] * len(tokens)
+    i = 0
+    while i < len(tokens):
+        matched = 0
+        types = None
+        for length in range(min(gaz.max_len, len(tokens) - i), 0, -1):
+            candidate = tuple(tokens[i : i + length])
+            if candidate in gaz.entries:
+                matched, types = length, gaz.entries[candidate]
+                break
+        if not matched:
+            i += 1
+            continue
+        if rng.random() < coverage:
+            if len(types) == 1 or ambiguity_rule == "first":
+                chosen = types[0]
+            else:
+                chosen = types[int(rng.integers(len(types)))]
+            tags[i] = vocab.b_code(chosen)
+            for j in range(i + 1, i + matched):
+                tags[j] = vocab.i_code(chosen)
+        i += matched
+    return tags
+
+
+class TestDistantAnnotateLoop:
+    words = st.sampled_from(["a", "b", "c", "d"])
+
+    @given(
+        st.dictionaries(
+            st.lists(words, min_size=1, max_size=3).map(tuple),
+            st.lists(st.sampled_from(["PER", "LOC", "ORG"]), min_size=1, max_size=3, unique=True),
+            max_size=6,
+        ),
+        st.lists(st.lists(words, max_size=8), max_size=5),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from(["first", "random"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400)
+    def test_equals_every_position_loop(self, entries, corpus, coverage, rule, seed):
+        """Equal tags and the same draws, one generator across the sentences."""
+        gaz = Gazetteer({surface: tuple(types) for surface, types in entries.items()})
+        vocab = TagVocabulary(["PER", "LOC", "ORG"])
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for tokens in corpus:
+            expected = distant_annotate_loop(tokens, gaz, vocab, coverage, rule, expected_rng)
+            got = distant_annotate(tokens, gaz, vocab, coverage, ambiguity_rule=rule, rng=rng)
+            assert got == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_first_tokens(self):
+        gaz = Gazetteer.parse("New York\tLOC\nYork\tORG\nNew\tPER\n")
+        assert gaz.first_tokens == {"New", "York"}
 
 
 def inject_noise_loop(sentences, k_percent, vocab, seed=0):

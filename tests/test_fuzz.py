@@ -1,8 +1,11 @@
-"""Hostile checkpoint and gazetteer input: the command line exits 0 or 1, never raises."""
+"""Hostile checkpoint, gazetteer, CoNLL and config input: the command line exits 0 or 1,
+never raises, and a config file raises only ValueError."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from scdl.cli import main
 from scdl.corpus import infer_vocab, parse_conll, write_conll
 from scdl.tagger import TaggerConfig, init_params, save_checkpoint
+from scdl.training import ScdlConfig
 from synthdata import default_vocab, make_synthetic_corpus
 
 HEADER_KEYS = (
@@ -121,3 +125,57 @@ def test_garbled_gazetteer(inputs, raw):
         vocab = infer_vocab(written)
         assert "" not in vocab.entity_types
         parse_conll(written, vocab)
+
+
+def conll_bytes():
+    """CoNLL-like lines over the corpus's tokens and tags, or arbitrary bytes."""
+    tokens = sorted({t for s in SENTENCES for t in s.tokens})
+    token = st.sampled_from(tokens + ["", " ", "a b"]) | st.text(max_size=3)
+    tag = st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-NEW", "B-", "X", ""])
+    separator = st.sampled_from(["\t", "\t\t", " ", ""])
+    line = st.tuples(token, separator, tag).map("".join)
+    text = st.tuples(st.lists(line, max_size=10), st.sampled_from(["\n", "\r\n", "\x85", "\u2028"]))
+    encoded = text.map(lambda t: t[1].join(t[0]).encode("utf-8", "surrogatepass"))
+    return encoded | st.binary(max_size=80)
+
+
+@given(conll_bytes())
+@settings(max_examples=150, deadline=None)
+@example(b"per0\tI-PER\n\nw1\n")
+@example(b"\xff\xfe\tO\n")
+def test_garbled_conll(inputs, raw):
+    directory, _, ckpt = inputs
+    corpus, model = directory / "garbled.conll", directory / "model.ckpt"
+    corpus.write_bytes(raw)
+    model.write_bytes(ckpt)
+    gazetteer = directory / "gaz.tsv"
+    gazetteer.write_text("per0\tPER\nper1 loc2\tLOC,PER\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a corpus without mentions warns in inject
+        assert run(["eval", "--checkpoint", str(model), "--corpus", str(corpus)]) in (0, 1)
+        assert run(["annotate", "--corpus", str(corpus), "--gazetteer", str(gazetteer),
+                    "--rule", "random", "--coverage", "0.5",
+                    "--out", str(directory / "distant.conll")]) in (0, 1)
+        assert run(["inject", "--corpus", str(corpus), "--k", "50",
+                    "--out", str(directory / "noisy.conll")]) in (0, 1)
+
+
+config_keys = st.sampled_from([f.name for f in dataclasses.fields(ScdlConfig)] + ["bogus", "", "#x"])
+config_values = st.one_of(
+    st.integers(-3, 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e999", "0x10", "1_0", "hard_labels,", "no_teachers,x"]),
+    st.text(max_size=6),
+)
+
+
+@given(st.lists(st.tuples(config_keys, st.sampled_from(["=", " = ", "==", ""]), config_values)))
+@settings(max_examples=300, deadline=None)
+@example([("seed", "=", "-1")])
+@example([("batch_size", "=", "9" * 5000)])
+def test_hostile_config_raises_only_value_error(entries):
+    text = "\n".join(key + sep + value for key, sep, value in entries)
+    try:
+        ScdlConfig.from_text(text)
+    except ValueError:
+        pass

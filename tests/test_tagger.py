@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,18 @@ class TestHashing:
 
     def test_deterministic(self):
         assert np.array_equal(token_ids(["a", "b"], 100), token_ids(["a", "b"], 100))
+
+    @given(st.lists(st.sampled_from(["a", "b", "é", "", " x", PAD_TOKEN]) | st.text(max_size=3)),
+           st.integers(2, 2**40))
+    @settings(max_examples=300)
+    def test_equals_hash_per_token(self, tokens, buckets):
+        """Hashing each distinct form once gives the ids of hashing every token."""
+        expected = [
+            PAD_BUCKET if t == PAD_TOKEN else 1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1)
+            for t in tokens
+        ]
+        ids = token_ids(tokens, buckets)
+        assert ids.dtype == np.int64 and ids.tolist() == expected
 
 
 class TestFlatBatch:
