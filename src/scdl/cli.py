@@ -94,7 +94,13 @@ def _annotation_summary(gold, distant, starts, vocab) -> dict:
     }
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # checked before any file is read
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_annotate(args) -> int:
+    _check_seed(args.seed)
     if not 0.0 <= args.coverage <= 1.0:  # a corpus with no sentences never reaches distant_annotate
         raise ValueError(f"coverage must be in [0, 1], got {args.coverage!r}")
     text = _read(args.corpus)
@@ -120,6 +126,7 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    _check_seed(args.seed)
     [sentences], vocab = _load_corpora(args.corpus)
     noisy, log = inject_noise(sentences, args.k, vocab, seed=args.seed)
     atomic_write_text(args.out, write_conll(noisy, vocab, "noisy_i"))

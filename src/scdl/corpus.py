@@ -115,6 +115,12 @@ class AnnotatedSentence:
 
     TRACKS = ("gold", "noisy_i", "noisy_ii")
 
+    def __post_init__(self):
+        for name in self.TRACKS:
+            tags = getattr(self, name)
+            if tags is not None and len(tags) != len(self.tokens):
+                raise ValueError(f"{name} has {len(tags)} tags for {len(self.tokens)} tokens")
+
     def __len__(self) -> int:
         return len(self.tokens)
 

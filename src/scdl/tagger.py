@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import zlib
 from dataclasses import dataclass, field
 from itertools import chain
@@ -252,15 +253,27 @@ def forward(params: TaggerParams, batch) -> np.ndarray:
     return _forward_cache(params, ctx)[2]
 
 
+_SCRATCH = threading.local()  # each thread's lookup tables for _backprop
+
+
+def _bucket_tables(buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's (seen, local) tables over the buckets, kept between
+    calls; `seen` is all False between calls, `local` is scratch."""
+    tables = getattr(_SCRATCH, "tables", None)
+    if tables is None or len(tables[0]) != buckets:
+        tables = _SCRATCH.tables = (np.zeros(buckets, dtype=bool), np.zeros(buckets, dtype=np.int64))
+    return tables
+
+
 def _backprop(params, ctx, x, h, dlogits) -> RowSparseGrad:
     dh = dlogits @ params.out_w.T
     dpre = dh * (1.0 - h * h)
     dx = dpre @ params.hidden_w.T
     buckets, dim = params.embedding.shape
-    seen = np.zeros(buckets, dtype=bool)
+    seen, local = _bucket_tables(buckets)
     seen[ctx] = True
     rows = np.flatnonzero(seen)
-    local = np.zeros(buckets, dtype=np.int64)
+    seen[rows] = False
     local[rows] = np.arange(len(rows))
     # the rows of repeated ids summed in token order, as np.add.at would
     cells = (local[ctx].reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)

@@ -3,11 +3,19 @@
 Two structurally distinct teacher-student networks train on the same batch
 stream. Each network selects trustworthy tokens against its own noisy
 track; every `update_cycle` steps the teachers rewrite each other's track.
+Between rewrites the networks share nothing, so network 2 trains in a
+forked child process over parameters and tracks in shared memory, in step
+with network 1 in the caller.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+import signal
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -201,6 +209,149 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size].tolist()
 
 
+def _take_once(corpus: TokenBatch):
+    """`corpus.take`, reusing the last batch when asked for the same index
+    list again, so networks stepping in turn in one process share a batch."""
+    last = [None, None]
+
+    def take(batch_idx):
+        if last[0] is not batch_idx:
+            last[:] = batch_idx, corpus.take(batch_idx)
+        return last[1]
+
+    return take
+
+
+def _shared(arrays) -> list[np.ndarray]:
+    """Copies of `arrays` in one anonymous shared mapping: what a forked
+    child writes into them in place, the caller sees."""
+    sizes = [-(-a.nbytes // 64) * 64 for a in arrays]  # each copy 64-byte aligned
+    buffer = mmap.mmap(-1, max(sum(sizes), 1))
+    copies, offset = [], 0
+    for a, size in zip(arrays, sizes):
+        copy = np.frombuffer(buffer, a.dtype, a.size, offset).reshape(a.shape)
+        copy[...] = a
+        copies.append(copy)
+        offset += size
+    return copies
+
+
+def _shared_params(params: TaggerParams) -> TaggerParams:
+    return TaggerParams(params.config, *_shared(params.blocks()))
+
+
+# Network 2 trains in a child forked from the caller where the platform can fork.
+_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _can_fork() -> bool:
+    """Whether network 2 should train in a forked child: the platform can
+    fork, this process may run on more than one CPU, it is no daemonic
+    worker (which may start no process), and it runs no other thread (whose
+    held locks the child would inherit held)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (
+        _FORK is not None
+        and (cpus or 1) > 1
+        and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
+    )
+
+
+def _cpu() -> int | None:
+    """The CPU this process runs on, where /proc says (Linux)."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _serve(conn, parent_end, run, parent_cpu) -> None:
+    """The child's loop: network 2 on each segment received, until the pipe
+    closes or a segment fails."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C and ends this process
+    parent_end.close()
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if parent_cpu in allowed and len(allowed) > 1:
+        # A fork can start on the caller's CPU and stay there for long
+        # stretches; move off it once, then let the scheduler place it freely.
+        try:
+            os.sched_setaffinity(0, allowed - {parent_cpu})
+            os.sched_setaffinity(0, allowed)
+        except OSError:  # only a placement hint
+            pass
+    while True:
+        try:
+            segment = conn.recv()
+        except EOFError:
+            return
+        reply = run(2, segment)
+        conn.send(reply)
+        if reply[1] is not None:
+            return
+
+
+class _Peer:
+    """Network 2's side of a training loop.
+
+    `run(k, segment)` trains network k over one segment and returns its
+    per-step results and its first failure, `(serial position, exception)`,
+    or None. `send` hands network 2 its segment and `recv` returns its
+    reply: the segment runs in one child, forked at the first `send` and
+    kept for every later segment, or, unless `forks`, in the caller at
+    `recv`. Leaving the `with` block ends the child.
+    """
+
+    def __init__(self, run):
+        self.run, self.segment = run, None
+        self.conn = self.process = None
+        self.forks = _can_fork()
+
+    def send(self, segment) -> None:
+        if not self.forks:
+            self.segment = segment
+            return
+        if self.process is None:
+            self.conn, child_end = _FORK.Pipe()
+            process = _FORK.Process(
+                target=_serve, args=(child_end, self.conn, self.run, _cpu()), daemon=True
+            )
+            process.start()
+            self.process = process
+            child_end.close()  # so the child's exit ends `recv`
+        self.conn.send(segment)
+
+    def recv(self):
+        if not self.forks:
+            return self.run(2, self.segment)
+        try:
+            return self.conn.recv()
+        except EOFError:
+            self.process.join()
+            raise ChildProcessError(
+                f"network 2's process exited with code {self.process.exitcode} without replying"
+            ) from None
+
+    def __enter__(self) -> "_Peer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.process is not None:
+            self.process.terminate()
+            self.process.join()
+            self.process.close()
+        if self.conn is not None:
+            self.conn.close()
+
+
+def _raise_first(*replies) -> None:
+    """Raise the failure among the replies that serial order reaches first."""
+    failures = [failure for _, failure in replies if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
 def pretrain(
     config: ScdlConfig,
     corpus,
@@ -209,27 +360,47 @@ def pretrain(
 ) -> tuple[TaggerParams, TaggerParams]:
     """Warm up both taggers with hard cross entropy on the distant labels.
 
-    `corpus` is a list of sentences or a TokenBatch of them.
+    `corpus` is a list of sentences or a TokenBatch of them. Network 2
+    trains in a forked child (see `_Peer`); the models returned are views
+    of shared memory.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    params = [init_params(c) for c in config.tagger_configs(vocab.size)]
+    params = [_shared_params(init_params(c)) for c in config.tagger_configs(vocab.size)]
     corpus = as_batch(corpus, config.hash_buckets)
     for p in params:
         corpus.context_ids(p.config.window)  # built once; every batch takes its rows
-    for epoch in range(config.pretrain_epochs):
-        order = rng.permutation(len(corpus))
-        for batch_idx in _batches(order, config.batch_size):
-            batch = corpus.take(batch_idx)
-            for k, track in enumerate(TRACKS):
-                loss, grad = loss_hard(params[k], batch, track)
-                _check_finite(loss, f"pretrain epoch {epoch} (network {k + 1})")
-                sgd_step(params[k], grad, config.gamma, in_place=True)
-        _check_parameters(
-            {f"network{k + 1}": p for k, p in enumerate(params)}, f"after pretrain epoch {epoch}"
-        )
+    per_epoch = math.ceil(len(corpus) / config.batch_size)
+    steps = [  # (epoch, batch in epoch, sentences), every epoch's order drawn before training
+        (epoch, b, batch_idx)
+        for epoch in range(config.pretrain_epochs)
+        for b, batch_idx in enumerate(_batches(rng.permutation(len(corpus)), config.batch_size))
+    ]
+    take = _take_once(corpus)
+
+    def run(k: int, segment):
+        p, where = params[k - 1], None
+        try:
+            for epoch, b, batch_idx in segment:
+                where = (epoch, b, k)
+                loss, grad = loss_hard(p, take(batch_idx), TRACKS[k - 1])
+                _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
+                sgd_step(p, grad, config.gamma, in_place=True)
+                if b == per_epoch - 1:
+                    where = (epoch, per_epoch, k)  # after the epoch's last batch
+                    _check_parameters({f"network{k}": p}, f"after pretrain epoch {epoch}")
+        except Exception as exc:
+            return [], (where, exc)
+        return [], None
+
+    with _Peer(run) as peer:
+        size = max(len(steps), 1) if peer.forks else 1  # one step: both networks share its batch
+        for start in range(0, len(steps), size):
+            segment = steps[start : start + size]
+            peer.send(segment)
+            _raise_first(run(1, segment), peer.recv())
     return tuple(params)
 
 
@@ -286,9 +457,10 @@ def self_denoise_step(
 
 
 def collaborative_update(state: TrainState, vocab: TagVocabulary) -> None:
-    """Teachers rewrite each other's noisy track over the whole training set."""
+    """Teachers rewrite each other's noisy track over the whole training set,
+    in place, into the arrays that network 2's process reads too."""
     for track, teacher in (("noisy_i", state.pair2.teacher), ("noisy_ii", state.pair1.teacher)):
-        state.corpus.tracks[track] = predict_labels(teacher, state.corpus, vocab)
+        state.corpus.tracks[track][...] = predict_labels(teacher, state.corpus, vocab)
 
 
 def select_best(candidates) -> tuple[str, TaggerParams, float]:
@@ -326,8 +498,14 @@ def train(
     a copy built on each access, so editing its tags changes nothing.
     Training writes SGD and EMA steps into the models' own buffers: the
     models of `result.state`, and of the state `epoch_callback` receives,
-    are live, so a callback that keeps them must copy them.
-    `result.best_params` is a copy.
+    are live views of shared memory, so a callback that keeps them must
+    copy them. `result.best_params` is a copy.
+
+    Network 2 steps in a forked child (see `_Peer`) while network 1 steps
+    here, one segment at a time: the batches up to the next rewrite or
+    epoch end. Rewrites, scoring, parameter checks and `epoch_callback`
+    run here between segments. A failure raised is the one a serial run
+    reaches first, and results are those of a serial run bit for bit.
     """
     if not dev_corpus or any(s.gold is None for s in [*train_corpus, *dev_corpus]):
         raise ValueError("training and dev corpora with gold track required")
@@ -336,17 +514,16 @@ def train(
     dev = encode(dev_corpus, config.hash_buckets, ("gold",))
     gold, starts = corpus.track("gold"), corpus.starts
     p1, p2 = pretrain(config, corpus, vocab, rng)
+    corpus.tracks.update(zip(TRACKS, _shared([corpus.tracks[t] for t in TRACKS])))
     alpha = 0.0 if "no_teachers" in config.ablations else config.alpha
     state = TrainState(
-        pair1=TeacherStudentPair.from_params(p1, alpha),
-        pair2=TeacherStudentPair.from_params(p2, alpha),
+        pair1=TeacherStudentPair(_shared_params(p1), p1, alpha),
+        pair2=TeacherStudentPair(_shared_params(p2), p2, alpha),
         corpus=corpus,
         tokens=[s.tokens for s in train_corpus],
     )
     single = "single_network" in config.ablations
-    networks = [(k, TRACKS[k - 1], np.random.default_rng([config.seed, k])) for k in (1, 2)]
-    if single:
-        networks = networks[:1]
+    drop_rngs = {k: np.random.default_rng([config.seed, k]) for k in (1, 2)}
     per_epoch = math.ceil(len(corpus) / config.batch_size)
     cycle = config.update_cycle or 7 * per_epoch
 
@@ -370,25 +547,50 @@ def train(
         if best is None or f1 > best[2]:
             best = (name, params.copy(), f1)
 
+    take = _take_once(corpus)
+
+    def run(k: int, segment):
+        """Network k's steps over (first step, batches); (selected, total) per step."""
+        first, batches = segment
+        pair, stats, step = getattr(state, f"pair{k}"), [], first
+        try:
+            for step, batch_idx in enumerate(batches, start=first):
+                pair, mask_stats = self_denoise_step(
+                    pair, take(batch_idx), TRACKS[k - 1], config, vocab, drop_rngs[k], in_place=True
+                )
+                stats.append((mask_stats.selected, mask_stats.total))
+        except Exception as exc:
+            return stats, ((step, k), exc)
+        setattr(state, f"pair{k}", pair)
+        return stats, None
+
     record(step=0)
     if epoch_callback is not None:
         epoch_callback(0, state)
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(corpus))
-        for batch_idx in _batches(order, config.batch_size):
-            batch = corpus.take(batch_idx)
-            state.step += 1
-            for k, track, drop_rng in networks:
-                pair, stats = self_denoise_step(
-                    getattr(state, f"pair{k}"), batch, track, config, vocab, drop_rng, in_place=True
-                )
-                setattr(state, f"pair{k}", pair)
-                selection_trace.append((state.step, f"net{k}", stats.selected, stats.total))
-            if not single and state.step % cycle == 0:
-                collaborative_update(state, vocab)
-        record(state.step)
-        if epoch_callback is not None:
-            epoch_callback(epoch, state)
+    with _Peer(run) as peer:
+        for epoch in range(1, config.max_epochs + 1):
+            batches = list(_batches(rng.permutation(len(corpus)), config.batch_size))
+            while batches:  # segments end at a rewrite or at the epoch's end
+                if single:
+                    n = len(batches)
+                elif peer.forks:
+                    n = min(len(batches), cycle - state.step % cycle)
+                else:  # one step: both networks share its batch
+                    n = 1
+                segment, batches = (state.step + 1, batches[:n]), batches[n:]
+                if not single:
+                    peer.send(segment)
+                replies = [run(1, segment)] + ([] if single else [peer.recv()])
+                _raise_first(*replies)
+                for step, selections in enumerate(zip(*(stats for stats, _ in replies)), start=segment[0]):
+                    for k, (selected, total) in enumerate(selections, start=1):
+                        selection_trace.append((step, f"net{k}", selected, total))
+                state.step += n
+                if not single and state.step % cycle == 0:
+                    collaborative_update(state, vocab)
+            record(state.step)
+            if epoch_callback is not None:
+                epoch_callback(epoch, state)
 
     name, params, f1 = best
     return TrainResult(

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,21 @@ class TestAnnotate:
         assert main([*argv[:-3], "1.0", *argv[-2:]]) == 0  # an empty corpus is fine otherwise
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annotate", "--gazetteer", "missing.tsv", "--out", "x.conll"],
+        ["inject", "--k", "40", "--out", "x.conll"],
+    ],
+)
+def test_negative_seed_rejected_before_reading(tmp_path, capsys, argv):
+    """The seed message wins over the missing corpus, and nothing is written."""
+    rc = main([*argv[:1], "--corpus", str(tmp_path / "missing.conll"), "--seed", "-1", *argv[1:]])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
 class TestPretrainCmd:
     def test_run_dir(self, workspace):
         out_dir = workspace["dir"] / "pre"
@@ -374,6 +393,29 @@ class TestTrainCmd:
         assert rc == 2
         assert f"non-finite parameter in {where}" in capsys.readouterr().err
 
+    def test_dead_network_2_process_exits_1(self, workspace, capsys, monkeypatch):
+        import scdl.training as training
+
+        if not training._can_fork():
+            pytest.skip("network 2 trains in the caller here")
+        pid, original = os.getpid(), training.self_denoise_step
+
+        def dying(*args, **kwargs):
+            if os.getpid() != pid:
+                os._exit(3)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "self_denoise_step", dying)
+        rc = main([
+            "train", "--config", str(workspace["config"]),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(workspace["dir"] / "dead"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: network 2's process exited with code 3 without replying\n"
+        )
+
     def test_removed_parallel_option_is_usage_error(self, workspace, capsys):
         # exit 1, not argparse's 2, which would read as divergence
         train_args = [
@@ -536,6 +578,28 @@ class TestAblateCmd:
         sums = single["track_checksums"]
         assert sums["noisy_i_final"] == sums["noisy_i_initial"]
         assert sums["noisy_ii_final"] == sums["noisy_ii_initial"]
+
+
+    def test_output_through_a_pipe_is_printed_once(self, workspace):
+        """A forked process never prints the parent's buffered stdout again."""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "scdl.cli", "ablate", "--config", str(workspace["config"]),
+                "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+                "--out-dir", str(workspace["dir"] / "piped"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(ABLATIONS) == 5
+        assert all(line.startswith("best model ") for line in lines)
 
 
 class TestSweepCmd:

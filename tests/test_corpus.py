@@ -390,18 +390,21 @@ class TestFlatReader:
 
     @given(
         st.lists(
-            st.tuples(
-                st.lists(st.text(alphabet="ab é", min_size=1, max_size=3), max_size=4),
-                st.lists(st.integers(0, 4), max_size=5),
+            st.lists(
+                st.tuples(st.text(alphabet="ab é", min_size=1, max_size=3), st.integers(0, 4)),
+                max_size=4,
             ),
             max_size=5,
         )
     )
     @settings(max_examples=300)
     def test_write_equals_sentence_loop(self, rows):
-        """Bytes equal, for empty sentences and tag lists shorter or longer than the tokens."""
+        """Bytes equal, for empty sentences too."""
         vocab = TagVocabulary(["PER", "LOC"])
-        sentences = [AnnotatedSentence(tokens, gold=tags) for tokens, tags in rows]
+        sentences = [
+            AnnotatedSentence([token for token, _ in row], gold=[tag for _, tag in row])
+            for row in rows
+        ]
         assert write_conll(sentences, vocab) == write_conll_loop(sentences, vocab)
 
 
@@ -692,6 +695,13 @@ class TestAnnotatedSentence:
             s.track("noisy_i")
         with pytest.raises(ValueError):
             s.track("bogus")
+
+    @pytest.mark.parametrize("track", AnnotatedSentence.TRACKS)
+    @pytest.mark.parametrize("tags", [[0], [0, 0, 0]])
+    def test_track_length_checked_at_construction(self, track, tags):
+        """A track shorter than its tokens would make write_conll drop tokens."""
+        with pytest.raises(ValueError, match=f"{track} has {len(tags)} tags for 2 tokens"):
+            AnnotatedSentence(["a", "b"], **{track: tags})
 
     def test_set_track_length_check(self):
         s = AnnotatedSentence(["a", "b"])

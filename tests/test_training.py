@@ -1,6 +1,13 @@
+import multiprocessing
+import os
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import scdl.training as training
 from scdl.corpus import AnnotatedSentence, TagVocabulary, inject_noise
 from scdl.metrics import CurvePoint, score_tags
 from scdl.denoise import (
@@ -659,3 +666,184 @@ class TestTrain:
             epoch_callback=lambda epoch, state: seen.append(epoch),
         )
         assert seen == [0, 1, 2]
+
+
+def _train_in(conn, *args):
+    result = train(*args)
+    conn.send((result.best_f1, result.history, result.selection_trace))
+    conn.close()
+
+
+class TestPeer:
+    """Network 2 in a forked child: serial results, serial errors, no process left."""
+
+    def _dev(self, vocab):
+        return make_synthetic_corpus(24, vocab, seed=999)
+
+    def test_without_fork_equals_forked(self, vocab, monkeypatch):
+        """Where the platform cannot fork, network 2 runs in the caller after
+        network 1, with the same bits."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 3}, delta=0.6, student_word_dropout=0.25)
+        corpus, dev = noisy_corpus(vocab), self._dev(vocab)
+        forked = train(config, corpus, dev, vocab)
+        monkeypatch.setattr(training, "_FORK", None)
+        serial = train(config, corpus, dev, vocab)
+        assert forked.selection_trace == serial.selection_trace
+        assert forked.history == serial.history and forked.refinery == serial.refinery
+        for a, b in zip(forked.state.models().values(), serial.state.models().values()):
+            assert same_bits(a, b)
+        for track in TRACKS:
+            assert np.array_equal(forked.state.corpus.tracks[track], serial.state.corpus.tracks[track])
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_pretrain_raises_the_first_failure_in_serial_order(self, vocab, monkeypatch, fork):
+        """Network 2's loss goes non-finite at batch 0; network 1's NaN sits in
+        a row no token hashes to, so only its end-of-epoch check sees it. A
+        serial run stops at network 2's loss."""
+        from scdl.tagger import token_ids
+
+        config = ScdlConfig(**FAST)
+        corpus = noisy_corpus(vocab)
+        used = set(token_ids([t for s in corpus for t in s.tokens], config.hash_buckets).tolist())
+        unused = min(set(range(1, config.hash_buckets)) - used)
+        hashed = min(used - {0})
+        net2_dim = config.net2_embed_dim
+        original = training.init_params
+
+        def poisoned(tagger_config):
+            params = original(tagger_config)
+            row = hashed if tagger_config.embed_dim == net2_dim else unused
+            params.embedding[row, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(training, "init_params", poisoned)
+        if not fork:
+            monkeypatch.setattr(training, "_FORK", None)
+        with pytest.raises(TrainingDiverged, match=r"^non-finite loss nan during pretrain epoch 0 \(network 2\)$"):
+            pretrain(config, corpus, vocab)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "net1_step, net2_step, expected",
+        [(3, 2, "net2 at step 2"), (2, 2, "net1 at step 2"), (None, 6, "net2 at step 6")],
+    )
+    def test_train_raises_the_first_failure_in_serial_order(
+        self, vocab, monkeypatch, net1_step, net2_step, expected
+    ):
+        original = training.self_denoise_step
+        fail_at = {"noisy_i": (net1_step, "net1"), "noisy_ii": (net2_step, "net2")}
+        calls = {"noisy_i": 0, "noisy_ii": 0}
+
+        def failing(pair, batch, track, *args, **kwargs):
+            calls[track] += 1  # counted in the process that runs this network
+            step, net = fail_at[track]
+            if calls[track] == step:
+                raise TrainingDiverged(f"{net} at step {step}")
+            return original(pair, batch, track, *args, **kwargs)
+
+        monkeypatch.setattr(training, "self_denoise_step", failing)
+        config = ScdlConfig(**{**FAST, "max_epochs": 2})  # steps 1-3 | 4-5, rewrite | 6
+        with pytest.raises(TrainingDiverged, match=f"^{expected}$"):
+            train(config, noisy_corpus(vocab), self._dev(vocab), vocab)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not training._can_fork(), reason="network 2 trains in the caller here")
+    @pytest.mark.parametrize("target", ["self_denoise_step", "loss_hard"])
+    def test_child_death_raises_child_process_error(self, vocab, monkeypatch, target):
+        pid = os.getpid()
+        original = getattr(training, target)
+
+        def dying(*args, **kwargs):
+            if os.getpid() != pid:
+                os._exit(3)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, target, dying)
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError, match="exited with code 3 without replying"):
+            train(ScdlConfig(**FAST), noisy_corpus(vocab), self._dev(vocab), vocab)
+        assert time.monotonic() - start < 60
+        assert not multiprocessing.active_children()
+
+    def _raise_in_callback(self, error):
+        def callback(epoch, state):
+            if epoch == 1:
+                raise error
+
+        return callback
+
+    @pytest.mark.skipif(training._FORK is None, reason="no fork here")
+    def test_daemonic_process_trains_network_2_itself(self, vocab):
+        """A daemonic multiprocessing worker may start no process, so network 2
+        runs in it after network 1, with the same results."""
+        args = (ScdlConfig(**{**FAST, "max_epochs": 2}), noisy_corpus(vocab), self._dev(vocab), vocab)
+        here, there = training._FORK.Pipe()
+        worker = training._FORK.Process(target=_train_in, args=(there, *args), daemon=True)
+        worker.start()
+        there.close()
+        assert here.poll(120)
+        got = here.recv()
+        worker.join(60)
+        assert worker.exitcode == 0
+        worker.close()
+        here.close()
+        expected = train(*args)
+        assert got == (expected.best_f1, expected.history, expected.selection_trace)
+
+    @pytest.mark.parametrize("caller", ["threaded", "on one CPU"])
+    def test_caller_trains_network_2_itself(self, vocab, monkeypatch, caller):
+        """With another thread running, a fork could copy a lock that thread
+        holds; on one CPU a second process cannot help. Either way network 2
+        runs in the caller, with the same results."""
+        args = (ScdlConfig(**{**FAST, "max_epochs": 2}), noisy_corpus(vocab), self._dev(vocab), vocab)
+
+        class NoFork:
+            def Pipe(self):
+                raise AssertionError(f"a caller {caller} forked")
+
+        monkeypatch.setattr(training, "_FORK", NoFork())
+        results = []
+        if caller == "threaded":
+            worker = threading.Thread(target=lambda: results.append(train(*args)))
+            worker.start()
+            worker.join(120)
+            assert not worker.is_alive()
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            results.append(train(*args))
+        monkeypatch.undo()
+        expected = train(*args)
+        [got] = results
+        assert (got.best_f1, got.history, got.selection_trace) == (
+            expected.best_f1, expected.history, expected.selection_trace
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_cpu_is_one_this_process_may_run_on(self):
+        """The child moves off the CPU that `_cpu` names for the caller."""
+        assert training._cpu() in os.sched_getaffinity(0)
+
+    @pytest.mark.parametrize("how", ["returns", "diverges", "callback raises", "interrupted"])
+    def test_no_child_left(self, vocab, how):
+        config = ScdlConfig(**{**FAST, "max_epochs": 2})
+        callback, error = None, None
+        if how == "diverges":  # in a self-denoising step
+            config = replace(
+                config,
+                pretrain_epochs=0,
+                gamma=1e300,
+                student_word_dropout=0.5,
+                ablations=frozenset({"no_consistency", "no_confidence"}),
+            )
+            error = TrainingDiverged
+        elif how == "callback raises":
+            callback, error = self._raise_in_callback(RuntimeError("callback")), RuntimeError
+        elif how == "interrupted":
+            callback, error = self._raise_in_callback(KeyboardInterrupt()), KeyboardInterrupt
+        if error is None:
+            train(config, noisy_corpus(vocab), self._dev(vocab), vocab, epoch_callback=callback)
+        else:
+            with np.errstate(all="ignore"), pytest.raises(error):
+                train(config, noisy_corpus(vocab), self._dev(vocab), vocab, epoch_callback=callback)
+        assert not multiprocessing.active_children()
