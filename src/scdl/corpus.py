@@ -77,17 +77,6 @@ class TagVocabulary:
         return f"TagVocabulary({list(self.entity_types)!r})"
 
 
-def validate_bio(tags, vocab: TagVocabulary) -> None:
-    """Raise BioValidationError at the first I-t not preceded by B-t or I-t."""
-    prev = 0
-    for j, code in enumerate(tags):
-        if vocab.is_i(code) and prev not in (code, code - 1):
-            raise BioValidationError(
-                f"token {j}: {vocab.decode(code)} does not continue an entity", j
-            )
-        prev = code
-
-
 def repair_bio(tags, vocab: TagVocabulary, starts=None) -> np.ndarray:
     """Turn every illegal I-t into B-t; legal sequences come back unchanged.
 
@@ -131,13 +120,6 @@ class AnnotatedSentence:
         if value is None:
             raise ValueError(f"track {name!r} missing on sentence {self.tokens!r}")
         return value
-
-    def set_track(self, name: str, tags) -> None:
-        if name not in self.TRACKS:
-            raise ValueError(f"unknown track {name!r}")
-        if len(tags) != len(self.tokens):
-            raise ValueError("tag list length differs from token count")
-        setattr(self, name, list(tags))
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -188,17 +170,6 @@ def spans_from_bio(tags, vocab: TagVocabulary) -> list[Span]:
     return [
         Span(b, e, vocab.type_of(c)) for b, e, c in zip(begin.tolist(), end.tolist(), code.tolist())
     ]
-
-
-def bio_from_spans(spans, length: int, vocab: TagVocabulary) -> list[int]:
-    tags = [0] * length
-    for span in spans:
-        if not 0 <= span.start <= span.end < length:
-            raise ValueError(f"span {span} out of bounds for length {length}")
-        tags[span.start] = vocab.b_code(span.entity_type)
-        for j in range(span.start + 1, span.end + 1):
-            tags[j] = vocab.i_code(span.entity_type)
-    return tags
 
 
 def read_conll(text: str, vocab: TagVocabulary | None = None):
@@ -256,11 +227,6 @@ def read_conll(text: str, vocab: TagVocabulary | None = None):
     if error is not None:
         raise error
     return tokens, codes, offsets, vocab
-
-
-def infer_vocab(text: str) -> TagVocabulary:
-    """Entity types found in interchange text, in sorted order; raises as read_conll."""
-    return read_conll(text)[3]
 
 
 def annotated_sentences(tokens, codes, offsets) -> list[AnnotatedSentence]:

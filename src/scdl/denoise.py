@@ -28,10 +28,6 @@ class TeacherStudentPair:
             if t.shape != s.shape:
                 raise ValueError("teacher/student shape mismatch")
 
-    @classmethod
-    def from_params(cls, params: TaggerParams, alpha: float) -> "TeacherStudentPair":
-        return cls(teacher=params.copy(), student=params.copy(), alpha=alpha)
-
 
 def consistent_mask(noisy_tags, pseudo_tags) -> np.ndarray:
     """True where the noisy label equals the pseudo label (O included)."""

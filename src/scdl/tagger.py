@@ -60,13 +60,6 @@ class TaggerConfig:
             (self.num_tags,),
         )
 
-    def structurally_distinct(self, other: "TaggerConfig") -> bool:
-        return (
-            self.embed_dim != other.embed_dim
-            or self.window != other.window
-            or self.hidden_dim != other.hidden_dim
-        )
-
 
 @dataclass
 class TaggerParams:
@@ -86,12 +79,6 @@ class TaggerParams:
 
     def copy(self) -> "TaggerParams":
         return TaggerParams(self.config, *[b.copy() for b in self.blocks()])
-
-    def allclose(self, other: "TaggerParams", atol: float = 0.0) -> bool:
-        return all(
-            np.allclose(a, b, rtol=0.0, atol=atol)
-            for a, b in zip(self.blocks(), other.blocks())
-        )
 
 
 def init_params(config: TaggerConfig) -> TaggerParams:

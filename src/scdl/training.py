@@ -3,9 +3,10 @@
 Two structurally distinct teacher-student networks train on the same batch
 stream. Each network selects trustworthy tokens against its own noisy
 track; every `update_cycle` steps the teachers rewrite each other's track.
-Between rewrites the networks share nothing, so network 2 trains in a
-forked child process over parameters and tracks in shared memory, in step
-with network 1 in the caller.
+Between rewrites the networks share nothing, so each trains a segment,
+the batches up to the next rewrite, on its own: network 2 in a forked child
+process over parameters and tracks in shared memory while network 1 trains
+in the caller.
 """
 
 from __future__ import annotations
@@ -209,19 +210,6 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size].tolist()
 
 
-def _take_once(corpus: TokenBatch):
-    """`corpus.take`, reusing the last batch when asked for the same index
-    list again, so networks stepping in turn in one process share a batch."""
-    last = [None, None]
-
-    def take(batch_idx):
-        if last[0] is not batch_idx:
-            last[:] = batch_idx, corpus.take(batch_idx)
-        return last[1]
-
-    return take
-
-
 def _shared(arrays) -> list[np.ndarray]:
     """Copies of `arrays` in one anonymous shared mapping: what a forked
     child writes into them in place, the caller sees."""
@@ -293,45 +281,49 @@ def _serve(conn, parent_end, run, parent_cpu) -> None:
 
 
 class _Peer:
-    """Network 2's side of a training loop.
+    """How the two networks run.
 
     `run(k, segment)` trains network k over one segment and returns its
-    per-step results and its first failure, `(serial position, exception)`,
-    or None. `send` hands network 2 its segment and `recv` returns its
-    reply: the segment runs in one child, forked at the first `send` and
-    kept for every later segment, or, unless `forks`, in the caller at
-    `recv`. Leaving the `with` block ends the child.
+    per-step stats and its first failure, `(serial position, exception)`,
+    or None. `both(segment)` runs network 1 here and network 2 in one
+    child, forked at the first call and kept for every later one, or,
+    where `_can_fork()` is false, here after network 1 has run the whole
+    segment. It raises the failure a serial run reaches first and returns
+    each network's per-step stats. With `networks=1` it runs network 1
+    alone and starts no child. Leaving the `with` block ends the child.
     """
 
-    def __init__(self, run):
-        self.run, self.segment = run, None
+    def __init__(self, run, networks: int = 2):
+        self.run, self.networks = run, networks
         self.conn = self.process = None
-        self.forks = _can_fork()
+        self.forks = networks == 2 and _can_fork()
 
-    def send(self, segment) -> None:
-        if not self.forks:
-            self.segment = segment
-            return
-        if self.process is None:
-            self.conn, child_end = _FORK.Pipe()
-            process = _FORK.Process(
-                target=_serve, args=(child_end, self.conn, self.run, _cpu()), daemon=True
-            )
-            process.start()
-            self.process = process
-            child_end.close()  # so the child's exit ends `recv`
-        self.conn.send(segment)
-
-    def recv(self):
-        if not self.forks:
-            return self.run(2, self.segment)
-        try:
-            return self.conn.recv()
-        except EOFError:
-            self.process.join()
-            raise ChildProcessError(
-                f"network 2's process exited with code {self.process.exitcode} without replying"
-            ) from None
+    def both(self, segment) -> list[list]:
+        if self.forks:
+            if self.process is None:
+                self.conn, child_end = _FORK.Pipe()
+                process = _FORK.Process(
+                    target=_serve, args=(child_end, self.conn, self.run, _cpu()), daemon=True
+                )
+                process.start()
+                self.process = process
+                child_end.close()  # so the child's exit ends `recv`
+            self.conn.send(segment)
+        replies = [self.run(1, segment)]
+        if self.forks:
+            try:
+                replies.append(self.conn.recv())
+            except EOFError:
+                self.process.join()
+                raise ChildProcessError(
+                    f"network 2's process exited with code {self.process.exitcode} without replying"
+                ) from None
+        elif self.networks == 2:
+            replies.append(self.run(2, segment))
+        failures = [failure for _, failure in replies if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return [stats for stats, _ in replies]
 
     def __enter__(self) -> "_Peer":
         return self
@@ -345,13 +337,6 @@ class _Peer:
             self.conn.close()
 
 
-def _raise_first(*replies) -> None:
-    """Raise the failure among the replies that serial order reaches first."""
-    failures = [failure for _, failure in replies if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-
-
 def pretrain(
     config: ScdlConfig,
     corpus,
@@ -360,9 +345,10 @@ def pretrain(
 ) -> tuple[TaggerParams, TaggerParams]:
     """Warm up both taggers with hard cross entropy on the distant labels.
 
-    `corpus` is a list of sentences or a TokenBatch of them. Network 2
-    trains in a forked child (see `_Peer`); the models returned are views
-    of shared memory.
+    `corpus` is a list of sentences or a TokenBatch of them. Every step
+    is one segment, which network 1 trains here and network 2 in a forked
+    child or here after network 1 (see `_Peer`); the models returned are
+    views of shared memory.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -378,14 +364,13 @@ def pretrain(
         for epoch in range(config.pretrain_epochs)
         for b, batch_idx in enumerate(_batches(rng.permutation(len(corpus)), config.batch_size))
     ]
-    take = _take_once(corpus)
 
     def run(k: int, segment):
         p, where = params[k - 1], None
         try:
             for epoch, b, batch_idx in segment:
                 where = (epoch, b, k)
-                loss, grad = loss_hard(p, take(batch_idx), TRACKS[k - 1])
+                loss, grad = loss_hard(p, corpus.take(batch_idx), TRACKS[k - 1])
                 _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
                 sgd_step(p, grad, config.gamma, in_place=True)
                 if b == per_epoch - 1:
@@ -396,11 +381,8 @@ def pretrain(
         return [], None
 
     with _Peer(run) as peer:
-        size = max(len(steps), 1) if peer.forks else 1  # one step: both networks share its batch
-        for start in range(0, len(steps), size):
-            segment = steps[start : start + size]
-            peer.send(segment)
-            _raise_first(run(1, segment), peer.recv())
+        if steps:
+            peer.both(steps)  # one segment of every step
     return tuple(params)
 
 
@@ -501,11 +483,13 @@ def train(
     are live views of shared memory, so a callback that keeps them must
     copy them. `result.best_params` is a copy.
 
-    Network 2 steps in a forked child (see `_Peer`) while network 1 steps
-    here, one segment at a time: the batches up to the next rewrite or
-    epoch end. Rewrites, scoring, parameter checks and `epoch_callback`
-    run here between segments. A failure raised is the one a serial run
-    reaches first, and results are those of a serial run bit for bit.
+    The networks train one segment at a time, the batches up to the next
+    rewrite or epoch end, with one `_Peer` call each: network 2 in a
+    forked child while network 1 trains here, or here after network 1.
+    Rewrites, scoring, parameter checks and `epoch_callback` run here
+    between segments, after network 2 has finished its segment. A failure
+    raised is the one a serial run reaches first, and results are those
+    of a serial run bit for bit.
     """
     if not dev_corpus or any(s.gold is None for s in [*train_corpus, *dev_corpus]):
         raise ValueError("training and dev corpora with gold track required")
@@ -547,8 +531,6 @@ def train(
         if best is None or f1 > best[2]:
             best = (name, params.copy(), f1)
 
-    take = _take_once(corpus)
-
     def run(k: int, segment):
         """Network k's steps over (first step, batches); (selected, total) per step."""
         first, batches = segment
@@ -556,7 +538,7 @@ def train(
         try:
             for step, batch_idx in enumerate(batches, start=first):
                 pair, mask_stats = self_denoise_step(
-                    pair, take(batch_idx), TRACKS[k - 1], config, vocab, drop_rngs[k], in_place=True
+                    pair, corpus.take(batch_idx), TRACKS[k - 1], config, vocab, drop_rngs[k], in_place=True
                 )
                 stats.append((mask_stats.selected, mask_stats.total))
         except Exception as exc:
@@ -567,24 +549,16 @@ def train(
     record(step=0)
     if epoch_callback is not None:
         epoch_callback(0, state)
-    with _Peer(run) as peer:
+    with _Peer(run, networks=1 if single else 2) as peer:
         for epoch in range(1, config.max_epochs + 1):
             batches = list(_batches(rng.permutation(len(corpus)), config.batch_size))
             while batches:  # segments end at a rewrite or at the epoch's end
-                if single:
-                    n = len(batches)
-                elif peer.forks:
-                    n = min(len(batches), cycle - state.step % cycle)
-                else:  # one step: both networks share its batch
-                    n = 1
-                segment, batches = (state.step + 1, batches[:n]), batches[n:]
-                if not single:
-                    peer.send(segment)
-                replies = [run(1, segment)] + ([] if single else [peer.recv()])
-                _raise_first(*replies)
-                for step, selections in enumerate(zip(*(stats for stats, _ in replies)), start=segment[0]):
+                n = min(len(batches), cycle - state.step % cycle)
+                stats = peer.both((state.step + 1, batches[:n]))
+                for step, selections in enumerate(zip(*stats), start=state.step + 1):
                     for k, (selected, total) in enumerate(selections, start=1):
                         selection_trace.append((step, f"net{k}", selected, total))
+                batches = batches[n:]
                 state.step += n
                 if not single and state.step % cycle == 0:
                     collaborative_update(state, vocab)

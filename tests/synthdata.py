@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from scdl.corpus import AnnotatedSentence, TagVocabulary, validate_bio
+from scdl.corpus import AnnotatedSentence, TagVocabulary, bio_spans
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 
@@ -47,7 +47,7 @@ def make_synthetic_corpus(
         for _ in range(int(rng.integers(1, 4))):
             tokens.append(fillers[int(rng.integers(len(fillers)))])
             gold.append(0)
-        validate_bio(gold, vocab)
+        bio_spans(gold, vocab)  # raises on invalid BIO
         sentences.append(
             AnnotatedSentence(tokens, gold=gold, noisy_i=list(gold), noisy_ii=list(gold))
         )

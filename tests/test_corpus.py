@@ -14,18 +14,15 @@ from scdl.corpus import (
     Span,
     TagVocabulary,
     annotated_sentences,
-    bio_from_spans,
     bio_spans,
     distant_annotate,
     flat_tags,
     format_alteration_log,
-    infer_vocab,
     inject_noise,
     parse_conll,
     read_conll,
     repair_bio,
     spans_from_bio,
-    validate_bio,
     write_conll,
 )
 from synthdata import make_synthetic_corpus
@@ -65,19 +62,22 @@ class TestTagVocabulary:
 
 class TestBioValidation:
     def test_valid_sequences(self, vocab):
-        validate_bio([], vocab)
-        validate_bio([0, 1, 2, 2, 0], vocab)
-        validate_bio([1, 1], vocab)  # adjacent B-PER mentions
+        bio_spans([], vocab)
+        bio_spans([0, 1, 2, 2, 0], vocab)
+        bio_spans([1, 1], vocab)  # adjacent B-PER mentions
 
     def test_dangling_i_rejected(self, vocab):
-        with pytest.raises(BioValidationError, match="token 0"):
-            validate_bio([2], vocab)
-        with pytest.raises(BioValidationError, match="token 1"):
-            validate_bio([0, 2], vocab)
+        with pytest.raises(BioValidationError, match="^token 0: I-PER does not continue an entity$") as info:
+            bio_spans([2], vocab)
+        assert info.value.index == 0
+        with pytest.raises(BioValidationError, match="^token 1: I-PER does not continue an entity$") as info:
+            bio_spans([0, 2], vocab)
+        assert info.value.index == 1
 
     def test_type_switch_rejected(self, vocab):
-        with pytest.raises(BioValidationError):
-            validate_bio([1, 4], vocab)  # B-PER then I-LOC
+        with pytest.raises(BioValidationError, match="^token 1: I-LOC") as info:
+            bio_spans([1, 4], vocab)  # B-PER then I-LOC
+        assert info.value.index == 1
 
     def test_repair_fixes_illegal_i(self, vocab):
         assert repair_bio([2], vocab).tolist() == [1]
@@ -115,6 +115,18 @@ class TestBioValidation:
         assert repair_bio(flat, vocab, starts).tolist() == expected
         for tags in sentences:
             assert repair_bio(tags, vocab).tolist() == repair_loop(tags)
+
+
+def bio_from_spans(spans, length, vocab):
+    """BIO codes of `length` tokens holding `spans`: the inverse of spans_from_bio."""
+    tags = [0] * length
+    for span in spans:
+        if not 0 <= span.start <= span.end < length:
+            raise ValueError(f"span {span} out of bounds for length {length}")
+        tags[span.start] = vocab.b_code(span.entity_type)
+        for j in range(span.start + 1, span.end + 1):
+            tags[j] = vocab.i_code(span.entity_type)
+    return tags
 
 
 @st.composite
@@ -165,14 +177,14 @@ class TestSpans:
         vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
         spans, length = layout
         tags = bio_from_spans(spans, length, vocab)
-        validate_bio(tags, vocab)
+        bio_spans(tags, vocab)
         assert spans_from_bio(tags, vocab) == sorted(spans)
 
     @given(st.lists(st.integers(0, 8), max_size=12))
     @settings(max_examples=200)
     def test_repair_always_validates(self, tags):
         vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
-        validate_bio(repair_bio(tags, vocab), vocab)
+        bio_spans(repair_bio(tags, vocab), vocab)
 
 
 def spans_loop(tags, vocab):
@@ -268,12 +280,12 @@ class TestConll:
         assert write_conll([], vocab) == ""
 
     def test_infer_vocab_sorted(self):
-        v = infer_vocab("a\tB-ZOO\nb\tI-ZOO\nc\tB-ANT\n")
+        v = read_conll("a\tB-ZOO\nb\tI-ZOO\nc\tB-ANT\n")[3]
         assert v.entity_types == ("ANT", "ZOO")
 
 
 def infer_vocab_loop(text):
-    """infer_vocab as it was written before the flat reader: the reference."""
+    """read_conll's inferred vocabulary as a loop over the lines: the reference."""
     types = set()
     for line in text.splitlines():
         if not line.strip():
@@ -294,7 +306,7 @@ def parse_conll_loop(text, vocab):
         if not tokens:
             return
         try:
-            validate_bio(tags, vocab)
+            bio_spans(tags, vocab)
         except BioValidationError as exc:
             raise BioValidationError(f"line {start_line + exc.index}: {exc}", exc.index) from None
         sentences.append(
@@ -477,7 +489,7 @@ class TestDistantAnnotate:
     def test_output_is_bio_valid(self, vocab):
         gaz = Gazetteer.parse("a b\tPER\nb\tLOC\n")
         tags = distant_annotate("a b b a b".split(), gaz, vocab, coverage=0.7, seed=3)
-        validate_bio(tags, vocab)
+        bio_spans(tags, vocab)
 
     @pytest.mark.parametrize("coverage", [1.5, -0.1, float("nan")])
     def test_coverage_out_of_range(self, vocab, coverage):
@@ -583,7 +595,7 @@ def inject_noise_loop(sentences, k_percent, vocab, seed=0):
             tags[span.start : span.end + 1] = new_tags
         log.append(Alteration(idx, span.start, span.end, span.entity_type, new_label))
     for sentence in out:
-        validate_bio(sentence.noisy_i, vocab)
+        bio_spans(sentence.noisy_i, vocab)
     return out, log
 
 
@@ -631,8 +643,8 @@ class TestInjectNoise:
         noisy, _ = inject_noise(sentences, 100, vocab, seed=1)
         for s in noisy:
             assert s.noisy_i == s.noisy_ii
-            validate_bio(s.noisy_i, vocab)
-            validate_bio(s.noisy_ii, vocab)
+            bio_spans(s.noisy_i, vocab)
+            bio_spans(s.noisy_ii, vocab)
 
     def test_gold_untouched(self, vocab):
         sentences = make_synthetic_corpus(20, vocab, seed=4)
@@ -702,10 +714,3 @@ class TestAnnotatedSentence:
         """A track shorter than its tokens would make write_conll drop tokens."""
         with pytest.raises(ValueError, match=f"{track} has {len(tags)} tags for 2 tokens"):
             AnnotatedSentence(["a", "b"], **{track: tags})
-
-    def test_set_track_length_check(self):
-        s = AnnotatedSentence(["a", "b"])
-        with pytest.raises(ValueError):
-            s.set_track("noisy_i", [0])
-        s.set_track("noisy_i", [0, 0])
-        assert s.noisy_i == [0, 0]

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdl.cli import main
-from scdl.corpus import infer_vocab, parse_conll, write_conll
+from scdl.corpus import parse_conll, read_conll, write_conll
 from scdl.tagger import TaggerConfig, init_params, save_checkpoint
 from scdl.training import ScdlConfig
 from synthdata import default_vocab, make_synthetic_corpus
@@ -122,7 +122,7 @@ def test_garbled_gazetteer(inputs, raw):
     assert rc in (0, 1)
     if rc == 0:  # what annotate wrote reads back under the types it holds
         written = out.read_text(encoding="utf-8")
-        vocab = infer_vocab(written)
+        vocab = read_conll(written)[3]
         assert "" not in vocab.entity_types
         parse_conll(written, vocab)
 

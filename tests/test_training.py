@@ -152,7 +152,7 @@ class TestConfig:
 
     def test_tagger_configs_distinct(self):
         c1, c2 = ScdlConfig().tagger_configs(9)
-        assert c1.structurally_distinct(c2)
+        assert (c1.embed_dim, c1.window, c1.hidden_dim) != (c2.embed_dim, c2.window, c2.hidden_dim)
         assert c1.init_seed != c2.init_seed
 
 
@@ -178,7 +178,7 @@ class TestPretrain:
 class TestSelfDenoiseStep:
     def _pair(self, config, corpus, vocab, alpha=0.9):
         p1, _ = pretrain(config, corpus, vocab)
-        return TeacherStudentPair.from_params(p1, alpha)
+        return TeacherStudentPair(p1.copy(), p1.copy(), alpha)
 
     def test_hard_ablation_full_mask_equals_hard_step(self, vocab):
         config = ScdlConfig(
@@ -203,7 +203,7 @@ class TestSelfDenoiseStep:
         # force emptiness by also demanding consistency with shuffled labels
         batch = [s for s in corpus[:4]]
         for s in batch:
-            s.set_track("noisy_i", [(c + 1) % vocab.size for c in s.noisy_i])
+            s.noisy_i = [(c + 1) % vocab.size for c in s.noisy_i]
         stepped, stats = self_denoise_step(pair, batch, "noisy_i", config, vocab)
         if stats.selected == 0:
             assert params_equal(stepped.student, pair.student)
@@ -347,8 +347,8 @@ def track_snapshot(corpus):
 
 def fresh_state(config, corpus, vocab, p1, p2):
     return TrainState(
-        pair1=TeacherStudentPair.from_params(p1, 0.9),
-        pair2=TeacherStudentPair.from_params(p2, 0.9),
+        pair1=TeacherStudentPair(p1.copy(), p1.copy(), 0.9),
+        pair2=TeacherStudentPair(p2.copy(), p2.copy(), 0.9),
         corpus=encode(corpus, config.hash_buckets, ("gold",) + TRACKS),
         tokens=[s.tokens for s in corpus],
     )
@@ -411,8 +411,8 @@ class TestTrainState:
         corpus = noisy_corpus(vocab, n=8)
         p1, p2 = pretrain(config, corpus, vocab)
         state = TrainState(
-            TeacherStudentPair.from_params(p1, 0.9),
-            TeacherStudentPair.from_params(p2, 0.9),
+            TeacherStudentPair(p1.copy(), p1.copy(), 0.9),
+            TeacherStudentPair(p2.copy(), p2.copy(), 0.9),
             encode(corpus, config.hash_buckets, TRACKS),
             [s.tokens for s in corpus],
         )
@@ -435,8 +435,8 @@ class TestSelectBest:
     def test_models_in_model_order(self, vocab):
         p1, p2 = pretrain(ScdlConfig(**FAST), noisy_corpus(vocab), vocab)
         state = TrainState(
-            TeacherStudentPair.from_params(p1, 0.9),
-            TeacherStudentPair.from_params(p2, 0.9),
+            TeacherStudentPair(p1.copy(), p1.copy(), 0.9),
+            TeacherStudentPair(p2.copy(), p2.copy(), 0.9),
             encode([], 512),
             [],
         )
@@ -508,7 +508,7 @@ class TestTrain:
                 batch = flat.take(idx)
                 for k, track in enumerate(TRACKS):
                     nets[k] = sgd_step(nets[k], loss_hard(nets[k], batch, track)[1], config.gamma)
-        pairs = [TeacherStudentPair.from_params(q, config.alpha) for q in nets]
+        pairs = [TeacherStudentPair(q.copy(), q.copy(), config.alpha) for q in nets]
         drop_rngs = [np.random.default_rng([config.seed, k]) for k in (1, 2)]
         history, selections, step, rewrites = [], [], 0, 0
 
@@ -723,13 +723,16 @@ class TestPeer:
             pretrain(config, corpus, vocab)
         assert not multiprocessing.active_children()
 
+    @pytest.mark.parametrize("fork", [True, False])
     @pytest.mark.parametrize(
         "net1_step, net2_step, expected",
         [(3, 2, "net2 at step 2"), (2, 2, "net1 at step 2"), (None, 6, "net2 at step 6")],
     )
     def test_train_raises_the_first_failure_in_serial_order(
-        self, vocab, monkeypatch, net1_step, net2_step, expected
+        self, vocab, monkeypatch, net1_step, net2_step, expected, fork
     ):
+        if not fork:
+            monkeypatch.setattr(training, "_FORK", None)
         original = training.self_denoise_step
         fail_at = {"noisy_i": (net1_step, "net1"), "noisy_ii": (net2_step, "net2")}
         calls = {"noisy_i": 0, "noisy_ii": 0}
@@ -818,6 +821,28 @@ class TestPeer:
         assert (got.best_f1, got.history, got.selection_trace) == (
             expected.best_f1, expected.history, expected.selection_trace
         )
+
+    def test_single_network_denoises_without_a_child(self, vocab, monkeypatch):
+        """Pretraining still trains both networks; denoising then trains
+        network 1 alone and starts no process."""
+
+        class NoFork:
+            def Pipe(self):
+                raise AssertionError("single_network forked")
+
+        original = training.pretrain
+
+        def pretrain_then_no_fork(*args, **kwargs):
+            params = original(*args, **kwargs)
+            monkeypatch.setattr(training, "_FORK", NoFork())
+            return params
+
+        monkeypatch.setattr(training, "pretrain", pretrain_then_no_fork)
+        config = ScdlConfig(**{**FAST, "max_epochs": 2}, ablations=frozenset({"single_network"}))
+        result = train(config, noisy_corpus(vocab), self._dev(vocab), vocab)
+        steps = [step for step, _, _, _ in result.selection_trace]
+        assert {net for _, net, _, _ in result.selection_trace} == {"net1"}
+        assert steps == list(range(1, result.state.step + 1))
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
     def test_cpu_is_one_this_process_may_run_on(self):
