@@ -59,12 +59,6 @@ class TagVocabulary:
     def i_code(self, entity_type: str) -> int:
         return self.encode(f"I-{entity_type}")
 
-    def is_b(self, code: int) -> bool:
-        return code > 0 and code % 2 == 1
-
-    def is_i(self, code: int) -> bool:
-        return code > 0 and code % 2 == 0
-
     def type_of(self, code: int) -> str:
         if code == 0:
             raise ValueError("O carries no entity type")
@@ -297,12 +291,6 @@ class Gazetteer:
             entries[tuple(surface.split())] = types
         return cls(entries)
 
-    def write(self) -> str:
-        return "".join(
-            f"{' '.join(surface)}\t{','.join(types)}\n"
-            for surface, types in self.entries.items()
-        )
-
 
 def distant_annotate(
     tokens,
@@ -310,19 +298,19 @@ def distant_annotate(
     vocab: TagVocabulary,
     coverage: float = 1.0,
     ambiguity_rule: str = "first",
-    seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> list[int]:
     """Longest-match left-to-right gazetteer tagging with dropout.
 
     Each match is applied with probability `coverage` (a dropped match
     stays O: incomplete noise). Ambiguous entries resolve by
-    `ambiguity_rule` ("first" or "random"), which may mislabel.
+    `ambiguity_rule` ("first" or "random"), which may mislabel. Draws
+    come from `rng`, by default one seeded with 0.
     """
     if not 0.0 <= coverage <= 1.0:
         raise ValueError(f"coverage must be in [0, 1], got {coverage!r}")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     if ambiguity_rule not in ("first", "random"):
         raise ValueError(f"unknown ambiguity rule {ambiguity_rule!r}")
     tags = [0] * len(tokens)

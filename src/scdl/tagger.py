@@ -12,7 +12,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 import zlib
 from dataclasses import dataclass, field
 from itertools import chain
@@ -200,14 +199,14 @@ class TokenBatch:
         return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def encode(sentences, buckets: int, tracks=AnnotatedSentence.TRACKS) -> TokenBatch:
-    """Hash sentences into one flat batch with the named tracks that all of them carry."""
+def encode(sentences, buckets: int) -> TokenBatch:
+    """Hash sentences into one flat batch with every track that all of them carry."""
     lengths = [len(s.tokens) for s in sentences]
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     ids = token_ids(list(chain.from_iterable(s.tokens for s in sentences)), buckets)
     flat = {}
-    for name in tracks:
+    for name in AnnotatedSentence.TRACKS:
         values = [getattr(s, name) for s in sentences]
         if all(v is not None for v in values):
             flat[name] = np.fromiter(chain.from_iterable(values), dtype=np.int64, count=len(ids))
@@ -240,27 +239,15 @@ def forward(params: TaggerParams, batch) -> np.ndarray:
     return _forward_cache(params, ctx)[2]
 
 
-_SCRATCH = threading.local()  # each thread's lookup tables for _backprop
-
-
-def _bucket_tables(buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's (seen, local) tables over the buckets, kept between
-    calls; `seen` is all False between calls, `local` is scratch."""
-    tables = getattr(_SCRATCH, "tables", None)
-    if tables is None or len(tables[0]) != buckets:
-        tables = _SCRATCH.tables = (np.zeros(buckets, dtype=bool), np.zeros(buckets, dtype=np.int64))
-    return tables
-
-
 def _backprop(params, ctx, x, h, dlogits) -> RowSparseGrad:
     dh = dlogits @ params.out_w.T
     dpre = dh * (1.0 - h * h)
     dx = dpre @ params.hidden_w.T
     buckets, dim = params.embedding.shape
-    seen, local = _bucket_tables(buckets)
+    seen = np.zeros(buckets, dtype=bool)
     seen[ctx] = True
     rows = np.flatnonzero(seen)
-    seen[rows] = False
+    local = np.empty(buckets, dtype=np.int64)
     local[rows] = np.arange(len(rows))
     # the rows of repeated ids summed in token order, as np.add.at would
     cells = (local[ctx].reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)

@@ -494,8 +494,8 @@ def train(
     if not dev_corpus or any(s.gold is None for s in [*train_corpus, *dev_corpus]):
         raise ValueError("training and dev corpora with gold track required")
     rng = np.random.default_rng(config.seed)
-    corpus = encode(train_corpus, config.hash_buckets, ("gold",) + TRACKS)
-    dev = encode(dev_corpus, config.hash_buckets, ("gold",))
+    corpus = encode(train_corpus, config.hash_buckets)
+    dev = encode(dev_corpus, config.hash_buckets)
     gold, starts = corpus.track("gold"), corpus.starts
     p1, p2 = pretrain(config, corpus, vocab, rng)
     corpus.tracks.update(zip(TRACKS, _shared([corpus.tracks[t] for t in TRACKS])))

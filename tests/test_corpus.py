@@ -42,11 +42,6 @@ class TestTagVocabulary:
             assert vocab.encode(tag) == code
             assert vocab.decode(code) == tag
 
-    def test_b_i_predicates(self, vocab):
-        assert not vocab.is_b(0) and not vocab.is_i(0)
-        assert vocab.is_b(1) and not vocab.is_i(1)
-        assert vocab.is_i(2) and not vocab.is_b(2)
-
     def test_unknown_tag(self, vocab):
         with pytest.raises(KeyError):
             vocab.encode("B-XYZ")
@@ -98,7 +93,7 @@ class TestBioValidation:
         def repair_loop(tags):
             out, prev = [], 0
             for code in tags:
-                if vocab.is_i(code) and prev not in (code, code - 1):
+                if code > 0 and code % 2 == 0 and prev not in (code, code - 1):
                     code = code - 1
                 out.append(code)
                 prev = code
@@ -421,13 +416,12 @@ class TestFlatReader:
 
 
 class TestGazetteer:
-    def test_parse_write_roundtrip(self):
+    def test_parse(self):
         text = "Jack Lucas\tPER\nAmazon\tORG,LOC\n"
         gaz = Gazetteer.parse(text)
         assert gaz.entries[("Jack", "Lucas")] == ("PER",)
         assert gaz.entries[("Amazon",)] == ("ORG", "LOC")
         assert gaz.max_len == 2
-        assert Gazetteer.parse(gaz.write()).entries == gaz.entries
 
     def test_malformed_line(self):
         with pytest.raises(ConllFormatError, match="line 1"):
@@ -488,7 +482,7 @@ class TestDistantAnnotate:
 
     def test_output_is_bio_valid(self, vocab):
         gaz = Gazetteer.parse("a b\tPER\nb\tLOC\n")
-        tags = distant_annotate("a b b a b".split(), gaz, vocab, coverage=0.7, seed=3)
+        tags = distant_annotate("a b b a b".split(), gaz, vocab, coverage=0.7, rng=np.random.default_rng(3))
         bio_spans(tags, vocab)
 
     @pytest.mark.parametrize("coverage", [1.5, -0.1, float("nan")])

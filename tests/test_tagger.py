@@ -397,7 +397,7 @@ class TestPrediction:
         for _ in range(300):
             _, grad = loss_hard(params, corpus, "gold")
             params = sgd_step(params, grad, 2.0)
-        batch = encode(corpus, cfg.vocab_hash_buckets, ())
+        batch = encode(corpus, cfg.vocab_hash_buckets)
         per_sentence = batch.split(predict_labels(params, batch, vocab))
         correct = total = 0
         for predicted, s in zip(per_sentence, corpus):

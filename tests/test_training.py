@@ -349,7 +349,7 @@ def fresh_state(config, corpus, vocab, p1, p2):
     return TrainState(
         pair1=TeacherStudentPair(p1.copy(), p1.copy(), 0.9),
         pair2=TeacherStudentPair(p2.copy(), p2.copy(), 0.9),
-        corpus=encode(corpus, config.hash_buckets, ("gold",) + TRACKS),
+        corpus=encode(corpus, config.hash_buckets),
         tokens=[s.tokens for s in corpus],
     )
 
@@ -364,7 +364,7 @@ class TestCollaborativeUpdate:
         p1, p2 = pretrain(config, corpus, vocab)
         state = fresh_state(config, corpus, vocab, p1, p2)
         collaborative_update(state, vocab)
-        batch = encode(corpus, config.hash_buckets, ())
+        batch = encode(corpus, config.hash_buckets)
         assert [s.noisy_i for s in state.sentences] == batch.split(predict_labels(p2, batch, vocab))
         assert [s.noisy_ii for s in state.sentences] == batch.split(predict_labels(p1, batch, vocab))
         assert state.corpus.track("noisy_i").tolist() == [
@@ -410,10 +410,11 @@ class TestTrainState:
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab, n=8)
         p1, p2 = pretrain(config, corpus, vocab)
+        corpus[0].gold = None  # so the batch carries no gold track
         state = TrainState(
             TeacherStudentPair(p1.copy(), p1.copy(), 0.9),
             TeacherStudentPair(p2.copy(), p2.copy(), 0.9),
-            encode(corpus, config.hash_buckets, TRACKS),
+            encode(corpus, config.hash_buckets),
             [s.tokens for s in corpus],
         )
         assert all(s.gold is None for s in state.sentences)
@@ -500,8 +501,8 @@ class TestTrain:
         result = train(config, corpus, dev_corpus, vocab)
 
         rng = np.random.default_rng(config.seed)
-        flat = encode(corpus, config.hash_buckets, ("gold",) + TRACKS)
-        dev = encode(dev_corpus, config.hash_buckets, ("gold",))
+        flat = encode(corpus, config.hash_buckets)
+        dev = encode(dev_corpus, config.hash_buckets)
         nets = [init_params(c) for c in config.tagger_configs(vocab.size)]
         for _ in range(config.pretrain_epochs):
             for idx in _batches(rng.permutation(len(corpus)), config.batch_size):
