@@ -186,10 +186,7 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "config.txt", config.to_text())
 
-    epochs_seen = []
-
     def on_epoch(epoch: int, state) -> None:
-        epochs_seen.append(epoch)
         for name, params in state.models().items():
             save_checkpoint(params, ckpt_dir / f"{name}_epoch{epoch}.ckpt")
 
