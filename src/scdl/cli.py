@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import replace
 from itertools import chain
@@ -27,6 +28,7 @@ from .corpus import (
 from .tagger import atomic_open, encode, load_checkpoint, predict_labels, save_checkpoint
 from .training import (
     ABLATIONS,
+    MODEL_ORDER,
     TRACKS,
     ScdlConfig,
     TrainingDiverged,
@@ -165,6 +167,7 @@ def cmd_pretrain(args) -> int:
     p1, p2 = pretrain(config, train_corpus, vocab)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "metrics.jsonl").unlink(missing_ok=True)  # written last: present only after a complete run
     atomic_write_text(out / "config.txt", config.to_text())
     dev = encode(dev_corpus, config.hash_buckets)
     lines = []
@@ -179,11 +182,15 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+_EPOCH_CHECKPOINT = re.compile(rf"(?:{'|'.join(MODEL_ORDER)})_epoch([1-9][0-9]*)\.ckpt")
+
+
 def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> int:
     (train_corpus, dev_corpus), vocab = _load_corpora(train_path, dev_path)
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
+    (out / "best.json").unlink(missing_ok=True)  # written last: present only after a complete run
     atomic_write_text(out / "config.txt", config.to_text())
 
     def on_epoch(epoch: int, state) -> None:
@@ -191,6 +198,10 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
             save_checkpoint(params, ckpt_dir / f"{name}_epoch{epoch}.ckpt")
 
     result = train(config, train_corpus, dev_corpus, vocab, epoch_callback=on_epoch)
+    for path in ckpt_dir.glob("*_epoch*.ckpt"):  # an earlier run's epochs beyond this run's
+        match = _EPOCH_CHECKPOINT.fullmatch(path.name)
+        if match and int(match[1]) > config.max_epochs and not path.is_dir():
+            path.unlink()
 
     final = result.state.corpus  # the parsed sentences laid flat, with the rewritten tracks
     initial = {t: corpus_mod.flat_tags([s.track(t) for s in train_corpus])[0] for t in TRACKS}

@@ -308,22 +308,28 @@ class _Peer:
                 process.start()
                 self.process = process
                 child_end.close()  # so the child's exit ends `recv`
-            self.conn.send(segment)
+            try:
+                self.conn.send(segment)
+            except ConnectionError:  # it died after its last reply
+                raise self._exited() from None
         replies = [self.run(1, segment)]
         if self.forks:
             try:
                 replies.append(self.conn.recv())
-            except EOFError:
-                self.process.join()
-                raise ChildProcessError(
-                    f"network 2's process exited with code {self.process.exitcode} without replying"
-                ) from None
+            except (EOFError, ConnectionError):
+                raise self._exited() from None
         elif self.networks == 2:
             replies.append(self.run(2, segment))
         failures = [failure for _, failure in replies if failure is not None]
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
         return [stats for stats, _ in replies]
+
+    def _exited(self) -> ChildProcessError:
+        self.process.join()
+        return ChildProcessError(
+            f"network 2's process exited with code {self.process.exitcode} without replying"
+        )
 
     def __enter__(self) -> "_Peer":
         return self
@@ -345,10 +351,10 @@ def pretrain(
 ) -> tuple[TaggerParams, TaggerParams]:
     """Warm up both taggers with hard cross entropy on the distant labels.
 
-    `corpus` is a list of sentences or a TokenBatch of them. Every step
-    is one segment, which network 1 trains here and network 2 in a forked
-    child or here after network 1 (see `_Peer`); the models returned are
-    views of shared memory.
+    `corpus` is a list of sentences or a TokenBatch of them. All steps
+    form one segment, which network 1 trains here and network 2 in a
+    forked child or here after network 1 (see `_Peer`); the models
+    returned are views of shared memory.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -474,6 +480,10 @@ def train(
 ) -> TrainResult:
     """Full pipeline; returns the best of the four models on dev span F1.
 
+    Every training sentence needs its gold, noisy_i and noisy_ii tracks
+    and every dev sentence its gold track; both are checked before any
+    training starts.
+
     The caller's corpora are not mutated: `encode` copies their tags. The
     live rewritten tracks are `result.state.corpus.tracks["noisy_i"]` and
     `["noisy_ii"]`, flat in the batch layout; `result.state.sentences` is
@@ -491,11 +501,15 @@ def train(
     raised is the one a serial run reaches first, and results are those
     of a serial run bit for bit.
     """
-    if not dev_corpus or any(s.gold is None for s in [*train_corpus, *dev_corpus]):
-        raise ValueError("training and dev corpora with gold track required")
     rng = np.random.default_rng(config.seed)
     corpus = encode(train_corpus, config.hash_buckets)
     dev = encode(dev_corpus, config.hash_buckets)
+    if len(dev) == 0:
+        raise ValueError("empty dev corpus")
+    for what, batch, needed in (("training", corpus, ("gold", *TRACKS)), ("dev", dev, ("gold",))):
+        for name in needed:
+            if name not in batch.tracks:
+                raise ValueError(f"every {what} sentence needs a {name!r} track")
     gold, starts = corpus.track("gold"), corpus.starts
     p1, p2 = pretrain(config, corpus, vocab, rng)
     corpus.tracks.update(zip(TRACKS, _shared([corpus.tracks[t] for t in TRACKS])))

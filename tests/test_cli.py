@@ -1,6 +1,8 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -88,6 +90,31 @@ def workspace(tmp_path):
     paths["dev"].write_text(write_conll(dev_c, vocab, "gold"))
     paths["config"].write_text(FAST_CONFIG)
     return paths
+
+
+def train_epochs(workspace, out_dir, max_epochs: int) -> int:
+    """`scdl train` on the workspace for `max_epochs` epochs."""
+    config = workspace["dir"] / f"config_{max_epochs}.txt"
+    config.write_text(FAST_CONFIG.replace("max_epochs=1", f"max_epochs={max_epochs}"))
+    return main([
+        "train", "--config", str(config), "--train", str(workspace["train"]),
+        "--dev", str(workspace["dev"]), "--out-dir", str(out_dir),
+    ])
+
+
+def after_epoch_1(monkeypatch, action):
+    """Make `scdl train` call `action` after its own epoch callback at epoch 1."""
+    original = cli.train
+
+    def train(*args, epoch_callback):
+        def callback(epoch, state):
+            epoch_callback(epoch, state)
+            if epoch == 1:
+                action()
+
+        return original(*args, epoch_callback=callback)
+
+    monkeypatch.setattr(cli, "train", train)
 
 
 class TestInject:
@@ -231,6 +258,23 @@ class TestPretrainCmd:
         assert (out_dir / "net2.ckpt").exists()
         assert (out_dir / "config.txt").exists()
         assert len((out_dir / "metrics.jsonl").read_text().splitlines()) == 2
+
+    def test_interrupted_rerun_leaves_no_metrics(self, workspace, monkeypatch):
+        """metrics.jsonl is written last, so it marks a complete run."""
+        argv = [
+            "pretrain", "--config", str(workspace["config"]),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(workspace["dir"] / "pre"),
+        ]
+        assert main(argv) == 0
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "save_checkpoint", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert not (workspace["dir"] / "pre" / "metrics.jsonl").exists()
 
 
 def sentence_checksum(rows) -> str:
@@ -415,6 +459,53 @@ class TestTrainCmd:
         assert capsys.readouterr().err == (
             "error: network 2's process exited with code 3 without replying\n"
         )
+
+    def test_network_2_process_killed_between_segments_exits_1(self, workspace, capsys, monkeypatch):
+        import scdl.training as training
+
+        if not training._can_fork():
+            pytest.skip("network 2 trains in the caller here")
+
+        def kill_network_2():
+            [child] = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+            child.join()
+
+        after_epoch_1(monkeypatch, kill_network_2)
+        assert train_epochs(workspace, workspace["dir"] / "killed", 2) == 1
+        assert capsys.readouterr().err == (
+            "error: network 2's process exited with code -9 without replying\n"
+        )
+
+    def test_rerun_with_fewer_epochs_leaves_only_its_files(self, workspace):
+        """A run directory holds one run: a rerun removes the checkpoints of
+        epochs beyond its own, and nothing it does not write itself."""
+        reused, fresh = workspace["dir"] / "reused", workspace["dir"] / "fresh"
+        assert train_epochs(workspace, reused, 3) == 0
+        (reused / "checkpoints" / "teacher1_epoch9.ckpt").mkdir()
+        assert train_epochs(workspace, reused, 1) == 0
+        assert train_epochs(workspace, fresh, 1) == 0
+
+        def contents(run_dir):
+            return {p.relative_to(run_dir): p.is_dir() or p.read_bytes() for p in run_dir.rglob("*")}
+
+        left = contents(reused)
+        assert left.pop(Path("checkpoints/teacher1_epoch9.ckpt")) is True  # a directory stays
+        assert left == contents(fresh)
+
+    def test_interrupted_rerun_leaves_no_best_json(self, workspace, monkeypatch):
+        """best.json is written last, so it marks a complete run."""
+        out_dir = workspace["dir"] / "run"
+        assert train_epochs(workspace, out_dir, 1) == 0
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        after_epoch_1(monkeypatch, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            train_epochs(workspace, out_dir, 2)
+        assert not (out_dir / "best.json").exists()
+        assert "max_epochs=2" in (out_dir / "config.txt").read_text().splitlines()
 
     def test_removed_parallel_option_is_usage_error(self, workspace, capsys):
         # exit 1, not argparse's 2, which would read as divergence

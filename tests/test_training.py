@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from dataclasses import replace
@@ -653,8 +654,19 @@ class TestTrain:
         monkeypatch.setattr(training, "pretrain", no_pretraining)
         corpus = noisy_corpus(vocab)
         corpus[3].gold = None
-        with pytest.raises(ValueError, match="training and dev corpora with gold track required"):
+        with pytest.raises(ValueError, match="^every training sentence needs a 'gold' track$"):
             train(ScdlConfig(**FAST), corpus, self._dev(vocab), vocab)
+
+    @pytest.mark.parametrize("pretrain_epochs", [0, 1])
+    @pytest.mark.parametrize("track", TRACKS)
+    def test_requires_noisy_tracks_before_training(self, vocab, track, pretrain_epochs):
+        """Named before any network trains, with or without pretraining."""
+        corpus = noisy_corpus(vocab)
+        setattr(corpus[3], track, None)
+        config = ScdlConfig(**{**FAST, "pretrain_epochs": pretrain_epochs})
+        with pytest.raises(ValueError, match=f"^every training sentence needs a '{track}' track$"):
+            train(config, corpus, self._dev(vocab), vocab)
+        assert not multiprocessing.active_children()
 
     def test_epoch_callback_sees_every_epoch(self, vocab):
         config = ScdlConfig(**{**FAST, "max_epochs": 2})
@@ -767,6 +779,22 @@ class TestPeer:
         with pytest.raises(ChildProcessError, match="exited with code 3 without replying"):
             train(ScdlConfig(**FAST), noisy_corpus(vocab), self._dev(vocab), vocab)
         assert time.monotonic() - start < 60
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not training._can_fork(), reason="network 2 trains in the caller here")
+    def test_child_killed_between_segments_is_named(self, vocab):
+        """A child that dies while the caller scores or checkpoints fails the
+        next segment's send, with the same message as a failed reply."""
+
+        def kill_network_2(epoch, state):
+            if epoch == 1:
+                [child] = multiprocessing.active_children()
+                os.kill(child.pid, signal.SIGKILL)
+                child.join()
+
+        config = ScdlConfig(**{**FAST, "max_epochs": 2})
+        with pytest.raises(ChildProcessError, match="^network 2's process exited with code -9 without replying$"):
+            train(config, noisy_corpus(vocab), self._dev(vocab), vocab, epoch_callback=kill_network_2)
         assert not multiprocessing.active_children()
 
     def _raise_in_callback(self, error):
