@@ -482,7 +482,8 @@ class TestDistantAnnotate:
 
     def test_output_is_bio_valid(self, vocab):
         gaz = Gazetteer.parse("a b\tPER\nb\tLOC\n")
-        tags = distant_annotate("a b b a b".split(), gaz, vocab, coverage=0.7, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        tags = distant_annotate("a b b a b".split(), gaz, vocab, coverage=0.7, rng=rng)
         bio_spans(tags, vocab)
 
     @pytest.mark.parametrize("coverage", [1.5, -0.1, float("nan")])
