@@ -283,14 +283,15 @@ def _serve(conn, parent_end, run, parent_cpu) -> None:
 class _Peer:
     """How the two networks run.
 
-    `run(k, segment)` trains network k over one segment and returns its
-    per-step stats and its first failure, `(serial position, exception)`,
+    `run(k, segment)` trains network k over one segment, does network k's
+    share of the work where the segment ends, and returns what it made
+    (its reply) and its first failure, `(serial position, exception)`,
     or None. `both(segment)` runs network 1 here and network 2 in one
     child, forked at the first call and kept for every later one, or,
     where `_can_fork()` is false, here after network 1 has run the whole
     segment. It raises the failure a serial run reaches first and returns
-    each network's per-step stats. With `networks=1` it runs network 1
-    alone and starts no child. Leaving the `with` block ends the child.
+    each network's reply. With `networks=1` it runs network 1 alone and
+    starts no child. Leaving the `with` block ends the child.
     """
 
     def __init__(self, run, networks: int = 2):
@@ -323,7 +324,7 @@ class _Peer:
         failures = [failure for _, failure in replies if failure is not None]
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
-        return [stats for stats, _ in replies]
+        return [reply for reply, _ in replies]
 
     def _exited(self) -> ChildProcessError:
         self.process.join()
@@ -444,11 +445,21 @@ def self_denoise_step(
     return pair, MaskStats(selected, len(noisy), loss)
 
 
-def collaborative_update(state: TrainState, vocab: TagVocabulary) -> None:
+def collaborative_update(state: TrainState, vocab: TagVocabulary, *, predicted=None) -> None:
     """Teachers rewrite each other's noisy track over the whole training set,
-    in place, into the arrays that network 2's process reads too."""
-    for track, teacher in (("noisy_i", state.pair2.teacher), ("noisy_ii", state.pair1.teacher)):
-        state.corpus.tracks[track][...] = predict_labels(teacher, state.corpus, vocab)
+    in place, into the arrays that network 2's process reads too.
+
+    `predicted` maps each track to the labels its peer's teacher predicts
+    for it; `train` passes the labels each network predicted in its own
+    process. Without it both predictions run here.
+    """
+    if predicted is None:
+        predicted = {
+            "noisy_i": predict_labels(state.pair2.teacher, state.corpus, vocab),
+            "noisy_ii": predict_labels(state.pair1.teacher, state.corpus, vocab),
+        }
+    for track, labels in predicted.items():
+        state.corpus.tracks[track][...] = labels
 
 
 def select_best(candidates) -> tuple[str, TaggerParams, float]:
@@ -462,12 +473,15 @@ def select_best(candidates) -> tuple[str, TaggerParams, float]:
     return best
 
 
-def evaluate_models(state: TrainState, dev: TokenBatch, vocab: TagVocabulary) -> dict[str, SpanScore]:
-    """Span score of each model on `dev`, which carries the gold track."""
+def evaluate_models(
+    models: dict[str, TaggerParams], dev: TokenBatch, vocab: TagVocabulary
+) -> dict[str, SpanScore]:
+    """Span score on `dev`, which carries the gold track, of each of
+    `models` (name -> params, as `TrainState.models()` gives them)."""
     gold, starts = dev.track("gold"), dev.starts
     return {
         name: score_tags(predict_labels(p, dev, vocab), gold, vocab, starts)
-        for name, p in state.models().items()
+        for name, p in models.items()
     }
 
 
@@ -496,10 +510,15 @@ def train(
     The networks train one segment at a time, the batches up to the next
     rewrite or epoch end, with one `_Peer` call each: network 2 in a
     forked child while network 1 trains here, or here after network 1.
-    Rewrites, scoring, parameter checks and `epoch_callback` run here
-    between segments, after network 2 has finished its segment. A failure
-    raised is the one a serial run reaches first, and results are those
-    of a serial run bit for bit.
+    Each network ends its segment in its own process: at a rewrite its
+    teacher predicts the peer's track, and at an epoch end it checks its
+    teacher's and student's parameters and scores both on dev. Once both
+    have replied, the tracks are written here (`collaborative_update`),
+    the scores merged in MODEL_ORDER and recorded, and `epoch_callback`
+    runs. The step-0 scoring of all four models runs here, and so does
+    all of it under `single_network`, which predicts no rewrite. A
+    failure raised is the one a serial run reaches first, and results are
+    those of a serial run bit for bit.
     """
     rng = np.random.default_rng(config.seed)
     corpus = encode(train_corpus, config.hash_buckets)
@@ -530,10 +549,14 @@ def train(
     selection_trace: list[tuple[int, str, int, int]] = []
     best = None
 
-    def record(step: int):
+    def score(names, step: int) -> dict[str, SpanScore]:
+        models = state.models()
+        models = {name: models[name] for name in names}
+        _check_parameters(models, f"at step {step}")
+        return evaluate_models(models, dev, vocab)
+
+    def record(step: int, scores: dict[str, SpanScore]):
         nonlocal best
-        _check_parameters(state.models(), f"at step {step}")
-        scores = evaluate_models(state, dev, vocab)
         for name in MODEL_ORDER:
             s = scores[name]
             history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
@@ -546,8 +569,11 @@ def train(
             best = (name, params.copy(), f1)
 
     def run(k: int, segment):
-        """Network k's steps over (first step, batches); (selected, total) per step."""
-        first, batches = segment
+        """Network k's steps over (first step, batches, rewrite, epoch end),
+        then its teacher's labels for the peer's track at a rewrite and its
+        models' dev scores at an epoch end: ((selected, total) per step,
+        labels or None, scores or None)."""
+        first, batches, rewrite, epoch_end = segment
         pair, stats, step = getattr(state, f"pair{k}"), [], first
         try:
             for step, batch_idx in enumerate(batches, start=first):
@@ -555,12 +581,16 @@ def train(
                     pair, corpus.take(batch_idx), TRACKS[k - 1], config, vocab, drop_rngs[k], in_place=True
                 )
                 stats.append((mask_stats.selected, mask_stats.total))
+            setattr(state, f"pair{k}", pair)
+            step += 1  # a serial run reaches this work after every step of the segment
+            labels = predict_labels(pair.teacher, corpus, vocab) if rewrite else None
+            names = MODEL_ORDER if single else MODEL_ORDER[2 * k - 2 : 2 * k]  # network k's models
+            scores = score(names, step - 1) if epoch_end else None
         except Exception as exc:
-            return stats, ((step, k), exc)
-        setattr(state, f"pair{k}", pair)
-        return stats, None
+            return None, ((step, k), exc)
+        return (stats, labels, scores), None
 
-    record(step=0)
+    record(0, score(MODEL_ORDER, 0))
     if epoch_callback is not None:
         epoch_callback(0, state)
     with _Peer(run, networks=1 if single else 2) as peer:
@@ -568,15 +598,17 @@ def train(
             batches = list(_batches(rng.permutation(len(corpus)), config.batch_size))
             while batches:  # segments end at a rewrite or at the epoch's end
                 n = min(len(batches), cycle - state.step % cycle)
-                stats = peer.both((state.step + 1, batches[:n]))
+                rewrite = not single and (state.step + n) % cycle == 0
+                segment = (state.step + 1, batches[:n], rewrite, n == len(batches))
+                stats, labels, scores = zip(*peer.both(segment))
                 for step, selections in enumerate(zip(*stats), start=state.step + 1):
                     for k, (selected, total) in enumerate(selections, start=1):
                         selection_trace.append((step, f"net{k}", selected, total))
                 batches = batches[n:]
                 state.step += n
-                if not single and state.step % cycle == 0:
-                    collaborative_update(state, vocab)
-            record(state.step)
+                if rewrite:  # only now that neither network reads its track
+                    collaborative_update(state, vocab, predicted={"noisy_i": labels[1], "noisy_ii": labels[0]})
+            record(state.step, {name: s for part in scores for name, s in part.items()})
             if epoch_callback is not None:
                 epoch_callback(epoch, state)
 

@@ -477,6 +477,48 @@ class TestTrainCmd:
             "error: network 2's process exited with code -9 without replying\n"
         )
 
+    @pytest.mark.parametrize("ablate", [[], ["--ablate", "single_network"]])
+    def test_rewrite_hook_contract(self, workspace, monkeypatch, ablate):
+        """The benchmark's tracer wraps `training.collaborative_update` and reads
+        its two positional arguments, `(state, vocab)`, before and after each
+        call. `train` calls it by that name once per rewrite, and it returns
+        with each track holding the peer teacher's labels. `single_network`
+        rewrites nothing and predicts no rewrite."""
+        import scdl.training as training
+        from scdl.tagger import predict_labels
+
+        original_update, original_predict = training.collaborative_update, training.predict_labels
+        calls, predicted_rows = [], []
+
+        def spy(*args, **kwargs):
+            original_update(*args, **kwargs)
+            state, vocab = args[:2]
+            peers = {"noisy_i": state.pair2.teacher, "noisy_ii": state.pair1.teacher}
+            calls.append((len(args), all(
+                np.array_equal(state.corpus.tracks[t], predict_labels(p, state.corpus, vocab))
+                for t, p in peers.items()
+            )))
+
+        def counting(params, batch, vocab):
+            predicted_rows.append(len(batch))
+            return original_predict(params, batch, vocab)
+
+        monkeypatch.setattr(training, "collaborative_update", spy)
+        monkeypatch.setattr(training, "predict_labels", counting)
+        config = workspace["dir"] / "config_4.txt"
+        config.write_text(FAST_CONFIG.replace("max_epochs=1", "max_epochs=4"))
+        assert main([
+            "train", "--config", str(config), "--train", str(workspace["train"]),
+            "--dev", str(workspace["dev"]), "--out-dir", str(workspace["dir"] / "run"), *ablate,
+        ]) == 0
+        rewrite_predictions = predicted_rows.count(48)  # the training set; dev has 16 sentences
+        if ablate:
+            assert calls == [] and rewrite_predictions == 0
+        else:  # 3 steps an epoch, update_cycle=5: rewrites after steps 5 and 10
+            assert calls == [(2, True), (2, True)]
+            # the caller predicts network 1's half, and network 2's too where it trains here
+            assert rewrite_predictions == (1 if training._can_fork() else 2) * len(calls)
+
     def test_rerun_with_fewer_epochs_leaves_only_its_files(self, workspace):
         """A run directory holds one run: a rerun removes the checkpoints of
         epochs beyond its own, and nothing it does not write itself."""

@@ -693,20 +693,45 @@ class TestPeer:
     def _dev(self, vocab):
         return make_synthetic_corpus(24, vocab, seed=999)
 
+    def _assert_same_run(self, a, b):
+        assert a.selection_trace == b.selection_trace
+        assert a.history == b.history and a.refinery == b.refinery
+        for x, y in zip(a.state.models().values(), b.state.models().values()):
+            assert same_bits(x, y)
+        for track in TRACKS:
+            assert np.array_equal(a.state.corpus.tracks[track], b.state.corpus.tracks[track])
+
     def test_without_fork_equals_forked(self, vocab, monkeypatch):
         """Where the platform cannot fork, network 2 runs in the caller after
-        network 1, with the same bits."""
-        config = ScdlConfig(**{**FAST, "max_epochs": 3}, delta=0.6, student_word_dropout=0.25)
+        network 1, with the same bits. With 3 steps an epoch and
+        update_cycle=2, segments end at a rewrite (steps 2, 4, 8), at an
+        epoch end (3, 9) and at both (6)."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 3, "update_cycle": 2}, delta=0.6, student_word_dropout=0.25)
         corpus, dev = noisy_corpus(vocab), self._dev(vocab)
         forked = train(config, corpus, dev, vocab)
         monkeypatch.setattr(training, "_FORK", None)
         serial = train(config, corpus, dev, vocab)
-        assert forked.selection_trace == serial.selection_trace
-        assert forked.history == serial.history and forked.refinery == serial.refinery
-        for a, b in zip(forked.state.models().values(), serial.state.models().values()):
-            assert same_bits(a, b)
-        for track in TRACKS:
-            assert np.array_equal(forked.state.corpus.tracks[track], serial.state.corpus.tracks[track])
+        self._assert_same_run(forked, serial)
+
+    def test_tracks_change_only_after_both_replies(self, vocab, monkeypatch):
+        """Network 1 sleeps before each of its steps in the caller, so the child
+        has predicted its teacher's labels for noisy_i long before network 1,
+        which reads noisy_i, ends the segment. The run still equals the
+        serial one."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 3, "update_cycle": 2}, delta=0.6, student_word_dropout=0.25)
+        corpus, dev = noisy_corpus(vocab), self._dev(vocab)
+        pid, original = os.getpid(), training.self_denoise_step
+
+        def slow_in_caller(*args, **kwargs):
+            if os.getpid() == pid:
+                time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "self_denoise_step", slow_in_caller)
+        slowed = train(config, corpus, dev, vocab)
+        monkeypatch.setattr(training, "self_denoise_step", original)
+        monkeypatch.setattr(training, "_FORK", None)
+        self._assert_same_run(slowed, train(config, corpus, dev, vocab))
 
     @pytest.mark.parametrize("fork", [True, False])
     def test_pretrain_raises_the_first_failure_in_serial_order(self, vocab, monkeypatch, fork):
@@ -763,8 +788,50 @@ class TestPeer:
             train(config, noisy_corpus(vocab), self._dev(vocab), vocab)
         assert not multiprocessing.active_children()
 
+    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize(
+        "poisoned, net2_step, expected",
+        [
+            (("teacher1", "teacher2"), None, r"non-finite parameter in teacher1\.embedding at step 6"),
+            (("teacher2",), None, r"non-finite parameter in teacher2\.embedding at step 6"),
+            (("teacher1",), 6, "net2 at step 6"),
+        ],
+    )
+    def test_epoch_end_failures_in_serial_order(
+        self, vocab, monkeypatch, poisoned, net2_step, expected, fork
+    ):
+        """NaNs planted after epoch 1 in an embedding row no token hashes to
+        are seen only by the parameter checks at the end of epoch 2 (step 6).
+        teacher1's is reported before teacher2's, and a failure of network 2's
+        last step in the epoch before either."""
+        from scdl.tagger import token_ids
+
+        if not fork:
+            monkeypatch.setattr(training, "_FORK", None)
+        config = ScdlConfig(**{**FAST, "max_epochs": 2})
+        corpus, dev = noisy_corpus(vocab), self._dev(vocab)
+        tokens = [t for s in corpus + dev for t in s.tokens]
+        unused = min(set(range(1, config.hash_buckets)) - set(token_ids(tokens, config.hash_buckets).tolist()))
+        original, calls = training.self_denoise_step, {"noisy_i": 0, "noisy_ii": 0}
+
+        def failing(pair, batch, track, *args, **kwargs):
+            calls[track] += 1  # counted in the process that runs this network
+            if track == "noisy_ii" and calls[track] == net2_step:
+                raise TrainingDiverged(f"net2 at step {net2_step}")
+            return original(pair, batch, track, *args, **kwargs)
+
+        def plant(epoch, state):
+            if epoch == 1:
+                for name in poisoned:
+                    state.models()[name].embedding[unused, 0] = np.nan
+
+        monkeypatch.setattr(training, "self_denoise_step", failing)
+        with pytest.raises(TrainingDiverged, match=f"^{expected}$"):
+            train(config, corpus, dev, vocab, epoch_callback=plant)
+        assert not multiprocessing.active_children()
+
     @pytest.mark.skipif(not training._can_fork(), reason="network 2 trains in the caller here")
-    @pytest.mark.parametrize("target", ["self_denoise_step", "loss_hard"])
+    @pytest.mark.parametrize("target", ["self_denoise_step", "loss_hard", "evaluate_models"])
     def test_child_death_raises_child_process_error(self, vocab, monkeypatch, target):
         pid = os.getpid()
         original = getattr(training, target)
