@@ -8,7 +8,6 @@ import json
 import re
 import sys
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from . import tagger as tagger_mod
 from .corpus import (
     Gazetteer,
     TagVocabulary,
-    distant_annotate,
+    annotate_corpus,
     format_alteration_log,
     inject_noise,
     read_conll,
@@ -101,7 +100,7 @@ def _check_seed(seed: int) -> None:
 
 def cmd_annotate(args) -> int:
     _check_seed(args.seed)
-    if not 0.0 <= args.coverage <= 1.0:  # a corpus with no sentences never reaches distant_annotate
+    if not 0.0 <= args.coverage <= 1.0:  # checked before any input is read, as --seed is
         raise ValueError(f"coverage must be in [0, 1], got {args.coverage!r}")
     text = _read(args.corpus)
     gaz = Gazetteer.parse(_read(args.gazetteer))
@@ -110,14 +109,7 @@ def cmd_annotate(args) -> int:
     vocab = TagVocabulary(sorted(set(own.entity_types) | gaz_types))
     gold = _recode(gold, own, vocab)
     rng = np.random.default_rng(args.seed)
-    bounds = offsets.tolist()
-    distant = [
-        distant_annotate(
-            tokens[a:b], gaz, vocab, coverage=args.coverage, ambiguity_rule=args.rule, rng=rng
-        )
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    distant = np.fromiter(chain.from_iterable(distant), dtype=np.int64, count=len(tokens))
+    distant = annotate_corpus(tokens, offsets, gaz, vocab, args.coverage, args.rule, rng)
     summary = _annotation_summary(gold, distant, corpus_mod.sentence_starts(offsets), vocab)
     atomic_write_text(args.out, corpus_mod.format_conll(tokens, distant, offsets, vocab))
     atomic_write_text(args.summary or args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")

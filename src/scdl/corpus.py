@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -166,13 +166,72 @@ def spans_from_bio(tags, vocab: TagVocabulary) -> list[Span]:
     ]
 
 
-def read_conll(text: str, vocab: TagVocabulary | None = None):
-    """Tokens, int64 tag codes, sentence offsets and vocabulary of CoNLL text, in one pass.
+# str.splitlines breaks lines at each of these as well as at \n
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# bytes.translate tables that mark one kind of byte, read as bools. Byte-wise NumPy
+# comparisons would load uint8 kernels that nothing else here uses: about 0.7 MB more
+# peak RSS in a training run.
+_NEWLINE = bytes(b == 10 for b in range(256))
+_TAB = bytes(b == 9 for b in range(256))
+_TAG_START = bytes(32 < b < 128 for b in range(256))  # printable ASCII, no space
 
-    Sentence i is tokens[offsets[i]:offsets[i + 1]], and none is empty. By
-    default the vocabulary holds the sorted types of the B-t and I-t tags.
-    Errors name the 1-based line of the first malformed line or unknown
-    tag, unless a sentence closed before it breaks BIO.
+
+def _plain_shape(text: str):
+    """Line ends, blank-line flags and tab positions of plain CoNLL text, or None.
+
+    `text` ends with \n. Plain text breaks lines with \n alone, has a single
+    blank line between sentences and none first, and every other line is
+    token<TAB>tag with a non-empty token and a tag that starts with a
+    printable ASCII character. So no line of it is whitespace-only, which
+    the line loop would read as blank. The shape is checked on the bytes.
+    """
+    if any(brk in text for brk in _OTHER_BREAKS):
+        return None
+    try:
+        data = text.encode("utf-8")  # \t and \n bytes occur in no multi-byte character
+    except UnicodeEncodeError:
+        return None
+    if data.startswith(b"\n") or b"\n\n\n" in data:
+        return None
+    newline = np.frombuffer(data.translate(_NEWLINE), dtype=bool)
+    ends = np.flatnonzero(newline)  # of every line
+    blank = newline[ends - 1]
+    full, tabs = ends[~blank], np.flatnonzero(np.frombuffer(data.translate(_TAB), dtype=bool))
+    # the k-th tab stands inside the k-th token line, after a byte that is not a line
+    # end (newline[-1] is the final \n, so a tab at 0 reads as an empty token)
+    if not (
+        len(tabs) == len(full)
+        and np.all(tabs < full)
+        and np.all(tabs[1:] > full[:-1])
+        and not np.any(newline[tabs - 1])
+    ):
+        return None
+    tag_start = np.frombuffer(data, dtype=np.uint8)[tabs + 1].tobytes().translate(_TAG_START)
+    return (ends, blank, tabs) if 0 not in tag_start else None
+
+
+def _plain_lines(text: str):
+    """_conll_lines' result for plain text (see _plain_shape), or None."""
+    if not text.endswith("\n"):
+        text += "\n"  # splitlines reads the same lines either way
+    shape = _plain_shape(text)
+    if shape is None:
+        return None
+    ends, blank, tabs = shape
+    fields = list(filter(None, text.replace("\n", "\t").split("\t")))  # blank lines split empty
+    offsets = np.concatenate(([0], np.searchsorted(tabs, ends[blank]), [len(tabs)]))
+    if blank[-1]:  # the text ends in a blank line, which closed the last sentence
+        offsets = offsets[:-1]
+    first_lines = (offsets[:-1] + np.arange(len(offsets) - 1) + 1).tolist()
+    return fields[0::2], fields[1::2], offsets, first_lines, len(first_lines), None
+
+
+def _conll_lines(text: str):
+    """Tokens, tag strings, sentence offsets and first lines of CoNLL text, line by line.
+
+    Also the number of sentences a blank line, or the end of the text,
+    closed, and the ConllFormatError of the first malformed line, where
+    the scan stopped, or None.
     """
     tokens, tags = [], []
     offsets, first_lines = [0], []  # where each sentence starts, in tokens and in lines
@@ -190,11 +249,27 @@ def read_conll(text: str, vocab: TagVocabulary | None = None):
             break
         tokens.append(token)
         tags.append(tag)
-    closed = len(first_lines)  # sentences a blank line, or the end of the text, closed
+    closed = len(first_lines)
     if len(tokens) > offsets[-1]:
         offsets.append(len(tokens))
         first_lines.append(start)
         closed += malformed is None
+    return tokens, tags, offsets, first_lines, closed, malformed
+
+
+def read_conll(text: str, vocab: TagVocabulary | None = None):
+    """Tokens, int64 tag codes, sentence offsets and vocabulary of CoNLL text, in one pass.
+
+    Sentence i is tokens[offsets[i]:offsets[i + 1]], and none is empty. By
+    default the vocabulary holds the sorted types of the B-t and I-t tags.
+    Errors name the 1-based line of the first malformed line or unknown
+    tag, unless a sentence closed before it breaks BIO. Plain text is split
+    with str methods, and any other text line by line, to the same result.
+    """
+    lines = _plain_lines(text)
+    if lines is None:
+        lines = _conll_lines(text)
+    tokens, tags, offsets, first_lines, closed, malformed = lines
     offsets = np.array(offsets, dtype=np.int64)
     distinct = set(tags)
     if vocab is None:
@@ -262,7 +337,9 @@ class Gazetteer:
 
     entries: dict[tuple[str, ...], tuple[str, ...]] = field(default_factory=dict)
     max_len: int = field(init=False, repr=False, compare=False)  # longest surface, in tokens
-    first_tokens: frozenset = field(init=False, repr=False, compare=False)  # of every surface
+    _trie: tuple = field(init=False, repr=False, compare=False)  # see __post_init__
+    _types: list = field(init=False, repr=False, compare=False)  # of each surface, in order
+    _kinds: np.ndarray = field(init=False, repr=False, compare=False)  # len() of each _types
 
     def __post_init__(self):
         for surface, types in self.entries.items():
@@ -271,7 +348,23 @@ class Gazetteer:
             if not types:
                 raise ValueError(f"no types for surface {surface!r}")
         self.max_len = max((len(s) for s in self.entries), default=0)
-        self.first_tokens = frozenset(s[0] for s in self.entries)
+        # A trie over the surfaces, node 0 its root. The edge from node n on the w-th
+        # distinct word is keyed n * (number of words) + w: with T tokens in all surfaces,
+        # keys stay below (T + 1) ** 2, which int64 holds for any gazetteer in memory.
+        words, edges, ends = {}, {}, []
+        for surface in self.entries:
+            node = 0
+            for token in surface:
+                node = edges.setdefault((node, words.setdefault(token, len(words))), len(edges) + 1)
+            ends.append(node)
+        keys = np.array([n * len(words) + w for n, w in edges], dtype=np.int64)
+        order = np.argsort(keys)
+        child = np.array(list(edges.values()), dtype=np.int64)[order]
+        surface = np.full(len(edges) + 1, -1, dtype=np.int64)  # number of the surface a node ends
+        surface[ends] = np.arange(len(ends))
+        self._trie = (words, keys[order], child, surface)
+        self._types = list(self.entries.values())
+        self._kinds = np.array([len(t) for t in self._types], dtype=np.int64)
 
     @classmethod
     def parse(cls, text: str) -> "Gazetteer":
@@ -291,6 +384,93 @@ class Gazetteer:
             entries[tuple(surface.split())] = types
         return cls(entries)
 
+    def _longest_matches(self, tokens, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(begin, length, surface number) of the longest surface that starts at each
+        position of `tokens`, where one does, sorted by begin.
+
+        Sentence i is tokens[offsets[i]:offsets[i + 1]], and no match crosses
+        a sentence end. Surfaces are numbered in the order of `entries`.
+        """
+        words, keys, child, surface = self._trie
+        offsets = np.asarray(offsets, dtype=np.int64)
+        word = np.fromiter(map(words.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+        begin = np.flatnonzero(word >= 0)
+        room = offsets[np.searchsorted(offsets, begin, side="right")] - begin  # to the sentence end
+        node = np.zeros(len(begin), dtype=np.int64)
+        length = np.zeros(len(begin), dtype=np.int64)
+        found = np.zeros(len(begin), dtype=np.int64)
+        live = np.arange(len(begin))  # begins whose walk down the trie goes on
+        for depth in range(self.max_len):
+            live = live[room[live] > depth]
+            w = word[begin[live] + depth]
+            live, w = live[w >= 0], w[w >= 0]
+            key = node[live] * len(words) + w
+            j = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = keys[j] == key
+            live = live[hit]
+            node[live] = child[j[hit]]
+            ends = surface[node[live]]
+            length[live[ends >= 0]] = depth + 1
+            found[live[ends >= 0]] = ends[ends >= 0]
+        match = length > 0
+        return begin[match], length[match], found[match]
+
+
+def annotate_corpus(
+    tokens,
+    offsets,
+    gaz: Gazetteer,
+    vocab: TagVocabulary,
+    coverage: float = 1.0,
+    ambiguity_rule: str = "first",
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """distant_annotate of each sentence tokens[offsets[i]:offsets[i + 1]] in turn, in one pass.
+
+    Returns the int64 tags laid end to end. The draws are distant_annotate's,
+    match by match from left to right: one rng.random() per longest match,
+    then rng.integers(len(types)) if the match is applied, ambiguous and
+    resolved by the "random" rule.
+    """
+    if not 0.0 <= coverage <= 1.0:
+        raise ValueError(f"coverage must be in [0, 1], got {coverage!r}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if ambiguity_rule not in ("first", "random"):
+        raise ValueError(f"unknown ambiguity rule {ambiguity_rule!r}")
+    begin, length, which = gaz._longest_matches(tokens, offsets)
+    # a match is taken where no taken match, applied or not, covers its start; one that
+    # no earlier match reaches is taken, so only the others are decided one by one
+    end, taken = begin + length, np.ones(len(begin), dtype=bool)
+    for k in (np.flatnonzero(begin[1:] < np.maximum.accumulate(end)[:-1]) + 1).tolist():
+        j = k - 1  # the last match taken before k, whose end is the furthest
+        while not taken[j]:
+            j -= 1
+        taken[k] = begin[k] >= end[j]
+    begin, length, which = begin[taken], length[taken], which[taken]
+    # rng.random(k) draws what k calls of rng.random() draw, so only the integers()
+    # of an ambiguous match ends a run of random() draws
+    draw, pick, drawn = np.empty(len(begin)), np.zeros(len(begin), dtype=np.int64), 0
+    if ambiguity_rule == "random":
+        kinds = gaz._kinds[which]
+        for k in np.flatnonzero(kinds > 1).tolist():
+            draw[drawn : k + 1] = rng.random(k + 1 - drawn)
+            drawn = k + 1
+            if draw[k] < coverage:
+                pick[k] = rng.integers(kinds[k])
+    draw[drawn:] = rng.random(len(begin) - drawn)
+    applied = draw < coverage
+    chosen = [gaz._types[s][p] for s, p in zip(which[applied].tolist(), pick[applied].tolist())]
+    # vocab.b_code raises for a type the vocabulary lacks, at its first use as before
+    b_code = {t: vocab.b_code(t) for t in dict.fromkeys(chosen)}
+    code = np.fromiter(map(b_code.__getitem__, chosen), dtype=np.int64, count=len(chosen))
+    begin, length = begin[applied], length[applied]
+    inside = np.arange(length.sum()) + np.repeat(begin - np.cumsum(length) + length, length)
+    tags = np.zeros(len(tokens), dtype=np.int64)
+    tags[inside] = np.repeat(code + 1, length)  # I-t throughout, then B-t at each begin
+    tags[begin] = code
+    return tags
+
 
 def distant_annotate(
     tokens,
@@ -307,33 +487,9 @@ def distant_annotate(
     `ambiguity_rule` ("first" or "random"), which may mislabel. Draws
     come from `rng`, by default one seeded with 0.
     """
-    if not 0.0 <= coverage <= 1.0:
-        raise ValueError(f"coverage must be in [0, 1], got {coverage!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if ambiguity_rule not in ("first", "random"):
-        raise ValueError(f"unknown ambiguity rule {ambiguity_rule!r}")
-    tags = [0] * len(tokens)
-    end = 0  # tokens before `end` belong to an earlier match
-    for i, token in enumerate(tokens):
-        if i < end or token not in gaz.first_tokens:
-            continue
-        for length in range(min(gaz.max_len, len(tokens) - i), 0, -1):
-            types = gaz.entries.get(tuple(tokens[i : i + length]))
-            if types is not None:
-                break
-        else:
-            continue
-        end = i + length
-        if rng.random() < coverage:
-            if len(types) == 1 or ambiguity_rule == "first":
-                chosen = types[0]
-            else:
-                chosen = types[int(rng.integers(len(types)))]
-            tags[i] = vocab.b_code(chosen)
-            for j in range(i + 1, end):
-                tags[j] = vocab.i_code(chosen)
-    return tags
+    return annotate_corpus(
+        tokens, [0, len(tokens)], gaz, vocab, coverage, ambiguity_rule, rng
+    ).tolist()
 
 
 @dataclass(frozen=True)

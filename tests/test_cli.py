@@ -213,8 +213,8 @@ class TestAnnotate:
 
     @pytest.mark.parametrize("coverage", ["1.5", "-0.1", "nan"])
     def test_coverage_checked_on_an_empty_corpus(self, tmp_path, capsys, coverage):
-        """distant_annotate never runs on a corpus with no sentences, so the
-        command checks --coverage itself, before it reads any input."""
+        """The command checks --coverage before it reads any input, so an empty
+        or missing corpus still reports it."""
         corpus, gaz, out = tmp_path / "empty.conll", tmp_path / "gaz.tsv", tmp_path / "distant.conll"
         corpus.write_text("")
         gaz.write_text("per0\tPER\n")

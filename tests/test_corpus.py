@@ -13,6 +13,7 @@ from scdl.corpus import (
     Gazetteer,
     Span,
     TagVocabulary,
+    annotate_corpus,
     annotated_sentences,
     bio_spans,
     distant_annotate,
@@ -25,6 +26,7 @@ from scdl.corpus import (
     spans_from_bio,
     write_conll,
 )
+from scdl import corpus as corpus_module
 from synthdata import make_synthetic_corpus
 
 
@@ -368,6 +370,52 @@ def conll_texts(draw):
     return text[: -len(breaks[-1])] if lines and draw(st.booleans()) else text
 
 
+# flaws a plain CoNLL text may carry, and the line or text each makes of token line i
+PLAIN_FLAWS = {
+    "no tab": lambda line: line.replace("\t", " "),
+    "two tabs": lambda line: line + "\tO",
+    "empty token": lambda line: line[line.index("\t") :],
+    "empty tag": lambda line: line[: line.index("\t") + 1],
+    "whitespace-only line": lambda line: " \t ",
+    "unicode whitespace-only line": lambda line: "\xa0\t\u3000",
+    "unencodable token": lambda line: "\udcff" + line,
+    "unknown tag": lambda line: line.split("\t")[0] + "\tX",
+    "BIO break": lambda line: line.split("\t")[0] + "\tI-ORG",
+    "blank lines doubled": lambda line: line + "\n\n",
+    "leading blank line": lambda line: "\n" + line,  # planted in the first line
+}
+# ... or the line break after token line i, in place of \n or before it
+PLAIN_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# flaws the plain-text path reads itself, to the line loop's result or error
+PLAIN_READABLE = {"", "no final newline", "unknown tag", "BIO break"}
+
+
+@st.composite
+def plain_conll_texts(draw):
+    """Plain CoNLL text (\\n breaks, one blank line between sentences, token<TAB>tag
+    lines of BIO-valid tags) with at most one planted flaw, and the flaw's name."""
+    token = st.text(alphabet="ab é\u3000", min_size=1, max_size=3)
+    kinds = st.sampled_from(["O", "PER", "PER", "LOC", "MISC"])
+    sentences = []
+    for kind_list in draw(st.lists(st.lists(kinds, min_size=1, max_size=6), min_size=1, max_size=5)):
+        tags, prev = [], "O"
+        for kind in kind_list:
+            inside = kind != "O" and kind == prev and draw(st.booleans())
+            tags.append("O" if kind == "O" else ("I-" if inside else "B-") + kind)
+            prev = kind
+        sentences.append([f"{draw(token)}\t{tag}" for tag in tags])
+    lines = [line for sentence in sentences for line in sentence + [""]][:-1]
+    breaks = ["\n"] * len(lines)
+    flaw = draw(st.sampled_from([""] * 3 + sorted(PLAIN_FLAWS) + ["line break"] * 3 + ["no final newline"]))
+    i = 0 if flaw == "leading blank line" else draw(st.sampled_from([k for k, x in enumerate(lines) if x]))
+    if flaw == "line break":
+        breaks[i] = draw(st.sampled_from(PLAIN_BREAKS)) + draw(st.sampled_from(["", "\n"]))
+    elif flaw in PLAIN_FLAWS:
+        lines[i] = PLAIN_FLAWS[flaw](lines[i])
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return (text[:-1] if flaw == "no final newline" else text), flaw
+
+
 class TestFlatReader:
     @given(conll_texts())
     @settings(max_examples=500)
@@ -394,6 +442,28 @@ class TestFlatReader:
             assert offsets.dtype == codes.dtype == np.int64
         else:
             assert got == expected
+
+    @given(plain_conll_texts())
+    @settings(max_examples=500)
+    @example(("a\tB-PER\n\nb\tI-PER\n", "BIO break"))
+    @example(("a\tB-PER\n\n\nb\tO\n", "blank lines doubled"))
+    def test_plain_text_equals_line_loop(self, planted):
+        """Plain text reads as the line loop reads it, and only the flaws the plain
+        path cannot read send it to the loop."""
+        text, flaw = planted
+        vocab = infer_vocab_loop(text)
+        expected = outcome(parse_conll_loop, text, vocab)
+        got = outcome(read_conll, text)
+        if isinstance(expected, list):
+            tokens, codes, offsets, inferred = got
+            assert inferred == vocab
+            assert annotated_sentences(tokens, codes, offsets) == expected
+            assert offsets.dtype == codes.dtype == np.int64
+        else:
+            assert got == expected
+        fixed = TagVocabulary(["PER", "LOC", "MISC"])
+        assert outcome(parse_conll, text, fixed) == outcome(parse_conll_loop, text, fixed)
+        assert (corpus_module._plain_lines(text) is not None) == (flaw in PLAIN_READABLE)
 
     @given(
         st.lists(
@@ -519,6 +589,44 @@ def distant_annotate_loop(tokens, gaz, vocab, coverage, ambiguity_rule, rng):
     return tags
 
 
+TYPE_LISTS = st.lists(st.sampled_from(["PER", "LOC", "ORG"]), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def gazetteer_corpora(draw):
+    """A gazetteer and sentences pieced together from its surfaces and loose words."""
+    words = st.sampled_from(["a", "b", "c", "d"]) | st.integers(0, 300).map(str)
+    surfaces = draw(st.lists(st.lists(words, min_size=1, max_size=6).map(tuple), max_size=8))
+    entries = {surface: tuple(draw(TYPE_LISTS)) for surface in surfaces}
+    piece = words.map(lambda w: (w,))
+    if surfaces:
+        piece = piece | st.sampled_from(surfaces) | st.sampled_from(surfaces).map(lambda s: s[:-1])
+    sentences = st.lists(st.lists(piece, max_size=5).map(lambda ps: [t for p in ps for t in p]))
+    return entries, draw(sentences.filter(lambda c: len(c) <= 8))
+
+
+def _wide_gazetteer():
+    """300 distinct words in surfaces of up to 8 tokens: a key of base 300 would overflow int64."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(300)]
+    entries = {}
+    for _ in range(400):
+        surface = tuple(rng.choice(words, size=int(rng.integers(1, 9))).tolist())
+        entries[surface] = tuple(rng.permutation(["PER", "LOC", "ORG"])[: rng.integers(1, 4)].tolist())
+    surfaces = list(entries)
+    corpus = []
+    for _ in range(60):
+        sentence = []
+        for _ in range(int(rng.integers(0, 5))):
+            surface = surfaces[int(rng.integers(len(surfaces)))]
+            sentence += surface[: int(rng.integers(1, len(surface) + 1))]
+        corpus.append(sentence)
+    return entries, corpus
+
+
+WIDE = _wide_gazetteer()
+
+
 class TestDistantAnnotateLoop:
     words = st.sampled_from(["a", "b", "c", "d"])
 
@@ -545,9 +653,36 @@ class TestDistantAnnotateLoop:
             assert got == expected
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
-    def test_first_tokens(self):
-        gaz = Gazetteer.parse("New York\tLOC\nYork\tORG\nNew\tPER\n")
-        assert gaz.first_tokens == {"New", "York"}
+    @given(
+        gazetteer_corpora(),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from(["first", "random"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400)
+    @example(({("a", "b"): ("PER",)}, [["a"], ["b", "a"], ["b"]]), 1.0, "first", 0)  # across ends
+    @example(({("a", "b"): ("PER", "LOC")}, [["a"], ["b", "a", "b"]]), 0.0, "random", 0)
+    @example(({}, [["a", "b"], []]), 1.0, "random", 0)
+    @example(({("a", "b"): ("PER",), ("b", "c", "d"): ("LOC",), ("c",): ("ORG",)}, [["a", "b", "c", "d"]]),
+             1.0, "first", 0)  # "c" starts inside a match left untaken, where a taken one ends
+    @example(WIDE, 1.0, "random", 1)
+    @example(WIDE, 0.0, "first", 1)
+    def test_flat_pass_equals_sentence_loop(self, gazetteer_corpus, coverage, rule, seed):
+        """One pass over the corpus tags it as the loop does sentence by sentence on one
+        generator, and leaves the generator in the same state."""
+        entries, corpus = gazetteer_corpus
+        gaz = Gazetteer(entries)
+        vocab = TagVocabulary(["PER", "LOC", "ORG"])
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [
+            c for tokens in corpus
+            for c in distant_annotate_loop(tokens, gaz, vocab, coverage, rule, expected_rng)
+        ]
+        tokens = [t for sentence in corpus for t in sentence]
+        offsets = np.cumsum([0] + [len(sentence) for sentence in corpus])
+        got = annotate_corpus(tokens, offsets, gaz, vocab, coverage, rule, rng)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 def inject_noise_loop(sentences, k_percent, vocab, seed=0):

@@ -143,6 +143,7 @@ def conll_bytes():
 @settings(max_examples=150, deadline=None)
 @example(b"per0\tI-PER\n\nw1\n")
 @example(b"\xff\xfe\tO\n")
+@example(b"per0\tB-PER\nper1\tO\r\n\nloc2\tB-LOC\n")  # plain but for one \r
 def test_garbled_conll(inputs, raw):
     directory, _, ckpt = inputs
     corpus, model = directory / "garbled.conll", directory / "model.ckpt"
