@@ -73,10 +73,10 @@ def _track_checksum(tags, offsets, num_tags: int) -> str:
     return hashlib.md5(np.insert(tags.astype(width), offsets[1:], 10).tobytes()).hexdigest()
 
 
-def _annotation_summary(gold, distant, starts, vocab) -> dict:
+def _annotation_summary(gold, distant, offsets, vocab) -> dict:
     """How each gold span fared under distant annotation, on flat tags."""
-    g_begin, g_end, g_code = corpus_mod.bio_spans(gold, vocab, starts)
-    d_begin, d_end, d_code = corpus_mod.bio_spans(distant, vocab, starts)
+    g_begin, g_end, g_code = corpus_mod.bio_spans(gold, vocab, offsets)
+    d_begin, d_end, d_code = corpus_mod.bio_spans(distant, vocab, offsets)
     # gold span g[k] and distant span d[k] share a begin
     _, g, d = np.intersect1d(g_begin, d_begin, assume_unique=True, return_indices=True)
     same = g_end[g] == d_end[d]
@@ -110,7 +110,7 @@ def cmd_annotate(args) -> int:
     gold = _recode(gold, own, vocab)
     rng = np.random.default_rng(args.seed)
     distant = annotate_corpus(tokens, offsets, gaz, vocab, args.coverage, args.rule, rng)
-    summary = _annotation_summary(gold, distant, corpus_mod.sentence_starts(offsets), vocab)
+    summary = _annotation_summary(gold, distant, offsets, vocab)
     atomic_write_text(args.out, corpus_mod.format_conll(tokens, distant, offsets, vocab))
     atomic_write_text(args.summary or args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
@@ -166,7 +166,7 @@ def cmd_pretrain(args) -> int:
     for name, params in (("net1", p1), ("net2", p2)):
         save_checkpoint(params, out / f"{name}.ckpt")
         predicted = predict_labels(params, dev, vocab)
-        score = metrics_mod.score_tags(predicted, dev.track("gold"), vocab, dev.starts)
+        score = metrics_mod.score_tags(predicted, dev.track("gold"), vocab, dev.offsets)
         point = metrics_mod.CurvePoint(0, name, "dev", score.precision, score.recall, score.f1)
         lines.append(_metrics_record(point, ""))
         print(f"{name}: dev F1 {score.f1:.4f}")
@@ -196,7 +196,8 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
             path.unlink()
 
     final = result.state.corpus  # the parsed sentences laid flat, with the rewritten tracks
-    initial = {t: corpus_mod.flat_tags([s.track(t) for s in train_corpus])[0] for t in TRACKS}
+    # both noisy tracks were read as copies of gold (annotated_sentences), and no rewrite touches gold
+    initial = dict.fromkeys(TRACKS, final.tracks["gold"])
     checksums = {
         f"{track}_{when}": _track_checksum(tracks[track], final.offsets, vocab.size)
         for when, tracks in (("initial", initial), ("final", final.tracks))
@@ -246,7 +247,7 @@ def cmd_eval(args) -> int:
     ids = tagger_mod.token_ids(tokens, params.config.vocab_hash_buckets)
     batch = tagger_mod.TokenBatch(ids, offsets, params.config.vocab_hash_buckets, {"gold": gold})
     predicted = predict_labels(params, batch, vocab)
-    score = metrics_mod.score_tags(predicted, batch.track("gold"), vocab, batch.starts)
+    score = metrics_mod.score_tags(predicted, batch.track("gold"), vocab, batch.offsets)
     print(
         f"precision {score.precision:.4f} recall {score.recall:.4f} f1 {score.f1:.4f}"
     )

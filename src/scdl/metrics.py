@@ -30,15 +30,15 @@ class SpanScore:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def score_tags(predicted, gold, vocab: TagVocabulary, starts=None) -> SpanScore:
+def score_tags(predicted, gold, vocab: TagVocabulary, offsets=None) -> SpanScore:
     """Exact-match span score of flat predicted tags against flat gold tags.
 
-    Both lay the same sentences end to end, `starts` as in repair_bio.
+    Both lay the same sentences end to end, `offsets` as in repair_bio.
     """
     if len(predicted) != len(gold):
         raise ValueError("predicted and gold tags differ in length")
-    p_begin, p_end, p_code = bio_spans(predicted, vocab, starts)
-    g_begin, g_end, g_code = bio_spans(gold, vocab, starts)
+    p_begin, p_end, p_code = bio_spans(predicted, vocab, offsets)
+    g_begin, g_end, g_code = bio_spans(gold, vocab, offsets)
     # begins are unique within a track: a match shares its begin, end and code
     _, p, g = np.intersect1d(p_begin, g_begin, assume_unique=True, return_indices=True)
     tp = int(np.count_nonzero((p_end[p] == g_end[g]) & (p_code[p] == g_code[g])))
@@ -55,8 +55,8 @@ def span_prf1(predicted, gold, vocab: TagVocabulary) -> SpanScore:
         raise ValueError("predicted and gold corpora differ in length")
     if any(len(p) != len(g) for p, g in zip(predicted, gold)):
         raise ValueError("sentence length mismatch")
-    tags, starts = flat_tags(predicted)
-    return score_tags(tags, flat_tags(gold)[0], vocab, starts)
+    tags, offsets = flat_tags(predicted)
+    return score_tags(tags, flat_tags(gold)[0], vocab, offsets)
 
 
 def refinery_report(sentences, vocab: TagVocabulary, track: str = "noisy_i") -> SpanScore:

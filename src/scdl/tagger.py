@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, TagVocabulary, repair_bio, sentence_starts
+from .corpus import AnnotatedSentence, TagVocabulary, repair_bio
 
 PAD_BUCKET = 0  # reserved for window overflow
 PAD_TOKEN = "\x00<pad>"  # surface sentinel that hashes to PAD_BUCKET
@@ -132,9 +132,8 @@ class TokenBatch:
 
     Sentence i is `ids[offsets[i]:offsets[i + 1]]`; `tracks` holds label
     tracks in the same flat layout. Window ids are built per window size
-    on first use and carried over by `take`, as is the sentence-start
-    mask, so a corpus is hashed and windowed once however many batches
-    are drawn from it.
+    on first use and carried over by `take`, so a corpus is hashed and
+    windowed once however many batches are drawn from it.
     """
 
     ids: np.ndarray  # (tokens,) hash buckets
@@ -142,17 +141,9 @@ class TokenBatch:
     buckets: int
     tracks: dict[str, np.ndarray] = field(default_factory=dict)
     _windows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _starts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    @property
-    def starts(self) -> np.ndarray:
-        """True at the first token of every sentence."""
-        if self._starts is None:
-            self._starts = sentence_starts(self.offsets)
-        return self._starts
 
     def track(self, name: str) -> np.ndarray:
         if name not in self.tracks:
@@ -188,8 +179,6 @@ class TokenBatch:
             {name: tags[tokens] for name, tags in self.tracks.items()},
         )
         batch._windows.update((w, ctx[tokens]) for w, ctx in self._windows.items())
-        if self._starts is not None:
-            batch._starts = self._starts[tokens]  # whole sentences, so their first tokens
         return batch
 
     def split(self, values) -> list[list]:
@@ -343,9 +332,9 @@ def sgd_step(params: TaggerParams, grad, lr: float, *, in_place: bool = False) -
     return params
 
 
-def labels_from_dists(dists: np.ndarray, vocab: TagVocabulary, starts=None) -> np.ndarray:
-    """Argmax (ties -> lowest code) followed by BIO repair; `starts` as in repair_bio."""
-    return repair_bio(np.argmax(dists, axis=1), vocab, starts)
+def labels_from_dists(dists: np.ndarray, vocab: TagVocabulary, offsets=None) -> np.ndarray:
+    """Argmax (ties -> lowest code) followed by BIO repair; `offsets` as in repair_bio."""
+    return repair_bio(np.argmax(dists, axis=1), vocab, offsets)
 
 
 PREDICT_CHUNK = 256  # sentences per forward pass when predicting a whole corpus
@@ -357,7 +346,7 @@ def predict_labels(params: TaggerParams, batch, vocab: TagVocabulary) -> np.ndar
     labels = []
     for a in range(0, len(batch), PREDICT_CHUNK):
         chunk = batch.take(np.arange(a, min(a + PREDICT_CHUNK, len(batch))))
-        labels.append(labels_from_dists(forward(params, chunk), vocab, chunk.starts))
+        labels.append(labels_from_dists(forward(params, chunk), vocab, chunk.offsets))
     return np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
 
 

@@ -427,7 +427,7 @@ def self_denoise_step(
     dists = forward(pair.teacher, batch)
     mask = np.ones(len(noisy), dtype=bool)
     if "no_consistency" not in abl:
-        mask &= consistent_mask(noisy, labels_from_dists(dists, vocab, batch.starts))
+        mask &= consistent_mask(noisy, labels_from_dists(dists, vocab, batch.offsets))
     if "no_confidence" not in abl:
         mask &= confident_mask(dists, config.delta)
     selected = int(mask.sum())
@@ -478,9 +478,9 @@ def evaluate_models(
 ) -> dict[str, SpanScore]:
     """Span score on `dev`, which carries the gold track, of each of
     `models` (name -> params, as `TrainState.models()` gives them)."""
-    gold, starts = dev.track("gold"), dev.starts
+    gold = dev.track("gold")
     return {
-        name: score_tags(predict_labels(p, dev, vocab), gold, vocab, starts)
+        name: score_tags(predict_labels(p, dev, vocab), gold, vocab, dev.offsets)
         for name, p in models.items()
     }
 
@@ -529,7 +529,7 @@ def train(
         for name in needed:
             if name not in batch.tracks:
                 raise ValueError(f"every {what} sentence needs a {name!r} track")
-    gold, starts = corpus.track("gold"), corpus.starts
+    gold = corpus.track("gold")
     p1, p2 = pretrain(config, corpus, vocab, rng)
     corpus.tracks.update(zip(TRACKS, _shared([corpus.tracks[t] for t in TRACKS])))
     alpha = 0.0 if "no_teachers" in config.ablations else config.alpha
@@ -561,7 +561,7 @@ def train(
             s = scores[name]
             history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
         for track in TRACKS:
-            refinery.append((step, track, score_tags(corpus.track(track), gold, vocab, starts)))
+            refinery.append((step, track, score_tags(corpus.track(track), gold, vocab, corpus.offsets)))
         name, params, f1 = select_best(
             (name, params, scores[name].f1) for name, params in state.models().items()
         )

@@ -185,8 +185,8 @@ class TestAnnotate:
                 else:
                     counts["other"] += 1
         expected = {"gold_spans": sum(counts.values()), **counts}
-        flat_gold, starts = flat_tags(gold)
-        assert cli._annotation_summary(flat_gold, flat_tags(distant)[0], starts, vocab) == expected
+        flat_gold, offsets = flat_tags(gold)
+        assert cli._annotation_summary(flat_gold, flat_tags(distant)[0], offsets, vocab) == expected
 
     def test_empty_gazetteer_type_exit_code(self, workspace, capsys):
         gaz = workspace["dir"] / "gaz.tsv"

@@ -19,6 +19,7 @@ from scdl.corpus import (
     distant_annotate,
     flat_tags,
     format_alteration_log,
+    format_conll,
     inject_noise,
     parse_conll,
     read_conll,
@@ -88,7 +89,7 @@ class TestBioValidation:
     @given(st.lists(st.lists(st.integers(0, 8), max_size=6), max_size=6))
     @settings(max_examples=300)
     def test_flat_repair_equals_sentence_loop(self, sentences):
-        """Repair of sentences laid end to end, with a start mask, equals
+        """Repair of sentences laid end to end, at their offsets, equals
         the sequential loop run on each sentence alone."""
         vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
 
@@ -102,14 +103,11 @@ class TestBioValidation:
             return out
 
         flat = [c for tags in sentences for c in tags]
-        starts = np.zeros(len(flat), dtype=bool)
-        pos = 0
+        offsets = [0]
         for tags in sentences:
-            if tags:
-                starts[pos] = True
-            pos += len(tags)
+            offsets.append(offsets[-1] + len(tags))
         expected = [c for tags in sentences for c in repair_loop(tags)]
-        assert repair_bio(flat, vocab, starts).tolist() == expected
+        assert repair_bio(flat, vocab, offsets).tolist() == expected
         for tags in sentences:
             assert repair_bio(tags, vocab).tolist() == repair_loop(tags)
 
@@ -206,29 +204,37 @@ class TestFlatSpans:
         ones, equal the reference loop on each sentence shifted by its offset."""
         vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
         sentences = [repair_bio(tags, vocab).tolist() for tags in raw]
-        expected, starts, offset = [], [], 0
+        expected, offsets = [], [0]
         for tags in sentences:
+            offset = offsets[-1]
             expected += [(b + offset, e + offset, t) for b, e, t in spans_loop(tags, vocab)]
-            starts += [j == 0 for j in range(len(tags))]
-            offset += len(tags)
+            offsets.append(offset + len(tags))
             assert [(s.start, s.end, s.entity_type) for s in spans_from_bio(tags, vocab)] == (
                 spans_loop(tags, vocab)
             )
-        flat, flat_starts = flat_tags(sentences)
+        flat, flat_offsets = flat_tags(sentences)
         assert flat.tolist() == [c for tags in sentences for c in tags]
-        assert flat_starts.tolist() == starts
-        begin, end, code = bio_spans(flat, vocab, flat_starts)
+        assert flat_offsets.tolist() == offsets
+        begin, end, code = bio_spans(flat, vocab, flat_offsets)
         got = [(b, e, vocab.type_of(c)) for b, e, c in zip(begin.tolist(), end.tolist(), code.tolist())]
         assert got == expected
 
     def test_i_at_sentence_start_raises(self, vocab):
         b, i = vocab.b_code("PER"), vocab.i_code("PER")
-        tags, starts = flat_tags([[0, b], [i, 0]])
+        tags, offsets = flat_tags([[0, b], [i, 0]])
         with pytest.raises(BioValidationError, match="token 2") as info:
-            bio_spans(tags, vocab, starts)
+            bio_spans(tags, vocab, offsets)
         assert info.value.index == 2
         begin, end, _ = bio_spans(tags, vocab)  # one sentence: B-PER I-PER is a span
         assert (begin.tolist(), end.tolist()) == ([1], [2])
+
+    @pytest.mark.parametrize("offsets", [[0, 2], [0, 2, 4], [0, 1, 3, 4]])
+    def test_offsets_must_end_at_the_tag_count(self, vocab, offsets):
+        tags = [0, 1, 2]
+        with pytest.raises(ValueError, match=f"offsets end at {offsets[-1]} for 3 tags"):
+            repair_bio(tags, vocab, offsets)
+        with pytest.raises(ValueError, match=f"offsets end at {offsets[-1]} for 3 tags"):
+            bio_spans(tags, vocab, offsets)
 
     def test_invalid_tag_raises(self, vocab):
         with pytest.raises(BioValidationError, match="token 1"):
@@ -483,6 +489,24 @@ class TestFlatReader:
             for row in rows
         ]
         assert write_conll(sentences, vocab) == write_conll_loop(sentences, vocab)
+
+    @pytest.mark.parametrize(
+        "tokens, codes, offsets, message",
+        [
+            (["a", "b"], [0], [0, 2], "1 tag codes for 2 tokens"),
+            (["a", "b", "c"], [0, 1, 2], [0, 2], "offsets end at 2 for 3 tokens"),
+        ],
+    )
+    def test_format_rejects_counts_that_disagree(self, vocab, tokens, codes, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            format_conll(tokens, codes, offsets, vocab)
+
+    @pytest.mark.parametrize("tags", [[1], [0, 0, 0]])
+    def test_write_rejects_a_reassigned_track(self, vocab, tags):
+        sentences = [AnnotatedSentence(["x"], gold=[0]), AnnotatedSentence(["a", "b"], gold=[0, 0])]
+        sentences[1].gold = tags
+        with pytest.raises(ValueError, match=f"sentence 1: gold has {len(tags)} tags for 2 tokens"):
+            write_conll(sentences, vocab)
 
 
 class TestGazetteer:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scdl.corpus import AnnotatedSentence, TagVocabulary, repair_bio
-from scdl.metrics import CurvePoint, SpanScore, emit_curve, refinery_report, span_prf1
+from scdl.metrics import CurvePoint, SpanScore, emit_curve, refinery_report, score_tags, span_prf1
 
 
 def brute_force_score(predicted, gold, vocab):
@@ -103,6 +103,12 @@ class TestSpanPrf1:
     def test_sentence_length_mismatch(self, vocab):
         with pytest.raises(ValueError):
             span_prf1([[0]], [[0, 0]], vocab)
+
+    def test_offsets_must_end_at_the_tag_count(self, vocab):
+        tags = [1, 2, 0]
+        assert score_tags(tags, tags, vocab, [0, 2, 3]) == SpanScore(1, 1, 1)
+        with pytest.raises(ValueError, match="offsets end at 2 for 3 tags"):
+            score_tags(tags, tags, vocab, [0, 2])
 
 
 class TestRefineryReport:

@@ -155,16 +155,6 @@ class TestFlatBatch:
             alone = forward(params, sentences_of(tokens))
             assert np.abs(flat[rows] - alone).max(initial=0.0) <= 1e-12
 
-    def test_take_carries_sentence_starts(self):
-        full = encode(sentences_of(["a", "b"], [], ["c"], ["d", "a", "b"]), 64)
-        starts = full.starts
-        assert full.starts is starts  # built once
-        part = full.take([3, 1, 0, 3])
-        fresh = encode(sentences_of(["d", "a", "b"], [], ["a", "b"], ["d", "a", "b"]), 64)
-        assert part._starts is not None
-        assert np.array_equal(part.starts, fresh.starts)
-        assert part.starts.tolist() == [True, False, False, True, False, True, False, False]
-
     def test_hashed_batch_is_not_reused_across_bucket_counts(self):
         batch = encode(sentences_of(["a", "b"]), 64)
         with pytest.raises(ValueError, match="buckets"):

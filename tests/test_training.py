@@ -517,7 +517,7 @@ class TestTrain:
         def record():
             models = (pairs[0].teacher, pairs[0].student, pairs[1].teacher, pairs[1].student)
             for name, model in zip(MODEL_ORDER, models):
-                s = score_tags(predict_labels(model, dev, vocab), dev.track("gold"), vocab, dev.starts)
+                s = score_tags(predict_labels(model, dev, vocab), dev.track("gold"), vocab, dev.offsets)
                 history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
 
         record()
