@@ -24,13 +24,14 @@ from .corpus import (
     read_conll,
     write_conll,
 )
-from .tagger import atomic_open, encode, load_checkpoint, predict_labels, save_checkpoint
+from .tagger import atomic_open, encode, load_checkpoint, save_checkpoint
 from .training import (
     ABLATIONS,
     MODEL_ORDER,
     TRACKS,
     ScdlConfig,
     TrainingDiverged,
+    evaluate_models,
     pretrain,
     train,
 )
@@ -156,17 +157,17 @@ def _load_config(args) -> ScdlConfig:
 def cmd_pretrain(args) -> int:
     config = _load_config(args)
     (train_corpus, dev_corpus), vocab = _load_corpora(args.train, args.dev)
-    p1, p2 = pretrain(config, train_corpus, vocab)
+    if not dev_corpus:
+        raise ValueError("empty dev corpus")
+    models = dict(zip(("net1", "net2"), pretrain(config, train_corpus, vocab)))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.jsonl").unlink(missing_ok=True)  # written last: present only after a complete run
     atomic_write_text(out / "config.txt", config.to_text())
-    dev = encode(dev_corpus, config.hash_buckets)
+    scores = evaluate_models(models, encode(dev_corpus, config.hash_buckets), vocab)
     lines = []
-    for name, params in (("net1", p1), ("net2", p2)):
-        save_checkpoint(params, out / f"{name}.ckpt")
-        predicted = predict_labels(params, dev, vocab)
-        score = metrics_mod.score_tags(predicted, dev.track("gold"), vocab, dev.offsets)
+    for name, score in scores.items():
+        save_checkpoint(models[name], out / f"{name}.ckpt")
         point = metrics_mod.CurvePoint(0, name, "dev", score.precision, score.recall, score.f1)
         lines.append(_metrics_record(point, ""))
         print(f"{name}: dev F1 {score.f1:.4f}")
@@ -240,17 +241,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     tokens, gold, offsets, vocab = read_conll(_read(args.corpus))
+    if not tokens:
+        raise ValueError(f"empty corpus: {args.corpus}")
     if vocab.size != params.config.num_tags:
-        raise ValueError(
-            f"checkpoint expects {params.config.num_tags} tags, corpus has {vocab.size}"
-        )
-    ids = tagger_mod.token_ids(tokens, params.config.vocab_hash_buckets)
-    batch = tagger_mod.TokenBatch(ids, offsets, params.config.vocab_hash_buckets, {"gold": gold})
-    predicted = predict_labels(params, batch, vocab)
-    score = metrics_mod.score_tags(predicted, batch.track("gold"), vocab, batch.offsets)
-    print(
-        f"precision {score.precision:.4f} recall {score.recall:.4f} f1 {score.f1:.4f}"
-    )
+        raise ValueError(f"checkpoint expects {params.config.num_tags} tags, corpus has {vocab.size}")
+    buckets = params.config.vocab_hash_buckets
+    batch = tagger_mod.TokenBatch(tagger_mod.token_ids(tokens, buckets), offsets, buckets, {"gold": gold})
+    [score] = evaluate_models({"checkpoint": params}, batch, vocab).values()
+    print(f"precision {score.precision:.4f} recall {score.recall:.4f} f1 {score.f1:.4f}")
     return 0
 
 

@@ -318,9 +318,15 @@ def format_conll(tokens, codes, offsets, vocab: TagVocabulary) -> str:
         raise ValueError(f"{len(codes)} tag codes for {len(tokens)} tokens")
     if offsets[-1] != len(tokens):
         raise ValueError(f"offsets end at {int(offsets[-1])} for {len(tokens)} tokens")
-    lines = [f"{tok}\t{vocab.tags[c]}" for tok, c in zip(tokens, np.asarray(codes).tolist())]
-    bounds = np.asarray(offsets).tolist()
-    return "\n".join("\n".join(lines[a:b]) + "\n" for a, b in zip(bounds[:-1], bounds[1:]))
+    offsets = np.asarray(offsets)
+    # blank lines before each flat token and at the end: one per inner sentence boundary and empty sentence
+    blank = np.bincount(np.r_[offsets[1:-1], offsets[:-1][np.diff(offsets) == 0]], minlength=len(tokens) + 1)
+    ends = ["\n" * k for k in range(1, int(blank.max()) + 2)]  # a line end, then k - 1 blank lines
+    parts = ["\t"] * (4 * len(tokens))  # token, tab, tag and line end of each line: no string per line
+    parts[0::4] = tokens
+    parts[2::4] = map(vocab.tags.__getitem__, np.asarray(codes).tolist())
+    parts[3::4] = map(ends.__getitem__, blank[1:].tolist())
+    return "\n" * int(blank[0]) + "".join(parts)
 
 
 def write_conll(sentences, vocab: TagVocabulary, track: str = "gold") -> str:

@@ -166,7 +166,8 @@ class TokenBatch:
         return self._windows[window]
 
     def take(self, sentences) -> "TokenBatch":
-        """The given sentences, in the given order, as a new batch."""
+        """The given sentences, in the given order, as a new batch that copies
+        their ids, tracks and window rows: a shuffled training batch."""
         sentences = np.asarray(sentences, dtype=np.int64)
         lengths = self.offsets[sentences + 1] - self.offsets[sentences]
         offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
@@ -341,13 +342,15 @@ PREDICT_CHUNK = 256  # sentences per forward pass when predicting a whole corpus
 
 
 def predict_labels(params: TaggerParams, batch, vocab: TagVocabulary) -> np.ndarray:
-    """Flat labels of a batch, predicted PREDICT_CHUNK sentences at a time."""
+    """Flat labels of a batch: argmax over rows of its cached window table,
+    PREDICT_CHUNK sentences per forward pass, then one BIO repair of all."""
     batch = as_batch(batch, params.config.vocab_hash_buckets)
-    labels = []
-    for a in range(0, len(batch), PREDICT_CHUNK):
-        chunk = batch.take(np.arange(a, min(a + PREDICT_CHUNK, len(batch))))
-        labels.append(labels_from_dists(forward(params, chunk), vocab, chunk.offsets))
-    return np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
+    ctx = batch.context_ids(params.config.window)
+    bounds = batch.offsets[np.append(np.arange(0, len(batch), PREDICT_CHUNK), len(batch))].tolist()
+    codes = np.empty(len(ctx), dtype=np.int64)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        codes[a:b] = np.argmax(_forward_cache(params, ctx[a:b])[2], axis=1)
+    return repair_bio(codes, vocab, batch.offsets)
 
 
 @contextlib.contextmanager

@@ -445,19 +445,11 @@ def self_denoise_step(
     return pair, MaskStats(selected, len(noisy), loss)
 
 
-def collaborative_update(state: TrainState, vocab: TagVocabulary, *, predicted=None) -> None:
-    """Teachers rewrite each other's noisy track over the whole training set,
-    in place, into the arrays that network 2's process reads too.
-
-    `predicted` maps each track to the labels its peer's teacher predicts
-    for it; `train` passes the labels each network predicted in its own
-    process. Without it both predictions run here.
-    """
-    if predicted is None:
-        predicted = {
-            "noisy_i": predict_labels(state.pair2.teacher, state.corpus, vocab),
-            "noisy_ii": predict_labels(state.pair1.teacher, state.corpus, vocab),
-        }
+def collaborative_update(state: TrainState, predicted: dict[str, np.ndarray]) -> None:
+    """Teachers rewrite each other's noisy track over the whole training set:
+    `predicted` maps each track to the labels its peer's teacher predicted
+    for it in its own process, which are written in place into the arrays
+    that network 2's process reads too. Nothing is predicted here."""
     for track, labels in predicted.items():
         state.corpus.tracks[track][...] = labels
 
@@ -607,7 +599,7 @@ def train(
                 batches = batches[n:]
                 state.step += n
                 if rewrite:  # only now that neither network reads its track
-                    collaborative_update(state, vocab, predicted={"noisy_i": labels[1], "noisy_ii": labels[0]})
+                    collaborative_update(state, {"noisy_i": labels[1], "noisy_ii": labels[0]})
             record(state.step, {name: s for part in scores for name, s in part.items()})
             if epoch_callback is not None:
                 epoch_callback(epoch, state)

@@ -26,7 +26,8 @@ from scdl.corpus import (
     write_conll,
 )
 from scdl.metrics import refinery_report
-from scdl.training import ABLATIONS, TrainingDiverged
+from scdl.training import ABLATIONS, TRACKS, TrainingDiverged
+from scdl.tagger import TaggerConfig, init_params, save_checkpoint
 from synthdata import default_vocab, make_synthetic_corpus
 
 FAST_CONFIG = """\
@@ -276,6 +277,42 @@ class TestPretrainCmd:
             main(argv)
         assert not (workspace["dir"] / "pre" / "metrics.jsonl").exists()
 
+    def test_dev_f1_equals_eval(self, workspace, capsys):
+        """Each net's dev F1 in metrics.jsonl is what `scdl eval` prints for its checkpoint."""
+        out_dir, config = workspace["dir"] / "pre", workspace["dir"] / "config_pre.txt"
+        config.write_text(FAST_CONFIG.replace("pretrain_epochs=1", "pretrain_epochs=20"))
+        assert main([
+            "pretrain", "--config", str(config), "--train", str(workspace["train"]),
+            "--dev", str(workspace["dev"]), "--out-dir", str(out_dir),
+        ]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
+        assert [r["model"] for r in records] == ["net1", "net2"]
+        for record in records:
+            assert record["f1"] > 0
+            ckpt = out_dir / f"{record['model']}.ckpt"
+            assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workspace["dev"])]) == 0
+            assert capsys.readouterr().out.split()[-1] == f"{record['f1']:.4f}"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_empty_dev_fails_before_pretraining(workspace, monkeypatch, capsys, command):
+    import scdl.training as training
+
+    def pretrain(*args):
+        raise AssertionError("pretrained on an empty dev corpus")
+
+    monkeypatch.setattr(cli, "pretrain", pretrain)
+    monkeypatch.setattr(training, "pretrain", pretrain)
+    empty = workspace["dir"] / "empty.conll"
+    empty.write_text("")
+    out_dir = workspace["dir"] / "run"
+    assert main([
+        command, "--config", str(workspace["config"]), "--train", str(workspace["train"]),
+        "--dev", str(empty), "--out-dir", str(out_dir),
+    ]) == 1
+    assert capsys.readouterr().err == "error: empty dev corpus\n"
+
 
 def sentence_checksum(rows) -> str:
     """The per-sentence track checksum that `scdl train` has always written."""
@@ -479,28 +516,29 @@ class TestTrainCmd:
 
     @pytest.mark.parametrize("ablate", [[], ["--ablate", "single_network"]])
     def test_rewrite_hook_contract(self, workspace, monkeypatch, ablate):
-        """The benchmark's tracer wraps `training.collaborative_update` and reads
-        its two positional arguments, `(state, vocab)`, before and after each
-        call. `train` calls it by that name once per rewrite, and it returns
-        with each track holding the peer teacher's labels. `single_network`
-        rewrites nothing and predicts no rewrite."""
+        """The benchmark's tracer wraps `training.collaborative_update` and hands
+        its positional arguments to a hook before and after each call. `train`
+        calls it by that name once per rewrite with two positional arguments,
+        `state` and the labels each peer teacher predicted, and it returns
+        with each track holding those labels. `single_network` rewrites
+        nothing and predicts no rewrite."""
         import scdl.training as training
-        from scdl.tagger import predict_labels
 
         original_update, original_predict = training.collaborative_update, training.predict_labels
-        calls, predicted_rows = [], []
+        calls, predicted_rows, vocabs = [], [], []
 
         def spy(*args, **kwargs):
             original_update(*args, **kwargs)
-            state, vocab = args[:2]
+            state, predicted = args[:2]
             peers = {"noisy_i": state.pair2.teacher, "noisy_ii": state.pair1.teacher}
-            calls.append((len(args), all(
-                np.array_equal(state.corpus.tracks[t], predict_labels(p, state.corpus, vocab))
+            calls.append((len(args), kwargs, sorted(predicted), all(
+                np.array_equal(state.corpus.tracks[t], original_predict(p, state.corpus, vocabs[-1]))
                 for t, p in peers.items()
             )))
 
         def counting(params, batch, vocab):
             predicted_rows.append(len(batch))
+            vocabs.append(vocab)
             return original_predict(params, batch, vocab)
 
         monkeypatch.setattr(training, "collaborative_update", spy)
@@ -515,7 +553,7 @@ class TestTrainCmd:
         if ablate:
             assert calls == [] and rewrite_predictions == 0
         else:  # 3 steps an epoch, update_cycle=5: rewrites after steps 5 and 10
-            assert calls == [(2, True), (2, True)]
+            assert calls == [(2, {}, list(TRACKS), True)] * 2
             # the caller predicts network 1's half, and network 2's too where it trains here
             assert rewrite_predictions == (1 if training._can_fork() else 2) * len(calls)
 
@@ -690,6 +728,14 @@ class TestEvalCmd:
         assert rc == 1
         assert "checkpoint header line longer than 131072 bytes" in capsys.readouterr().err
         assert peak < 2**20
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_corpus(self, workspace, capsys, text):
+        ckpt, corpus = workspace["dir"] / "m.ckpt", workspace["dir"] / "empty.conll"
+        save_checkpoint(init_params(TaggerConfig(num_tags=default_vocab().size)), ckpt)
+        corpus.write_text(text)
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr().err == f"error: empty corpus: {corpus}\n"
 
 
 class TestAblateCmd:

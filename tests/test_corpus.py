@@ -501,6 +501,19 @@ class TestFlatReader:
         with pytest.raises(ValueError, match=message):
             format_conll(tokens, codes, offsets, vocab)
 
+    @pytest.mark.parametrize(
+        "offsets", [[0], [0, 0], [0, 0, 0], [0, 2, 2, 3], [0, 0, 3], [0, 3, 3], [0, 1, 1, 1, 3]]
+    )
+    def test_format_keeps_empty_sentences(self, vocab, offsets):
+        """Empty sentences first, between others and last each keep their blank line."""
+        tokens, codes = ["a", "b", "c"][: offsets[-1]], [1, 2, 0][: offsets[-1]]
+        sentences = [
+            AnnotatedSentence(tokens[a:b], gold=codes[a:b]) for a, b in zip(offsets[:-1], offsets[1:])
+        ]
+        expected = write_conll_loop(sentences, vocab)
+        assert format_conll(tokens, codes, offsets, vocab) == expected
+        assert format_conll(tokens, np.array(codes), np.array(offsets), vocab) == expected
+
     @pytest.mark.parametrize("tags", [[1], [0, 0, 0]])
     def test_write_rejects_a_reassigned_track(self, vocab, tags):
         sentences = [AnnotatedSentence(["x"], gold=[0]), AnnotatedSentence(["a", "b"], gold=[0, 0])]

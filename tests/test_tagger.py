@@ -12,6 +12,7 @@ from scdl.corpus import AnnotatedSentence, TagVocabulary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdl import tagger as tagger_module
 from scdl.tagger import (
     PAD_BUCKET,
     PAD_TOKEN,
@@ -396,6 +397,30 @@ class TestPrediction:
         assert correct / total > 0.9
         flat = predict_labels(params, corpus, vocab)
         assert flat.tolist() == [c for tags in per_sentence for c in tags]
+
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [3, 1, 4, 1, 5, 9, 2],  # 7 sentences, not a multiple of the chunk
+            [0, 2, 3, 0, 0, 1, 4, 0],  # empty sentences at chunk edges
+            [1, 0, 0, 0, 2, 0],  # and beside them
+            [2, 1, 1, 0, 0, 0, 3],  # a chunk of empty sentences only
+            [],
+        ],
+    )
+    def test_chunks_equal_one_sentence_at_a_time(self, monkeypatch, lengths):
+        """Prediction three sentences per forward pass, with one BIO repair of
+        the whole batch, labels each sentence as a pass over it alone does."""
+        monkeypatch.setattr(tagger_module, "PREDICT_CHUNK", 3)
+        vocab = small_vocab()
+        params = init_params(replace(SMALL, window=2, init_scale=2.0, init_seed=4))  # I-t at sentence starts
+        rng = np.random.default_rng(0)
+        corpus = sentences_of(*[[f"w{t}" for t in rng.integers(0, 30, n)] for n in lengths])
+        flat = predict_labels(params, encode(corpus, SMALL.vocab_hash_buckets), vocab)
+        expected = [labels_from_dists(forward(params, [s]), vocab) for s in corpus]
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [c for tags in expected for c in tags.tolist()]
 
 
 class TestCheckpoint:

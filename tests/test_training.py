@@ -355,32 +355,46 @@ def fresh_state(config, corpus, vocab, p1, p2):
     )
 
 
+def peer_predictions(state, vocab):
+    """Each noisy track's labels from its peer's teacher, as `train` passes them."""
+    return {
+        "noisy_i": predict_labels(state.pair2.teacher, state.corpus, vocab),
+        "noisy_ii": predict_labels(state.pair1.teacher, state.corpus, vocab),
+    }
+
+
 class TestCollaborativeUpdate:
     def test_tracks_become_peer_teacher_predictions(self, vocab):
-        from scdl.tagger import predict_labels
-
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab)
         before = track_snapshot(corpus)
         p1, p2 = pretrain(config, corpus, vocab)
         state = fresh_state(config, corpus, vocab, p1, p2)
-        collaborative_update(state, vocab)
+        tracks, gold = dict(state.corpus.tracks), state.corpus.track("gold").copy()
+        predicted = peer_predictions(state, vocab)
+        collaborative_update(state, predicted)
         batch = encode(corpus, config.hash_buckets)
         assert [s.noisy_i for s in state.sentences] == batch.split(predict_labels(p2, batch, vocab))
         assert [s.noisy_ii for s in state.sentences] == batch.split(predict_labels(p1, batch, vocab))
         assert state.corpus.track("noisy_i").tolist() == [
             c for s in state.sentences for c in s.noisy_i
         ]
+        for track in TRACKS:  # written into the arrays network 2's process shares
+            assert state.corpus.tracks[track] is tracks[track]
+            assert np.array_equal(tracks[track], predicted[track])
+        assert np.array_equal(state.corpus.track("gold"), gold)
         assert track_snapshot(corpus) == before  # the caller's corpus is not mutated
 
     def test_idempotent_for_fixed_teachers(self, vocab):
+        """Teachers predict from the tokens alone, so a second rewrite with the
+        same teachers changes nothing."""
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab)
         p1, p2 = pretrain(config, corpus, vocab)
         state = fresh_state(config, corpus, vocab, p1, p2)
-        collaborative_update(state, vocab)
+        collaborative_update(state, peer_predictions(state, vocab))
         first = [s.noisy_i for s in state.sentences]
-        collaborative_update(state, vocab)
+        collaborative_update(state, peer_predictions(state, vocab))
         assert [s.noisy_i for s in state.sentences] == first
 
 
