@@ -182,11 +182,12 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
     (train_corpus, dev_corpus), vocab = _load_corpora(train_path, dev_path)
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    (out / "best.json").unlink(missing_ok=True)  # written last: present only after a complete run
-    atomic_write_text(out / "config.txt", config.to_text())
 
     def on_epoch(epoch: int, state) -> None:
+        if epoch == 0:  # `train` has checked its inputs; a failed run leaves the directory as it was
+            ckpt_dir.mkdir(parents=True, exist_ok=True)
+            (out / "best.json").unlink(missing_ok=True)  # written last: present only after a complete run
+            atomic_write_text(out / "config.txt", config.to_text())
         for name, params in state.models().items():
             save_checkpoint(params, ckpt_dir / f"{name}_epoch{epoch}.ckpt")
 
@@ -254,13 +255,9 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     base = _load_config(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for ablation in ABLATIONS:
         config = replace(base, ablations=frozenset({ablation}))
-        run_dir = out / ablation
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _run_train(config, args.train, args.dev, run_dir, ablation)
+        _run_train(config, args.train, args.dev, Path(args.out_dir) / ablation, ablation)
     return 0
 
 

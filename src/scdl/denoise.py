@@ -66,17 +66,28 @@ def token_selection(
     return _indices(consistent_mask(noisy_tags, pseudo) & confident_mask(teacher_dists, delta))
 
 
-def ema_update(pair: TeacherStudentPair, *, in_place: bool = False) -> TeacherStudentPair:
+def ema_update(pair: TeacherStudentPair, *, in_place: bool = False, moving=None) -> TeacherStudentPair:
     """teacher <- alpha * teacher + (1 - alpha) * student; student untouched.
 
     The new teacher goes into a copy or, with `in_place`, into the
     teacher's own buffers, which must not share memory with the student's.
     Either way each element rounds exactly as alpha * t + (1 - alpha) * s.
+
+    With `moving`, a boolean mask over the embedding rows, only its rows
+    are updated, and those left bit for bit as they were are cleared: the
+    update is a fixed function of (t, s), so they stay so until the caller
+    marks a change of their student rows. The result is the dense one's.
     """
     if not in_place:
         pair = TeacherStudentPair(pair.teacher.copy(), pair.student, pair.alpha)
     a = pair.alpha
-    for t, s in zip(pair.teacher.blocks(), pair.student.blocks()):
+    blocks = list(zip(pair.teacher.blocks(), pair.student.blocks()))
+    if moving is not None:
+        (t, s), rows = blocks.pop(0), np.flatnonzero(moving)
+        old = t[rows]
+        t[rows] = new = old * a + (1.0 - a) * s[rows]
+        moving[rows] = (new.view(np.int64) != old.view(np.int64)).any(axis=1)  # bits, so -0.0 != 0.0
+    for t, s in blocks:
         t *= a
         t += (1.0 - a) * s
     return pair

@@ -165,21 +165,29 @@ class TokenBatch:
             self._windows[window] = np.stack(columns, axis=1)
         return self._windows[window]
 
-    def take(self, sentences) -> "TokenBatch":
+    def take(self, sentences, tracks=None) -> "TokenBatch":
         """The given sentences, in the given order, as a new batch that copies
-        their ids, tracks and window rows: a shuffled training batch."""
+        their ids, window rows and tracks (those named in `tracks`, or all):
+        the batches of a training segment or pretraining epoch, read by `view`."""
         sentences = np.asarray(sentences, dtype=np.int64)
         lengths = self.offsets[sentences + 1] - self.offsets[sentences]
         offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         tokens = np.arange(offsets[-1]) + np.repeat(self.offsets[sentences] - offsets[:-1], lengths)
+        names = self.tracks if tracks is None else tracks
         batch = TokenBatch(
-            self.ids[tokens],
-            offsets,
-            self.buckets,
-            {name: tags[tokens] for name, tags in self.tracks.items()},
+            self.ids[tokens], offsets, self.buckets, {name: self.track(name)[tokens] for name in names}
         )
         batch._windows.update((w, ctx[tokens]) for w, ctx in self._windows.items())
+        return batch
+
+    def view(self, start: int, stop: int) -> "TokenBatch":
+        """Sentences start..stop as a batch of views of this one's ids, tracks
+        and window rows, with offsets rebased to 0: one step of a gathered segment."""
+        a, b = self.offsets[start], self.offsets[stop]
+        tracks = {name: tags[a:b] for name, tags in self.tracks.items()}
+        batch = TokenBatch(self.ids[a:b], self.offsets[start : stop + 1] - a, self.buckets, tracks)
+        batch._windows.update((w, ctx[a:b]) for w, ctx in self._windows.items())
         return batch
 
     def split(self, values) -> list[list]:
@@ -260,11 +268,20 @@ def _one_hot(tags, num_tags) -> np.ndarray:
 
 
 def loss_hard(params: TaggerParams, batch, track: str):
-    """Mean token-level cross entropy on the chosen track, with gradient."""
+    """Mean token-level cross entropy on the chosen track, with gradient:
+    `loss_soft`'s with one-hot targets, formed from the labels' own probabilities."""
+    if len(batch) == 0:
+        raise ValueError("empty batch")
     batch = as_batch(batch, params.config.vocab_hash_buckets)
     tags = batch.track(track)
-    targets = _one_hot(tags, params.config.num_tags)
-    return loss_soft(params, batch, targets, np.ones(len(tags), dtype=bool))
+    if len(tags) == 0:
+        return 0.0, zeros_like(params)
+    ctx = batch.context_ids(params.config.window)
+    x, h, probs = _forward_cache(params, ctx)
+    z, tokens = len(tags), np.arange(len(tags))
+    loss = -float(np.log(probs[tokens, tags]).sum())
+    probs[tokens, tags] -= 1.0
+    return loss / z, _backprop(params, ctx, x, h, probs / z)
 
 
 def _flat_rows(batch: TokenBatch, rows, what: str) -> np.ndarray:
@@ -283,9 +300,9 @@ def loss_soft(params: TaggerParams, batch, teacher_dists, masks):
 
     `teacher_dists` and `masks` are flat over the batch's tokens, or one
     array per sentence; masks are boolean and unselected tokens
-    contribute nothing to loss or gradient. The loss is divided by the
-    number of tokens in the batch. With no token selected the result is
-    (0, zero gradient).
+    contribute nothing to loss or gradient, and neither do zero targets to
+    the loss. The loss is divided by the number of tokens in the batch.
+    With no token selected the result is (0, zero gradient).
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -299,7 +316,8 @@ def loss_soft(params: TaggerParams, batch, teacher_dists, masks):
     z = len(batch.ids)
     ctx = batch.context_ids(params.config.window)[mask]
     x, h, probs = _forward_cache(params, ctx)
-    loss = -float((target * np.log(probs)).sum())
+    held = target != 0
+    loss = -float((target[held] * np.log(probs[held])).sum())
     dlogits = (probs - target) / z
     return loss / z, _backprop(params, ctx, x, h, dlogits)
 

@@ -210,6 +210,14 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size].tolist()
 
 
+def _gathered(corpus: TokenBatch, batches, track: str) -> list[TokenBatch]:
+    """`batches` (lists of sentence indices) as views of one `take` of their sentences
+    in batch order, with `track` and the window rows: valid while no track changes."""
+    whole = corpus.take(np.concatenate(batches), tracks=(track,))
+    bounds = np.cumsum([0, *map(len, batches)]).tolist()
+    return [whole.view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _shared(arrays) -> list[np.ndarray]:
     """Copies of `arrays` in one anonymous shared mapping: what a forked
     child writes into them in place, the caller sees."""
@@ -355,7 +363,7 @@ def pretrain(
     `corpus` is a list of sentences or a TokenBatch of them. All steps
     form one segment, which network 1 trains here and network 2 in a
     forked child or here after network 1 (see `_Peer`); the models
-    returned are views of shared memory.
+    returned are views of shared memory. Each epoch's batches are gathered once.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -366,30 +374,30 @@ def pretrain(
     for p in params:
         corpus.context_ids(p.config.window)  # built once; every batch takes its rows
     per_epoch = math.ceil(len(corpus) / config.batch_size)
-    steps = [  # (epoch, batch in epoch, sentences), every epoch's order drawn before training
-        (epoch, b, batch_idx)
-        for epoch in range(config.pretrain_epochs)
-        for b, batch_idx in enumerate(_batches(rng.permutation(len(corpus)), config.batch_size))
+    epochs = [  # each epoch's batches, every epoch's order drawn before training
+        list(_batches(rng.permutation(len(corpus)), config.batch_size))
+        for _ in range(config.pretrain_epochs)
     ]
 
     def run(k: int, segment):
-        p, where = params[k - 1], None
+        p, track = params[k - 1], TRACKS[k - 1]
         try:
-            for epoch, b, batch_idx in segment:
-                where = (epoch, b, k)
-                loss, grad = loss_hard(p, corpus.take(batch_idx), TRACKS[k - 1])
-                _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
-                sgd_step(p, grad, config.gamma, in_place=True)
-                if b == per_epoch - 1:
-                    where = (epoch, per_epoch, k)  # after the epoch's last batch
-                    _check_parameters({f"network{k}": p}, f"after pretrain epoch {epoch}")
+            for epoch, batches in enumerate(segment):
+                where = (epoch, 0, k)
+                for b, batch in enumerate(_gathered(corpus, batches, track)):
+                    where = (epoch, b, k)
+                    loss, grad = loss_hard(p, batch, track)
+                    _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
+                    sgd_step(p, grad, config.gamma, in_place=True)
+                where = (epoch, per_epoch, k)  # after the epoch's last batch
+                _check_parameters({f"network{k}": p}, f"after pretrain epoch {epoch}")
         except Exception as exc:
             return [], (where, exc)
         return [], None
 
     with _Peer(run) as peer:
-        if steps:
-            peer.both(steps)  # one segment of every step
+        if epochs:
+            peer.both(epochs)  # one segment of every step
     return tuple(params)
 
 
@@ -402,6 +410,7 @@ def self_denoise_step(
     dropout_rng: np.random.Generator | None = None,
     *,
     in_place: bool = False,
+    moving: np.ndarray | None = None,
 ) -> tuple[TeacherStudentPair, MaskStats]:
     """One inner-loop step: select tokens, update student, EMA the teacher.
 
@@ -415,7 +424,8 @@ def self_denoise_step(
     padding bucket, which moves it off that point; it needs
     `dropout_rng`. When nothing is selected, both models are left
     untouched. The updated models are copies or, with `in_place`, the
-    pair's own buffers written over.
+    pair's own buffers written over. The step marks the rows it touched
+    in `moving`, the mask of rows `ema_update` updates, with the same result.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -441,7 +451,9 @@ def self_denoise_step(
     loss, grad = loss_soft(pair.student, student_batch, targets, mask)
     _check_finite(loss, "self denoising")
     student = sgd_step(pair.student, grad, config.gamma, in_place=in_place)
-    pair = ema_update(TeacherStudentPair(pair.teacher, student, pair.alpha), in_place=in_place)
+    if moving is not None:
+        moving[grad.rows] = True
+    pair = ema_update(TeacherStudentPair(pair.teacher, student, pair.alpha), in_place=in_place, moving=moving)
     return pair, MaskStats(selected, len(noisy), loss)
 
 
@@ -502,6 +514,7 @@ def train(
     The networks train one segment at a time, the batches up to the next
     rewrite or epoch end, with one `_Peer` call each: network 2 in a
     forked child while network 1 trains here, or here after network 1.
+    Each gathers its segment's batches once and keeps its `ema_update` mask.
     Each network ends its segment in its own process: at a rewrite its
     teacher predicts the peer's track, and at an epoch end it checks its
     teacher's and student's parameters and scores both on dev. Once both
@@ -533,6 +546,7 @@ def train(
     )
     single = "single_network" in config.ablations
     drop_rngs = {k: np.random.default_rng([config.seed, k]) for k in (1, 2)}
+    moving = {k: np.ones(config.hash_buckets, dtype=bool) for k in (1, 2)}  # each pair's ema_update mask
     per_epoch = math.ceil(len(corpus) / config.batch_size)
     cycle = config.update_cycle or 7 * per_epoch
 
@@ -566,11 +580,11 @@ def train(
         models' dev scores at an epoch end: ((selected, total) per step,
         labels or None, scores or None)."""
         first, batches, rewrite, epoch_end = segment
-        pair, stats, step = getattr(state, f"pair{k}"), [], first
+        pair, stats, step, track = getattr(state, f"pair{k}"), [], first, TRACKS[k - 1]
         try:
-            for step, batch_idx in enumerate(batches, start=first):
+            for step, batch in enumerate(_gathered(corpus, batches, track), start=first):
                 pair, mask_stats = self_denoise_step(
-                    pair, corpus.take(batch_idx), TRACKS[k - 1], config, vocab, drop_rngs[k], in_place=True
+                    pair, batch, track, config, vocab, drop_rngs[k], in_place=True, moving=moving[k]
                 )
                 stats.append((mask_stats.selected, mask_stats.total))
             setattr(state, f"pair{k}", pair)

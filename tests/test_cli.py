@@ -314,6 +314,32 @@ def test_empty_dev_fails_before_pretraining(workspace, monkeypatch, capsys, comm
     assert capsys.readouterr().err == "error: empty dev corpus\n"
 
 
+@pytest.mark.parametrize(
+    "command, empty, error",
+    [("train", "--dev", "empty dev corpus"), ("train", "--train", "empty corpus"),
+     ("ablate", "--dev", "empty dev corpus")],
+)
+def test_failed_run_leaves_the_earlier_run_unchanged(workspace, capsys, command, empty, error):
+    """A run that fails on its inputs writes and deletes nothing in --out-dir:
+    the complete run there (under `scdl ablate`, its first variant's) stays
+    byte for byte."""
+    out_dir = workspace["dir"] / "run"
+    run_dir = out_dir / ABLATIONS[0] if command == "ablate" else out_dir
+    config = workspace["dir"] / "config_2.txt"
+    config.write_text(FAST_CONFIG.replace("pretrain_epochs=1", "pretrain_epochs=2"))
+    args = ["--train", str(workspace["train"]), "--dev", str(workspace["dev"])]
+    assert main(["train", "--config", str(workspace["config"]), *args, "--out-dir", str(run_dir),
+                 *(["--ablate", ABLATIONS[0]] if command == "ablate" else [])]) == 0
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    assert run_dir / "best.json" in before
+    capsys.readouterr()
+    (workspace["dir"] / "empty.conll").write_text("")
+    args[args.index(empty) + 1] = str(workspace["dir"] / "empty.conll")
+    assert main([command, "--config", str(config), *args, "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+
+
 def sentence_checksum(rows) -> str:
     """The per-sentence track checksum that `scdl train` has always written."""
     h = hashlib.md5()

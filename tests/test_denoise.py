@@ -176,6 +176,47 @@ class TestEma:
         for a, b in zip(student.blocks(), s_before.blocks()):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.995, 1.0])
+    def test_moving_rows_equal_dense_step_after_step(self, alpha):
+        """The masked update against the dense one, bit for bit, while student
+        rows 4-7 change now and then. Row 1's teacher flips from -0.0 to 0.0,
+        equal in value but not in bits, and settles only a step later; row 2
+        holds a NaN; row 3's student turns NaN halfway."""
+        rng = np.random.default_rng(9)
+        teacher, student = random_grads(rng, init_params(TINY), 2)
+        teacher.embedding[1], student.embedding[1] = -0.0, 0.0
+        teacher.embedding[2, 0] = np.nan
+        dense = TeacherStudentPair(teacher.copy(), student.copy(), alpha)
+        masked = TeacherStudentPair(teacher.copy(), student.copy(), alpha)
+        moving = np.ones(TINY.vocab_hash_buckets, dtype=bool)
+        for step in range(30):
+            rows = 4 + rng.choice(4, size=int(rng.integers(0, 3)), replace=False)
+            change = rng.normal(size=(len(rows), TINY.embed_dim))
+            if step == 15:
+                rows, change = np.array([3]), np.full((1, TINY.embed_dim), np.nan)
+            for pair in (dense, masked):
+                pair.student.embedding[rows] += change
+                pair.student.out_b[:] += 0.25
+            moving[rows] = True
+            assert ema_update(dense, in_place=True) is dense
+            assert ema_update(masked, in_place=True, moving=moving) is masked
+            for a, b in zip(dense.teacher.blocks(), masked.teacher.blocks()):
+                assert a.tobytes() == b.tobytes()
+            assert moving[1] == (step == 0)  # kept after the sign flip, settled after it
+        assert masked.teacher.embedding[1].tobytes() == np.zeros(TINY.embed_dim).tobytes()
+        assert np.isnan(masked.teacher.embedding[3]).all()
+
+    def test_fresh_mask_gives_the_dense_update(self):
+        rng = np.random.default_rng(4)
+        teacher, student = random_grads(rng, init_params(TINY), 2)
+        pair = TeacherStudentPair(teacher, student, 0.9)
+        moving = np.ones(TINY.vocab_hash_buckets, dtype=bool)
+        masked = ema_update(pair, moving=moving)
+        for a, b in zip(masked.teacher.blocks(), ema_update(pair).teacher.blocks()):
+            assert a.tobytes() == b.tobytes()
+        assert moving.all()  # every row moved
+        assert pair.teacher is teacher and masked.teacher is not teacher
+
     def test_closed_form_empty(self):
         theta0 = init_params(TINY)
         result = ema_closed_form(theta0, [], 0.1, 0.99)

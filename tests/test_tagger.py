@@ -147,6 +147,37 @@ class TestFlatBatch:
         assert np.array_equal(part.context_ids(1), fresh.context_ids(1))
         assert part.split(part.track("gold")) == [corpus[i].gold for i in order]
 
+    def test_take_copies_only_the_named_tracks(self):
+        corpus = make_synthetic_corpus(6, TagVocabulary(["PER", "LOC"]), seed=4)
+        full = encode(corpus, 64)
+        part = full.take([3, 1], tracks=("noisy_ii",))
+        assert list(part.tracks) == ["noisy_ii"]
+        assert np.array_equal(part.track("noisy_ii"), full.take([3, 1]).track("noisy_ii"))
+        with pytest.raises(ValueError, match="'silver' missing"):
+            full.take([0], tracks=("silver",))
+
+    def test_views_of_one_take_equal_a_take_per_batch(self):
+        """Each batch read as a view of one gather of all of them in order:
+        ids, offsets, every track and window table as its own `take` has them,
+        the short last batch and an empty sentence included."""
+        vocab = TagVocabulary(["PER", "LOC", "ORG", "MISC"])
+        corpus = make_synthetic_corpus(11, vocab, seed=5)
+        corpus[4] = AnnotatedSentence([], gold=[], noisy_i=[], noisy_ii=[])
+        full = encode(corpus, 64)
+        full.context_ids(1), full.context_ids(2)
+        batches = [[9, 4, 0, 7], [2, 10, 5, 1], [8, 3]]
+        whole = full.take(np.concatenate(batches))
+        for start, batch in zip((0, 4, 8), batches):
+            view, expected = whole.view(start, start + len(batch)), full.take(batch)
+            assert np.shares_memory(view.ids, whole.ids)
+            assert np.array_equal(view.ids, expected.ids)
+            assert np.array_equal(view.offsets, expected.offsets)
+            assert view.tracks.keys() == expected.tracks.keys()
+            for name, tags in expected.tracks.items():
+                assert np.array_equal(view.track(name), tags)
+            for window in (1, 2):
+                assert np.array_equal(view.context_ids(window), expected.context_ids(window))
+
     def test_flat_forward_equals_one_sentence_forward(self):
         params = init_params(SMALL)
         token_lists = [["a"], [], ["b", "c", "a", "d"], ["c", "c"]]
@@ -193,6 +224,26 @@ class TestLosses:
         batch = random_batch(np.random.default_rng(0), vocab)
         loss, _ = loss_hard(params, batch, "noisy_i")
         assert loss == pytest.approx(math.log(5), abs=1e-12)
+
+    def test_hard_loss_survives_an_underflowing_tag(self):
+        """A tag no token carries may have probability 0: the loss is the
+        labels' own cross entropy, with no warning, and the gradient is the
+        one-hot soft loss's bit for bit."""
+        config = TaggerConfig(num_tags=3, vocab_hash_buckets=8, embed_dim=2, window=0, hidden_dim=2)
+        params = zeros_like(init_params(config))
+        params.out_b[:] = [0.0, 0.0, -1000.0]
+        batch = encode([AnnotatedSentence(["a", "b"], noisy_i=[0, 0])], 8)
+        with np.errstate(divide="raise", invalid="raise"):
+            loss, grad = loss_hard(params, batch, "noisy_i")
+            soft_loss, soft_grad = loss_soft(params, batch, np.array([[1.0, 0, 0]] * 2), np.ones(2, bool))
+        assert loss == pytest.approx(math.log(2), abs=1e-12)
+        assert soft_loss == loss
+        assert same_bits(grad, soft_grad)
+
+    def test_hard_loss_of_tokenless_sentences_is_zero(self):
+        params = init_params(SMALL)
+        loss, grad = loss_hard(params, [AnnotatedSentence([], noisy_i=[])] * 2, "noisy_i")
+        assert loss == 0.0 and all(not b.any() for b in grad.blocks())
 
     def test_empty_batch_rejected(self):
         params = init_params(SMALL)

@@ -472,6 +472,35 @@ class TestBatches:
         batches = list(_batches(order, 4))
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
+    def test_step_views_equal_a_take_per_batch(self, vocab, monkeypatch):
+        """Every batch pretrain and train step over, read from one gather per
+        epoch or segment, equals that batch's own `take` when the step runs:
+        ids, offsets, the network's track and the window rows. 45 sentences
+        make 3 batches an epoch, the last of 13; update_cycle=2 ends some
+        segments mid-epoch."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 2, "update_cycle": 2}, delta=0.6)
+        monkeypatch.setattr(training, "_FORK", None)  # both networks gather here
+        gathered, original = [], training._gathered
+
+        def checked(corpus, batches, track):
+            views = original(corpus, batches, track)
+            gathered.append([len(b) for b in batches])
+            for batch, view in zip(batches, views, strict=True):
+                expected = corpus.take(batch)
+                assert np.array_equal(view.ids, expected.ids)
+                assert np.array_equal(view.offsets, expected.offsets)
+                assert list(view.tracks) == [track]
+                assert np.array_equal(view.track(track), expected.track(track))
+                for window in (config.net1_window, config.net2_window):
+                    assert np.array_equal(view.context_ids(window), expected.context_ids(window))
+            return views
+
+        monkeypatch.setattr(training, "_gathered", checked)
+        train(config, noisy_corpus(vocab, n=45), make_synthetic_corpus(8, vocab, seed=999), vocab)
+        pretrain_epochs = [[16, 16, 13]] * 2 * config.pretrain_epochs  # each network's epochs
+        segments = [[16, 16], [13], [16], [16, 13]]  # to steps 2 (rewrite), 3 (epoch end), 4, 6
+        assert gathered == pretrain_epochs + [s for s in segments for _ in range(2)]
+
 
 class TestTrain:
     def _dev(self, vocab, n=24):
