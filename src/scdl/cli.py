@@ -182,6 +182,8 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
     (train_corpus, dev_corpus), vocab = _load_corpora(train_path, dev_path)
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
+    if not next(p for p in (ckpt_dir, *ckpt_dir.parents) if p.exists()).is_dir():  # before training
+        raise NotADirectoryError(f"cannot make {ckpt_dir}: a file is in the way")
 
     def on_epoch(epoch: int, state) -> None:
         if epoch == 0:  # `train` has checked its inputs; a failed run leaves the directory as it was

@@ -73,16 +73,16 @@ def ema_update(pair: TeacherStudentPair, *, in_place: bool = False, moving=None)
     teacher's own buffers, which must not share memory with the student's.
     Either way each element rounds exactly as alpha * t + (1 - alpha) * s.
 
-    With `moving`, a boolean mask over the embedding rows, only its rows
-    are updated, and those left bit for bit as they were are cleared: the
-    update is a fixed function of (t, s), so they stay so until the caller
-    marks a change of their student rows. The result is the dense one's.
+    With `moving`, a boolean mask over the embedding rows, only marked rows are
+    updated; those it left bit for bit are cleared, and as the update is a fixed
+    function of (t, s) they stay so until the caller marks their student rows. With
+    over an eighth marked, short of all, the whole table is updated and the mask kept.
     """
     if not in_place:
         pair = TeacherStudentPair(pair.teacher.copy(), pair.student, pair.alpha)
     a = pair.alpha
     blocks = list(zip(pair.teacher.blocks(), pair.student.blocks()))
-    if moving is not None:
+    if moving is not None and not len(moving) // 8 < np.count_nonzero(moving) < len(moving):
         (t, s), rows = blocks.pop(0), np.flatnonzero(moving)
         old = t[rows]
         t[rows] = new = old * a + (1.0 - a) * s[rows]

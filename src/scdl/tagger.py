@@ -165,18 +165,20 @@ class TokenBatch:
             self._windows[window] = np.stack(columns, axis=1)
         return self._windows[window]
 
-    def take(self, sentences, tracks=None) -> "TokenBatch":
+    def take(self, sentences) -> "TokenBatch":
         """The given sentences, in the given order, as a new batch that copies
-        their ids, window rows and tracks (those named in `tracks`, or all):
-        the batches of a training segment or pretraining epoch, read by `view`."""
+        their ids, tracks and window rows: the batches of a training segment
+        or pretraining epoch, each step read as a `view` of it."""
         sentences = np.asarray(sentences, dtype=np.int64)
         lengths = self.offsets[sentences + 1] - self.offsets[sentences]
         offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         tokens = np.arange(offsets[-1]) + np.repeat(self.offsets[sentences] - offsets[:-1], lengths)
-        names = self.tracks if tracks is None else tracks
         batch = TokenBatch(
-            self.ids[tokens], offsets, self.buckets, {name: self.track(name)[tokens] for name in names}
+            self.ids[tokens],
+            offsets,
+            self.buckets,
+            {name: tags[tokens] for name, tags in self.tracks.items()},
         )
         batch._windows.update((w, ctx[tokens]) for w, ctx in self._windows.items())
         return batch
@@ -268,8 +270,7 @@ def _one_hot(tags, num_tags) -> np.ndarray:
 
 
 def loss_hard(params: TaggerParams, batch, track: str):
-    """Mean token-level cross entropy on the chosen track, with gradient:
-    `loss_soft`'s with one-hot targets, formed from the labels' own probabilities."""
+    """Mean token-level cross entropy on the chosen track, with gradient, from each label's probability."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     batch = as_batch(batch, params.config.vocab_hash_buckets)

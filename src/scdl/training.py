@@ -210,10 +210,12 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size].tolist()
 
 
-def _gathered(corpus: TokenBatch, batches, track: str) -> list[TokenBatch]:
-    """`batches` (lists of sentence indices) as views of one `take` of their sentences
-    in batch order, with `track` and the window rows: valid while no track changes."""
-    whole = corpus.take(np.concatenate(batches), tracks=(track,))
+def _gathered(corpus: TokenBatch, batches, track: str, model: TaggerParams) -> list[TokenBatch]:
+    """Views of one `take` of `batches` (lists of sentence indices) in batch order, holding what
+    `model`'s steps read (ids, `track`, window rows); valid while no track changes."""
+    read = TokenBatch(corpus.ids, corpus.offsets, corpus.buckets, {track: corpus.track(track)})
+    read._windows[model.config.window] = corpus.context_ids(model.config.window)
+    whole = read.take(np.concatenate(batches))
     bounds = np.cumsum([0, *map(len, batches)]).tolist()
     return [whole.view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -373,23 +375,19 @@ def pretrain(
     corpus = as_batch(corpus, config.hash_buckets)
     for p in params:
         corpus.context_ids(p.config.window)  # built once; every batch takes its rows
-    per_epoch = math.ceil(len(corpus) / config.batch_size)
-    epochs = [  # each epoch's batches, every epoch's order drawn before training
-        list(_batches(rng.permutation(len(corpus)), config.batch_size))
-        for _ in range(config.pretrain_epochs)
-    ]
+    orders = [rng.permutation(len(corpus)) for _ in range(config.pretrain_epochs)]  # drawn before training
+    epochs = [list(_batches(order, config.batch_size)) for order in orders]
 
     def run(k: int, segment):
-        p, track = params[k - 1], TRACKS[k - 1]
+        p, track, where = params[k - 1], TRACKS[k - 1], (0, 0, k)
         try:
             for epoch, batches in enumerate(segment):
-                where = (epoch, 0, k)
-                for b, batch in enumerate(_gathered(corpus, batches, track)):
+                for b, batch in enumerate(_gathered(corpus, batches, track, p)):
                     where = (epoch, b, k)
                     loss, grad = loss_hard(p, batch, track)
                     _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
                     sgd_step(p, grad, config.gamma, in_place=True)
-                where = (epoch, per_epoch, k)  # after the epoch's last batch
+                where = (epoch, len(batches), k)  # after the epoch's last batch
                 _check_parameters({f"network{k}": p}, f"after pretrain epoch {epoch}")
         except Exception as exc:
             return [], (where, exc)
@@ -424,8 +422,7 @@ def self_denoise_step(
     padding bucket, which moves it off that point; it needs
     `dropout_rng`. When nothing is selected, both models are left
     untouched. The updated models are copies or, with `in_place`, the
-    pair's own buffers written over. The step marks the rows it touched
-    in `moving`, the mask of rows `ema_update` updates, with the same result.
+    pair's own buffers written over; `moving` gets the gradient's rows marked.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -514,7 +511,6 @@ def train(
     The networks train one segment at a time, the batches up to the next
     rewrite or epoch end, with one `_Peer` call each: network 2 in a
     forked child while network 1 trains here, or here after network 1.
-    Each gathers its segment's batches once and keeps its `ema_update` mask.
     Each network ends its segment in its own process: at a rewrite its
     teacher predicts the peer's track, and at an epoch end it checks its
     teacher's and student's parameters and scores both on dev. Once both
@@ -582,7 +578,7 @@ def train(
         first, batches, rewrite, epoch_end = segment
         pair, stats, step, track = getattr(state, f"pair{k}"), [], first, TRACKS[k - 1]
         try:
-            for step, batch in enumerate(_gathered(corpus, batches, track), start=first):
+            for step, batch in enumerate(_gathered(corpus, batches, track, pair.student), start=first):
                 pair, mask_stats = self_denoise_step(
                     pair, batch, track, config, vocab, drop_rngs[k], in_place=True, moving=moving[k]
                 )

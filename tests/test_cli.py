@@ -340,6 +340,33 @@ def test_failed_run_leaves_the_earlier_run_unchanged(workspace, capsys, command,
     assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("blocked", ["out-dir", "parent", "checkpoints"])
+def test_out_dir_blocked_by_a_file_fails_before_training(workspace, monkeypatch, capsys, command, blocked):
+    """An --out-dir that cannot hold a run, because it, one of its parents or
+    the run's checkpoints directory is a regular file, fails before pretraining."""
+    import scdl.training as training
+
+    def pretrain(*args):
+        raise AssertionError("pretrained into an unusable --out-dir")
+
+    monkeypatch.setattr(training, "pretrain", pretrain)
+    out_dir = workspace["dir"] / "run"
+    blocker = out_dir
+    if blocked == "parent":
+        out_dir = out_dir / "sub"
+    elif blocked == "checkpoints":
+        blocker = out_dir / ABLATIONS[0] / "checkpoints" if command == "ablate" else out_dir / "checkpoints"
+        blocker.parent.mkdir(parents=True)
+    blocker.write_text("a file\n")
+    assert main([
+        command, "--config", str(workspace["config"]), "--train", str(workspace["train"]),
+        "--dev", str(workspace["dev"]), "--out-dir", str(out_dir),
+    ]) == 1
+    assert "a file is in the way" in capsys.readouterr().err
+    assert blocker.read_text() == "a file\n"
+
+
 def sentence_checksum(rows) -> str:
     """The per-sentence track checksum that `scdl train` has always written."""
     h = hashlib.md5()

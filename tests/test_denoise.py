@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,33 +180,52 @@ class TestEma:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.995, 1.0])
     def test_moving_rows_equal_dense_step_after_step(self, alpha):
-        """The masked update against the dense one, bit for bit, while student
-        rows 4-7 change now and then. Row 1's teacher flips from -0.0 to 0.0,
-        equal in value but not in bits, and settles only a step later; row 2
-        holds a NaN; row 3's student turns NaN halfway."""
+        """The masked update against the dense one, bit for bit, over 64 rows
+        that start settled (all zero). Row 1's teacher flips from -0.0 to 0.0,
+        equal in value but not in bits, and settles a step later; row 2 holds
+        a NaN whose bits repeat, so it settles at once. Student rows 4-7 change
+        now and then; at step 10 rows 8-27 change, more than an eighth, so the
+        whole table is updated and the mask is left as it was; at step 15 row
+        3's student turns NaN and every row is marked, which clears the settled
+        ones. Every row left unmarked is a fixed point of the next update."""
         rng = np.random.default_rng(9)
-        teacher, student = random_grads(rng, init_params(TINY), 2)
-        teacher.embedding[1], student.embedding[1] = -0.0, 0.0
-        teacher.embedding[2, 0] = np.nan
+        config = replace(TINY, vocab_hash_buckets=64)
+        teacher, student = random_grads(rng, init_params(config), 2)
+        teacher.embedding[:], student.embedding[:] = 0.0, 0.0
+        teacher.embedding[1], teacher.embedding[2, 0] = -0.0, np.nan
         dense = TeacherStudentPair(teacher.copy(), student.copy(), alpha)
         masked = TeacherStudentPair(teacher.copy(), student.copy(), alpha)
-        moving = np.ones(TINY.vocab_hash_buckets, dtype=bool)
+        moving, paths = np.ones(64, dtype=bool), set()
         for step in range(30):
             rows = 4 + rng.choice(4, size=int(rng.integers(0, 3)), replace=False)
-            change = rng.normal(size=(len(rows), TINY.embed_dim))
+            if step == 10:
+                rows = np.arange(8, 28)
+            change = rng.normal(size=(len(rows), config.embed_dim))
             if step == 15:
-                rows, change = np.array([3]), np.full((1, TINY.embed_dim), np.nan)
+                rows, change = np.array([3]), np.full((1, config.embed_dim), np.nan)
             for pair in (dense, masked):
                 pair.student.embedding[rows] += change
                 pair.student.out_b[:] += 0.25
-            moving[rows] = True
+            moving[np.arange(64) if step == 15 else rows] = True
+            marked, before = moving.copy(), masked.teacher.embedding.copy()
             assert ema_update(dense, in_place=True) is dense
             assert ema_update(masked, in_place=True, moving=moving) is masked
             for a, b in zip(dense.teacher.blocks(), masked.teacher.blocks()):
                 assert a.tobytes() == b.tobytes()
+            t, s = masked.teacher.embedding, masked.student.embedding
+            changed = (t.view(np.int64) != before.view(np.int64)).any(axis=1)
+            if 8 < marked.sum() < 64:
+                paths.add("dense")
+                assert np.array_equal(moving, marked)
+            else:
+                paths.add("masked")
+                assert np.array_equal(moving, changed)
+            assert (t * alpha + (1.0 - alpha) * s)[~moving].tobytes() == t[~moving].tobytes()
             assert moving[1] == (step == 0)  # kept after the sign flip, settled after it
-        assert masked.teacher.embedding[1].tobytes() == np.zeros(TINY.embed_dim).tobytes()
-        assert np.isnan(masked.teacher.embedding[3]).all()
+            assert not moving[2]
+        assert paths == {"dense", "masked"}
+        assert masked.teacher.embedding[1].tobytes() == np.zeros(config.embed_dim).tobytes()
+        assert np.isnan(masked.teacher.embedding[2, 0]) and np.isnan(masked.teacher.embedding[3]).all()
 
     def test_fresh_mask_gives_the_dense_update(self):
         rng = np.random.default_rng(4)

@@ -147,15 +147,6 @@ class TestFlatBatch:
         assert np.array_equal(part.context_ids(1), fresh.context_ids(1))
         assert part.split(part.track("gold")) == [corpus[i].gold for i in order]
 
-    def test_take_copies_only_the_named_tracks(self):
-        corpus = make_synthetic_corpus(6, TagVocabulary(["PER", "LOC"]), seed=4)
-        full = encode(corpus, 64)
-        part = full.take([3, 1], tracks=("noisy_ii",))
-        assert list(part.tracks) == ["noisy_ii"]
-        assert np.array_equal(part.track("noisy_ii"), full.take([3, 1]).track("noisy_ii"))
-        with pytest.raises(ValueError, match="'silver' missing"):
-            full.take([0], tracks=("silver",))
-
     def test_views_of_one_take_equal_a_take_per_batch(self):
         """Each batch read as a view of one gather of all of them in order:
         ids, offsets, every track and window table as its own `take` has them,

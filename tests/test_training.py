@@ -475,15 +475,16 @@ class TestBatches:
     def test_step_views_equal_a_take_per_batch(self, vocab, monkeypatch):
         """Every batch pretrain and train step over, read from one gather per
         epoch or segment, equals that batch's own `take` when the step runs:
-        ids, offsets, the network's track and the window rows. 45 sentences
-        make 3 batches an epoch, the last of 13; update_cycle=2 ends some
-        segments mid-epoch."""
-        config = ScdlConfig(**{**FAST, "max_epochs": 2, "update_cycle": 2}, delta=0.6)
+        ids, offsets, the network's track and window rows, and nothing else.
+        45 sentences make 3 batches an epoch, the last of 13; update_cycle=2
+        ends some segments mid-epoch. The networks' windows differ."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 2, "update_cycle": 2, "net2_window": 2}, delta=0.6)
         monkeypatch.setattr(training, "_FORK", None)  # both networks gather here
-        gathered, original = [], training._gathered
+        gathered, gathered_windows, original = [], set(), training._gathered
 
-        def checked(corpus, batches, track):
-            views = original(corpus, batches, track)
+        def checked(corpus, batches, track, model):
+            views = original(corpus, batches, track, model)
+            window = model.config.window
             gathered.append([len(b) for b in batches])
             for batch, view in zip(batches, views, strict=True):
                 expected = corpus.take(batch)
@@ -491,8 +492,9 @@ class TestBatches:
                 assert np.array_equal(view.offsets, expected.offsets)
                 assert list(view.tracks) == [track]
                 assert np.array_equal(view.track(track), expected.track(track))
-                for window in (config.net1_window, config.net2_window):
-                    assert np.array_equal(view.context_ids(window), expected.context_ids(window))
+                assert list(view._windows) == [window]
+                assert np.array_equal(view.context_ids(window), expected.context_ids(window))
+            gathered_windows.add((track, window))
             return views
 
         monkeypatch.setattr(training, "_gathered", checked)
@@ -500,6 +502,7 @@ class TestBatches:
         pretrain_epochs = [[16, 16, 13]] * 2 * config.pretrain_epochs  # each network's epochs
         segments = [[16, 16], [13], [16], [16, 13]]  # to steps 2 (rewrite), 3 (epoch end), 4, 6
         assert gathered == pretrain_epochs + [s for s in segments for _ in range(2)]
+        assert gathered_windows == {("noisy_i", 1), ("noisy_ii", 2)}
 
 
 class TestTrain:
