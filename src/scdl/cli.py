@@ -283,6 +283,9 @@ def cmd_sweep(args) -> int:
     run_configs = [replace(config, seed=seed) for seed in seeds]  # each seed checked before any run
     [sentences], vocab = _load_corpora(args.corpus)
     base_train, dev = _split_holdout(sentences)
+    missing = " and no ".join(what for what, part in (("training", base_train), ("dev", dev)) if not part)
+    if missing:  # checked before the first run
+        raise ValueError(f"--corpus {args.corpus}: the held-out split leaves no {missing} sentences")
     rows = []
     for k in ks:
         for seed, run_cfg in zip(seeds, run_configs):

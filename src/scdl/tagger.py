@@ -157,23 +157,31 @@ class TokenBatch:
             lengths = np.diff(self.offsets)
             pos = np.arange(n) - np.repeat(self.offsets[:-1], lengths)  # index in sentence
             left = np.repeat(lengths, lengths) - pos  # tokens from here to the sentence end
-            columns = []
+            table = np.full((n, 2 * window + 1), PAD_BUCKET, dtype=self.ids.dtype)
             for k in range(-window, window + 1):
-                inside = (pos + k >= 0) & (k < left)
-                source = np.clip(np.arange(n) + k, 0, max(n - 1, 0))
-                columns.append(np.where(inside, self.ids[source], PAD_BUCKET))
-            self._windows[window] = np.stack(columns, axis=1)
+                m = max(n - abs(k), 0)  # tokens whose k-th neighbour lies in the batch
+                if k >= 0:
+                    np.copyto(table[:m, window + k], self.ids[k : k + m], where=left[:m] > k)
+                else:
+                    np.copyto(table[n - m :, window + k], self.ids[:m], where=pos[n - m :] >= -k)
+            self._windows[window] = table
         return self._windows[window]
 
-    def take(self, sentences) -> "TokenBatch":
-        """The given sentences, in the given order, as a new batch that copies
-        their ids, tracks and window rows: the batches of a training segment
-        or pretraining epoch, each step read as a `view` of it."""
+    def positions(self, sentences) -> tuple[np.ndarray, np.ndarray]:
+        """The flat positions of the given sentences' tokens, in the given
+        order, and the offsets of those sentences laid end to end."""
         sentences = np.asarray(sentences, dtype=np.int64)
         lengths = self.offsets[sentences + 1] - self.offsets[sentences]
         offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         tokens = np.arange(offsets[-1]) + np.repeat(self.offsets[sentences] - offsets[:-1], lengths)
+        return tokens, offsets
+
+    def take(self, sentences) -> "TokenBatch":
+        """The given sentences, in the given order, as a new batch that copies
+        their ids, tracks and window rows: the batches of a training segment
+        or pretraining epoch, each step read as a `view` of it."""
+        tokens, offsets = self.positions(sentences)
         batch = TokenBatch(
             self.ids[tokens],
             offsets,

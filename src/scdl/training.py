@@ -154,7 +154,9 @@ class MaskStats:
 @dataclass
 class TrainState:
     """The two pairs and the training corpus hashed once, whose flat noisy
-    tracks the rewrites replace; `tokens` are the sentences' token lists."""
+    tracks the rewrites replace; `tokens` are the sentences' token lists.
+    The tracks are complete at epoch ends, in `epoch_callback` and in the
+    result; in between they are current only where the next segment reads."""
 
     pair1: TeacherStudentPair
     pair2: TeacherStudentPair
@@ -210,12 +212,18 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size].tolist()
 
 
+def _reading(corpus: TokenBatch, model: TaggerParams, *tracks: str) -> TokenBatch:
+    """A batch sharing `corpus`'s ids, the named tracks and `model`'s window
+    table and nothing else, so that a `take` of it copies only those."""
+    read = TokenBatch(corpus.ids, corpus.offsets, corpus.buckets, {t: corpus.track(t) for t in tracks})
+    read._windows[model.config.window] = corpus.context_ids(model.config.window)
+    return read
+
+
 def _gathered(corpus: TokenBatch, batches, track: str, model: TaggerParams) -> list[TokenBatch]:
     """Views of one `take` of `batches` (lists of sentence indices) in batch order, holding what
     `model`'s steps read (ids, `track`, window rows); valid while no track changes."""
-    read = TokenBatch(corpus.ids, corpus.offsets, corpus.buckets, {track: corpus.track(track)})
-    read._windows[model.config.window] = corpus.context_ids(model.config.window)
-    whole = read.take(np.concatenate(batches))
+    whole = _reading(corpus, model, track).take(np.concatenate(batches))
     bounds = np.cumsum([0, *map(len, batches)]).tolist()
     return [whole.view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -454,13 +462,14 @@ def self_denoise_step(
     return pair, MaskStats(selected, len(noisy), loss)
 
 
-def collaborative_update(state: TrainState, predicted: dict[str, np.ndarray]) -> None:
-    """Teachers rewrite each other's noisy track over the whole training set:
-    `predicted` maps each track to the labels its peer's teacher predicted
-    for it in its own process, which are written in place into the arrays
-    that network 2's process reads too. Nothing is predicted here."""
+def collaborative_update(state: TrainState, predicted: dict[str, np.ndarray], *, sentences=None) -> None:
+    """Teachers rewrite each other's noisy track: `predicted` maps each track
+    to the labels its peer's teacher predicted for it in its own process, of
+    the whole training set or of `sentences` (indices) in that order, which are
+    written in place into the arrays network 2's process reads too (see `train`)."""
+    tokens = slice(None) if sentences is None else state.corpus.positions(sentences)[0]
     for track, labels in predicted.items():
-        state.corpus.tracks[track][...] = labels
+        state.corpus.tracks[track][tokens] = labels
 
 
 def select_best(candidates) -> tuple[str, TaggerParams, float]:
@@ -512,7 +521,10 @@ def train(
     rewrite or epoch end, with one `_Peer` call each: network 2 in a
     forked child while network 1 trains here, or here after network 1.
     Each network ends its segment in its own process: at a rewrite its
-    teacher predicts the peer's track, and at an epoch end it checks its
+    teacher predicts the peer's track, only at the next segment's sentences
+    where that segment ends in a rewrite too, so the tracks are complete at
+    each epoch end, in `epoch_callback` and in the result, and in between
+    current where the next segment reads; at an epoch end it checks its
     teacher's and student's parameters and scores both on dev. Once both
     have replied, the tracks are written here (`collaborative_update`),
     the scores merged in MODEL_ORDER and recorded, and `epoch_callback`
@@ -526,6 +538,8 @@ def train(
     dev = encode(dev_corpus, config.hash_buckets)
     if len(dev) == 0:
         raise ValueError("empty dev corpus")
+    if len(corpus) == 0:
+        raise ValueError("empty training corpus")
     for what, batch, needed in (("training", corpus, ("gold", *TRACKS)), ("dev", dev, ("gold",))):
         for name in needed:
             if name not in batch.tracks:
@@ -571,11 +585,11 @@ def train(
             best = (name, params.copy(), f1)
 
     def run(k: int, segment):
-        """Network k's steps over (first step, batches, rewrite, epoch end),
-        then its teacher's labels for the peer's track at a rewrite and its
-        models' dev scores at an epoch end: ((selected, total) per step,
-        labels or None, scores or None)."""
-        first, batches, rewrite, epoch_end = segment
+        """Network k's steps over (first step, batches, rewrite, sentences, epoch
+        end), then at a rewrite its teacher's labels for the peer's track, of
+        `sentences` or, where None, of all, and at an epoch end its models' dev
+        scores: ((selected, total) per step, labels or None, scores or None)."""
+        first, batches, rewrite, sentences, epoch_end = segment
         pair, stats, step, track = getattr(state, f"pair{k}"), [], first, TRACKS[k - 1]
         try:
             for step, batch in enumerate(_gathered(corpus, batches, track, pair.student), start=first):
@@ -585,7 +599,8 @@ def train(
                 stats.append((mask_stats.selected, mask_stats.total))
             setattr(state, f"pair{k}", pair)
             step += 1  # a serial run reaches this work after every step of the segment
-            labels = predict_labels(pair.teacher, corpus, vocab) if rewrite else None
+            read = corpus if sentences is None else _reading(corpus, pair.teacher).take(sentences)
+            labels = predict_labels(pair.teacher, read, vocab) if rewrite else None
             names = MODEL_ORDER if single else MODEL_ORDER[2 * k - 2 : 2 * k]  # network k's models
             scores = score(names, step - 1) if epoch_end else None
         except Exception as exc:
@@ -601,7 +616,9 @@ def train(
             while batches:  # segments end at a rewrite or at the epoch's end
                 n = min(len(batches), cycle - state.step % cycle)
                 rewrite = not single and (state.step + n) % cycle == 0
-                segment = (state.step + 1, batches[:n], rewrite, n == len(batches))
+                partial = rewrite and len(batches) - n >= cycle  # the next segment ends in a rewrite too
+                sentences = np.concatenate(batches[n : n + cycle]) if partial else None
+                segment = (state.step + 1, batches[:n], rewrite, sentences, n == len(batches))
                 stats, labels, scores = zip(*peer.both(segment))
                 for step, selections in enumerate(zip(*stats), start=state.step + 1):
                     for k, (selected, total) in enumerate(selections, start=1):
@@ -609,7 +626,9 @@ def train(
                 batches = batches[n:]
                 state.step += n
                 if rewrite:  # only now that neither network reads its track
-                    collaborative_update(state, {"noisy_i": labels[1], "noisy_ii": labels[0]})
+                    predicted = {"noisy_i": labels[1], "noisy_ii": labels[0]}
+                    where = {"sentences": sentences} if partial else {}  # whole rewrites: (state, predicted)
+                    collaborative_update(state, predicted, **where)
             record(state.step, {name: s for part in scores for name, s in part.items()})
             if epoch_callback is not None:
                 epoch_callback(epoch, state)

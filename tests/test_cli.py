@@ -316,7 +316,7 @@ def test_empty_dev_fails_before_pretraining(workspace, monkeypatch, capsys, comm
 
 @pytest.mark.parametrize(
     "command, empty, error",
-    [("train", "--dev", "empty dev corpus"), ("train", "--train", "empty corpus"),
+    [("train", "--dev", "empty dev corpus"), ("train", "--train", "empty training corpus"),
      ("ablate", "--dev", "empty dev corpus")],
 )
 def test_failed_run_leaves_the_earlier_run_unchanged(workspace, capsys, command, empty, error):
@@ -567,14 +567,21 @@ class TestTrainCmd:
             "error: network 2's process exited with code -9 without replying\n"
         )
 
-    @pytest.mark.parametrize("ablate", [[], ["--ablate", "single_network"]])
-    def test_rewrite_hook_contract(self, workspace, monkeypatch, ablate):
+    @pytest.mark.parametrize(
+        "ablate, update_cycle",
+        [([], 5), (["--ablate", "single_network"], 5), ([], 1)],
+        ids=["ablate0", "ablate1", "partial"],
+    )
+    def test_rewrite_hook_contract(self, workspace, monkeypatch, ablate, update_cycle):
         """The benchmark's tracer wraps `training.collaborative_update` and hands
         its positional arguments to a hook before and after each call. `train`
         calls it by that name once per rewrite with two positional arguments,
-        `state` and the labels each peer teacher predicted, and it returns
-        with each track holding those labels. `single_network` rewrites
-        nothing and predicts no rewrite."""
+        `state` and the labels each peer teacher predicted, and, for a partial
+        rewrite, the next segment's sentences by keyword; it returns with each
+        track holding the peer teacher's labels at those sentences, or at all
+        of them. The whole training set is predicted only for rewrites that
+        an epoch end reads. `single_network` rewrites nothing and predicts no
+        rewrite."""
         import scdl.training as training
 
         original_update, original_predict = training.collaborative_update, training.predict_labels
@@ -584,8 +591,13 @@ class TestTrainCmd:
             original_update(*args, **kwargs)
             state, predicted = args[:2]
             peers = {"noisy_i": state.pair2.teacher, "noisy_ii": state.pair1.teacher}
-            calls.append((len(args), kwargs, sorted(predicted), all(
-                np.array_equal(state.corpus.tracks[t], original_predict(p, state.corpus, vocabs[-1]))
+            tokens = slice(None)
+            if "sentences" in kwargs:
+                tokens = state.corpus.positions(kwargs["sentences"])[0]
+            calls.append((len(args), {name: len(v) for name, v in kwargs.items()}, sorted(predicted), all(
+                np.array_equal(
+                    state.corpus.tracks[t][tokens], original_predict(p, state.corpus, vocabs[-1])[tokens]
+                )
                 for t, p in peers.items()
             )))
 
@@ -597,18 +609,24 @@ class TestTrainCmd:
         monkeypatch.setattr(training, "collaborative_update", spy)
         monkeypatch.setattr(training, "predict_labels", counting)
         config = workspace["dir"] / "config_4.txt"
-        config.write_text(FAST_CONFIG.replace("max_epochs=1", "max_epochs=4"))
+        text = FAST_CONFIG.replace("max_epochs=1", "max_epochs=4")
+        config.write_text(text.replace("update_cycle=5", f"update_cycle={update_cycle}"))
         assert main([
             "train", "--config", str(config), "--train", str(workspace["train"]),
             "--dev", str(workspace["dev"]), "--out-dir", str(workspace["dir"] / "run"), *ablate,
         ]) == 0
         rewrite_predictions = predicted_rows.count(48)  # the training set; dev has 16 sentences
+        # the caller predicts network 1's half, and network 2's too where it trains here
+        per_rewrite = 1 if training._can_fork() else 2
         if ablate:
             assert calls == [] and rewrite_predictions == 0
-        else:  # 3 steps an epoch, update_cycle=5: rewrites after steps 5 and 10
+        elif update_cycle == 5:  # 3 steps an epoch: rewrites after steps 5 and 10
             assert calls == [(2, {}, list(TRACKS), True)] * 2
-            # the caller predicts network 1's half, and network 2's too where it trains here
-            assert rewrite_predictions == (1 if training._can_fork() else 2) * len(calls)
+            assert rewrite_predictions == per_rewrite * len(calls)
+        else:  # a rewrite after every step: the next step's batch of 16 but at an epoch end
+            partial = (2, {"sentences": 16}, list(TRACKS), True)
+            assert calls == [partial, partial, (2, {}, list(TRACKS), True)] * 4
+            assert rewrite_predictions == per_rewrite * 4
 
     def test_rerun_with_fewer_epochs_leaves_only_its_files(self, workspace):
         """A run directory holds one run: a rerun removes the checkpoints of
@@ -903,6 +921,27 @@ class TestSweepCmd:
         ])
         assert rc == 1
         assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, missing", [("", "training and no dev"), ("Alice\tB-PER\nruns\tO\n\n", "training")]
+    )
+    def test_too_small_corpus_named_before_the_first_run(self, workspace, capsys, monkeypatch, text, missing):
+        """Holding out every fifth sentence must leave sentences to train on
+        and to score on dev; otherwise sweep exits 1 naming --corpus before
+        it injects noise or trains."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "inject_noise", no_run)
+        monkeypatch.setattr(cli, "train", no_run)
+        corpus, out = workspace["dir"] / "small.conll", workspace["dir"] / "s.csv"
+        corpus.write_text(text)
+        rc = main(["sweep", "--corpus", str(corpus), "--ks", "10", "--seeds", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --corpus {corpus}: the held-out split leaves no {missing} sentences\n"
+        )
         assert not out.exists()
 
     def test_empty_k_list(self, workspace):

@@ -125,13 +125,13 @@ class TestFlatBatch:
     @settings(max_examples=200)
     def test_context_ids_equal_per_sentence_stack(self, token_lists):
         batch = encode(sentences_of(*token_lists), 12)
-        for window in (0, 1, 2):
+        for window in (0, 1, 2, 3):
             expected = [
                 context_ids_per_sentence(token_ids(tokens, 12), window) for tokens in token_lists
             ]
             expected = np.concatenate(expected) if expected else np.zeros((0, 2 * window + 1))
             got = batch.context_ids(window)
-            assert got.shape == (len(batch.ids), 2 * window + 1)
+            assert got.shape == (len(batch.ids), 2 * window + 1) and got.dtype == np.int64
             assert np.array_equal(got, expected)
 
     def test_take_keeps_ids_tracks_and_windows(self):
@@ -453,16 +453,23 @@ class TestPrediction:
     )
     def test_chunks_equal_one_sentence_at_a_time(self, monkeypatch, lengths):
         """Prediction three sentences per forward pass, with one BIO repair of
-        the whole batch, labels each sentence as a pass over it alone does."""
+        the whole batch, labels each sentence as a pass over it alone does;
+        so a `take` of some sentences, shuffled, gets the whole batch's
+        labels at those sentences' tokens, as a partial rewrite needs."""
         monkeypatch.setattr(tagger_module, "PREDICT_CHUNK", 3)
         vocab = small_vocab()
         params = init_params(replace(SMALL, window=2, init_scale=2.0, init_seed=4))  # I-t at sentence starts
         rng = np.random.default_rng(0)
         corpus = sentences_of(*[[f"w{t}" for t in rng.integers(0, 30, n)] for n in lengths])
-        flat = predict_labels(params, encode(corpus, SMALL.vocab_hash_buckets), vocab)
+        batch = encode(corpus, SMALL.vocab_hash_buckets)
+        flat = predict_labels(params, batch, vocab)
         expected = [labels_from_dists(forward(params, [s]), vocab) for s in corpus]
         assert flat.dtype == np.int64
         assert flat.tolist() == [c for tags in expected for c in tags.tolist()]
+        for size in range(len(corpus) + 1):  # every count of sentences, across chunk edges
+            sentences = rng.permutation(len(corpus))[:size]
+            part = predict_labels(params, batch.take(sentences), vocab)
+            assert part.tolist() == flat[batch.positions(sentences)[0]].tolist()
 
 
 class TestCheckpoint:

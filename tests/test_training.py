@@ -539,10 +539,16 @@ class TestTrain:
         assert params_equal(result.state.pair1.teacher, p1)  # no_teachers copies
         assert params_equal(result.state.pair2.student, p2)  # single_network idle
 
-    def test_in_place_run_equals_pure_reference_loop(self, vocab):
-        """train, which updates its models in place, against a loop of the pure
-        functions: the same final models, tracks and history, bit for bit."""
-        config = ScdlConfig(**{**FAST, "max_epochs": 4}, delta=0.6, student_word_dropout=0.25)
+    @pytest.mark.parametrize("update_cycle", [5, 1, 2])
+    def test_in_place_run_equals_pure_reference_loop(self, vocab, update_cycle):
+        """train, which updates its models in place and rewrites only the next
+        segment's sentences where another rewrite follows within the epoch
+        (update_cycle 1 and 2 of 3-step epochs), against a loop of the pure
+        functions that rewrites whole tracks: the same final models, tracks,
+        selections and history, bit for bit."""
+        config = ScdlConfig(
+            **{**FAST, "max_epochs": 4, "update_cycle": update_cycle}, delta=0.6, student_word_dropout=0.25
+        )
         corpus = noisy_corpus(vocab)
         dev_corpus = self._dev(vocab)
         result = train(config, corpus, dev_corpus, vocab)

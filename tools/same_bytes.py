@@ -7,11 +7,14 @@ Exports REV's `src/` with `git archive` (no network needed) and writes the
 benchmark's inputs once, from `perfbench/inputs.py` and `workloads.py`. Then,
 for each tree, seed (0 and 7) and schedule (forked, and under `taskset -c 0`,
 where network 2 trains after network 1 in one process), it runs `scdl train`
-(update_cycle 250 and 25), `pretrain`, `ablate`, `annotate`, `inject` and
-`eval` of every `best.ckpt`, each in a fresh process with BLAS pinned to
+(update_cycle 250 and 25, and 25 with student_word_dropout=0.25, where the
+students move off their teachers), `pretrain`, `ablate`, `annotate`, `inject`
+and `eval` of every `best.ckpt`, each in a fresh process with BLAS pinned to
 one thread. It compares exit codes, stdout, stderr and the sha256 of every
-output file, names the first difference and exits 1 on any. Compare trees
-on one host only: OpenBLAS picks its kernels per CPU.
+output file, names every difference of the first seed and schedule that
+has any, with the largest absolute element difference of each block of a
+differing checkpoint, and exits 1. Compare trees on one host only: OpenBLAS
+picks its kernels per CPU.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def write_inputs(directory: Path, seed: int) -> None:
-    """The train-desk and train-rewrite inputs of `seed`, and tag-corpus's
-    gazetteer and held-out corpus."""
+    """The train-desk and train-rewrite inputs of `seed`, train-rewrite's config
+    with student_word_dropout=0.25, and tag-corpus's gazetteer and held-out corpus."""
     sys.dont_write_bytecode = True  # perfbench/ is read, never written
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -53,7 +56,9 @@ def write_inputs(directory: Path, seed: int) -> None:
     workloads.Training(250).setup(directory, seed, workloads.Sizes(), ops)
     (directory / "config250.txt").write_text((directory / "config.txt").read_text())
     workloads.Training(25).setup(directory, seed, workloads.Sizes(), ops)
-    (directory / "config25.txt").write_text((directory / "config.txt").read_text())
+    config25 = (directory / "config.txt").read_text()
+    (directory / "config25.txt").write_text(config25)
+    (directory / "config25d.txt").write_text(config25 + "student_word_dropout=0.25\n")
     if ops.failures:
         raise SystemExit(f"error: benchmark inputs: {ops.failures}")
     tagged = inputs.synthetic_corpus(workloads.Sizes().tagged, inputs.TAGGED_SEED + seed)
@@ -69,6 +74,7 @@ def commands(inp: str, seed: int) -> list[list[str]]:
     return [
         ["train", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/train250"],
         ["train", "--config", f"{inp}/config25.txt", *data, "--out-dir", "out/train25"],
+        ["train", "--config", f"{inp}/config25d.txt", *data, "--out-dir", "out/train25d"],
         ["pretrain", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/pretrain"],
         ["ablate", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/ablate"],
         ["annotate", "--corpus", f"{inp}/tagged.conll", "--gazetteer", f"{inp}/gazetteer.tsv",
@@ -105,18 +111,43 @@ def run_tree(src: Path, run_dir: Path, seed: int, prefix: list[str]) -> tuple[li
     return results, files
 
 
-def first_difference(parent, change) -> str | None:
+def block_differences(a: Path, b: Path) -> str:
+    """The largest absolute element difference of each block of two checkpoints."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from scdl.tagger import TaggerParams, load_checkpoint
+
+    try:
+        pa, pb = load_checkpoint(a), load_checkpoint(b)
+    except ValueError as exc:
+        return f"unreadable: {exc}"
+    if pa.config != pb.config:
+        return "model configurations differ"
+    return ", ".join(
+        f"{name} {np.max(np.abs(x - y), initial=0.0):.3g}"
+        for name, x, y in zip(TaggerParams.BLOCK_NAMES, pa.blocks(), pb.blocks())
+    )
+
+
+def differences(parent, change, parent_dir: Path, change_dir: Path) -> list[str]:
+    """Every command output and file that differs between two trees' runs."""
     (p_results, p_files), (c_results, c_files) = parent, change
+    found = []
     for (what, *p), (_, *c) in zip(p_results, c_results):
         for field, a, b in zip(("exit code", "stdout", "stderr"), p, c):
             if a != b:
-                return f"scdl {what}: {field} differs: {a!r} vs {b!r}"
+                found.append(f"scdl {what}: {field} differs: {a!r} vs {b!r}")
     for path in sorted(set(p_files) | set(c_files)):
         if p_files.get(path) != c_files.get(path):
             if path not in c_files or path not in p_files:
-                return f"{path}: written by only one tree"
-            return f"{path}: sha256 differs"
-    return None
+                found.append(f"{path}: written by only one tree")
+            elif path.endswith(".ckpt"):
+                found.append(f"{path}: sha256 differs; largest |difference| per block: "
+                             + block_differences(parent_dir / path, change_dir / path))
+            else:
+                found.append(f"{path}: sha256 differs")
+    return found
 
 
 def main(argv=None) -> int:
@@ -134,14 +165,13 @@ def main(argv=None) -> int:
             write_inputs(work / "inputs" / f"seed{seed}", seed)
         for seed in SEEDS:
             for schedule, prefix in SCHEDULES.items():
-                outputs = [
-                    run_tree(src, work / f"{name}-seed{seed}-{schedule}", seed, prefix)
-                    for name, src in trees.items()
-                ]
-                difference = first_difference(*outputs)
+                dirs = [work / f"{name}-seed{seed}-{schedule}" for name in trees]
+                outputs = [run_tree(src, d, seed, prefix) for src, d in zip(trees.values(), dirs)]
+                found = differences(*outputs, *dirs)
                 label = f"seed {seed}, {schedule}"
-                if difference:
-                    print(f"DIFFERENT ({label}): {difference}")
+                if found:
+                    print(f"DIFFERENT ({label}): {len(found)} outputs differ")
+                    print("\n".join(found))
                     return 1
                 print(f"same ({label}): {len(outputs[0][1])} files, {len(outputs[0][0])} commands")
     print(f"every output is byte-identical to {args.parent}'s ({perf_counter() - start:.0f} s)")
