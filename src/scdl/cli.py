@@ -7,7 +7,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,17 +130,8 @@ def cmd_inject(args) -> int:
 
 
 def _metrics_record(point, ablation: str) -> str:
-    return json.dumps(
-        {
-            "step": point.step,
-            "model": point.model,
-            "split": point.split,
-            "precision": round(point.precision, 6),
-            "recall": round(point.recall, 6),
-            "f1": round(point.f1, 6),
-            "ablation": ablation,
-        }
-    )
+    record = {key: round(v, 6) if isinstance(v, float) else v for key, v in asdict(point).items()}
+    return json.dumps({**record, "ablation": ablation})
 
 
 def _load_config(args) -> ScdlConfig:
@@ -154,13 +145,20 @@ def _load_config(args) -> ScdlConfig:
     return replace(config, **overrides) if overrides else config
 
 
+def _check_makeable(directory: Path) -> None:
+    """Fail, before any training, where a file is in the way of making `directory`."""
+    if not next(p for p in (directory, *directory.parents) if p.exists()).is_dir():
+        raise NotADirectoryError(f"cannot make {directory}: a file is in the way")
+
+
 def cmd_pretrain(args) -> int:
     config = _load_config(args)
     (train_corpus, dev_corpus), vocab = _load_corpora(args.train, args.dev)
     if not dev_corpus:
         raise ValueError("empty dev corpus")
-    models = dict(zip(("net1", "net2"), pretrain(config, train_corpus, vocab)))
     out = Path(args.out_dir)
+    _check_makeable(out)
+    models = dict(zip(("net1", "net2"), pretrain(config, train_corpus, vocab)))
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.jsonl").unlink(missing_ok=True)  # written last: present only after a complete run
     atomic_write_text(out / "config.txt", config.to_text())
@@ -182,8 +180,7 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
     (train_corpus, dev_corpus), vocab = _load_corpora(train_path, dev_path)
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
-    if not next(p for p in (ckpt_dir, *ckpt_dir.parents) if p.exists()).is_dir():  # before training
-        raise NotADirectoryError(f"cannot make {ckpt_dir}: a file is in the way")
+    _check_makeable(ckpt_dir)
 
     def on_epoch(epoch: int, state) -> None:
         if epoch == 0:  # `train` has checked its inputs; a failed run leaves the directory as it was
@@ -281,6 +278,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty seed list")
     config = _load_config(args)
     run_configs = [replace(config, seed=seed) for seed in seeds]  # each seed checked before any run
+    if not Path(args.out).parent.is_dir():  # checked before the corpus is read
+        raise NotADirectoryError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
     [sentences], vocab = _load_corpora(args.corpus)
     base_train, dev = _split_holdout(sentences)
     missing = " and no ".join(what for what, part in (("training", base_train), ("dev", dev)) if not part)

@@ -13,7 +13,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -179,8 +179,8 @@ class TokenBatch:
 
     def take(self, sentences) -> "TokenBatch":
         """The given sentences, in the given order, as a new batch that copies
-        their ids, tracks and window rows: the batches of a training segment
-        or pretraining epoch, each step read as a `view` of it."""
+        their ids, every track and the rows of every cached window table: the
+        batches of a training segment or pretraining epoch, each step a `view`."""
         tokens, offsets = self.positions(sentences)
         batch = TokenBatch(
             self.ids[tokens],
@@ -231,12 +231,15 @@ def as_batch(batch, buckets: int) -> TokenBatch:
 
 
 def _forward_cache(params: TaggerParams, ctx: np.ndarray):
-    x = params.embedding[ctx].reshape(len(ctx), params.hidden_w.shape[0])
-    h = np.tanh(x @ params.hidden_w + params.hidden_b)
-    logits = h @ params.out_w + params.out_b
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    probs = e / e.sum(axis=1, keepdims=True)
+    x = np.take(params.embedding, ctx, axis=0).reshape(len(ctx), params.hidden_w.shape[0])
+    h = x @ params.hidden_w
+    h += params.hidden_b
+    np.tanh(h, out=h)
+    probs = h @ params.out_w  # logits until normalised
+    probs += params.out_b
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     return x, h, probs
 
 
@@ -384,7 +387,10 @@ def predict_labels(params: TaggerParams, batch, vocab: TagVocabulary) -> np.ndar
 def atomic_open(path, mode: str = "w"):
     """Write-then-rename, so the file at `path` is the old one or the complete new one."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as exc:  # named by the target, not by the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
@@ -400,17 +406,7 @@ HEADER_LINE_LIMIT = 1 << 17  # bytes per header line read; a real header is unde
 
 
 def save_checkpoint(params: TaggerParams, path) -> None:
-    header = json.dumps(
-        {
-            "num_tags": params.config.num_tags,
-            "vocab_hash_buckets": params.config.vocab_hash_buckets,
-            "embed_dim": params.config.embed_dim,
-            "window": params.config.window,
-            "hidden_dim": params.config.hidden_dim,
-            "init_seed": params.config.init_seed,
-            "init_scale": params.config.init_scale,
-        }
-    )
+    header = json.dumps(asdict(params.config))  # what load_checkpoint hands to TaggerConfig(**header)
     with atomic_open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{header}\n".encode("utf-8"))
         for block in params.blocks():

@@ -95,23 +95,15 @@ class ScdlConfig:
         self.tagger_configs(1)  # TaggerConfig checks hash_buckets and the dimensions
 
     def tagger_configs(self, num_tags: int) -> tuple[TaggerConfig, TaggerConfig]:
-        c1 = TaggerConfig(
-            num_tags=num_tags,
-            vocab_hash_buckets=self.hash_buckets,
-            embed_dim=self.net1_embed_dim,
-            window=self.net1_window,
-            hidden_dim=self.net1_hidden_dim,
-            init_seed=11,
+        return tuple(
+            TaggerConfig(
+                num_tags=num_tags,
+                vocab_hash_buckets=self.hash_buckets,
+                **{name: getattr(self, f"net{k}_{name}") for name in ("embed_dim", "window", "hidden_dim")},
+                init_seed=seed,
+            )
+            for k, seed in ((1, 11), (2, 23))
         )
-        c2 = TaggerConfig(
-            num_tags=num_tags,
-            vocab_hash_buckets=self.hash_buckets,
-            embed_dim=self.net2_embed_dim,
-            window=self.net2_window,
-            hidden_dim=self.net2_hidden_dim,
-            init_seed=23,
-        )
-        return c1, c2
 
     def to_text(self) -> str:
         lines = []
@@ -212,18 +204,11 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size].tolist()
 
 
-def _reading(corpus: TokenBatch, model: TaggerParams, *tracks: str) -> TokenBatch:
-    """A batch sharing `corpus`'s ids, the named tracks and `model`'s window
-    table and nothing else, so that a `take` of it copies only those."""
-    read = TokenBatch(corpus.ids, corpus.offsets, corpus.buckets, {t: corpus.track(t) for t in tracks})
-    read._windows[model.config.window] = corpus.context_ids(model.config.window)
-    return read
-
-
-def _gathered(corpus: TokenBatch, batches, track: str, model: TaggerParams) -> list[TokenBatch]:
-    """Views of one `take` of `batches` (lists of sentence indices) in batch order, holding what
-    `model`'s steps read (ids, `track`, window rows); valid while no track changes."""
-    whole = _reading(corpus, model, track).take(np.concatenate(batches))
+def _gathered(corpus: TokenBatch, batches, model: TaggerParams) -> list[TokenBatch]:
+    """Views of one `take` of `batches` (lists of sentence indices) in batch order, carrying
+    `model`'s window rows, built on `corpus` first; valid while no track changes."""
+    corpus.context_ids(model.config.window)
+    whole = corpus.take(np.concatenate(batches))
     bounds = np.cumsum([0, *map(len, batches)]).tolist()
     return [whole.view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -373,7 +358,8 @@ def pretrain(
     `corpus` is a list of sentences or a TokenBatch of them. All steps
     form one segment, which network 1 trains here and network 2 in a
     forked child or here after network 1 (see `_Peer`); the models
-    returned are views of shared memory. Each epoch's batches are gathered once.
+    returned are views of shared memory. Each network gathers each epoch's
+    batches with one `take` of the corpus, which caches its window table.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -381,8 +367,6 @@ def pretrain(
         rng = np.random.default_rng(config.seed)
     params = [_shared_params(init_params(c)) for c in config.tagger_configs(vocab.size)]
     corpus = as_batch(corpus, config.hash_buckets)
-    for p in params:
-        corpus.context_ids(p.config.window)  # built once; every batch takes its rows
     orders = [rng.permutation(len(corpus)) for _ in range(config.pretrain_epochs)]  # drawn before training
     epochs = [list(_batches(order, config.batch_size)) for order in orders]
 
@@ -390,7 +374,7 @@ def pretrain(
         p, track, where = params[k - 1], TRACKS[k - 1], (0, 0, k)
         try:
             for epoch, batches in enumerate(segment):
-                for b, batch in enumerate(_gathered(corpus, batches, track, p)):
+                for b, batch in enumerate(_gathered(corpus, batches, p)):
                     where = (epoch, b, k)
                     loss, grad = loss_hard(p, batch, track)
                     _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
@@ -592,14 +576,14 @@ def train(
         first, batches, rewrite, sentences, epoch_end = segment
         pair, stats, step, track = getattr(state, f"pair{k}"), [], first, TRACKS[k - 1]
         try:
-            for step, batch in enumerate(_gathered(corpus, batches, track, pair.student), start=first):
+            for step, batch in enumerate(_gathered(corpus, batches, pair.student), start=first):
                 pair, mask_stats = self_denoise_step(
                     pair, batch, track, config, vocab, drop_rngs[k], in_place=True, moving=moving[k]
                 )
                 stats.append((mask_stats.selected, mask_stats.total))
             setattr(state, f"pair{k}", pair)
             step += 1  # a serial run reaches this work after every step of the segment
-            read = corpus if sentences is None else _reading(corpus, pair.teacher).take(sentences)
+            read = corpus if sentences is None else corpus.take(sentences)
             labels = predict_labels(pair.teacher, read, vocab) if rewrite else None
             names = MODEL_ORDER if single else MODEL_ORDER[2 * k - 2 : 2 * k]  # network k's models
             scores = score(names, step - 1) if epoch_end else None

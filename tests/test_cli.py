@@ -25,7 +25,7 @@ from scdl.corpus import (
     spans_from_bio,
     write_conll,
 )
-from scdl.metrics import refinery_report
+from scdl.metrics import CurvePoint, refinery_report
 from scdl.training import ABLATIONS, TRACKS, TrainingDiverged
 from scdl.tagger import TaggerConfig, init_params, save_checkpoint
 from synthdata import default_vocab, make_synthetic_corpus
@@ -340,8 +340,11 @@ def test_failed_run_leaves_the_earlier_run_unchanged(workspace, capsys, command,
     assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
-@pytest.mark.parametrize("blocked", ["out-dir", "parent", "checkpoints"])
+@pytest.mark.parametrize(
+    "blocked, command",
+    [(blocked, command) for blocked in ("out-dir", "parent", "checkpoints") for command in ("train", "ablate")]
+    + [("out-dir", "pretrain"), ("parent", "pretrain")],  # pretrain makes no checkpoints directory
+)
 def test_out_dir_blocked_by_a_file_fails_before_training(workspace, monkeypatch, capsys, command, blocked):
     """An --out-dir that cannot hold a run, because it, one of its parents or
     the run's checkpoints directory is a regular file, fails before pretraining."""
@@ -351,6 +354,7 @@ def test_out_dir_blocked_by_a_file_fails_before_training(workspace, monkeypatch,
         raise AssertionError("pretrained into an unusable --out-dir")
 
     monkeypatch.setattr(training, "pretrain", pretrain)
+    monkeypatch.setattr(cli, "pretrain", pretrain)  # `scdl pretrain` calls the name it imports
     out_dir = workspace["dir"] / "run"
     blocker = out_dir
     if blocked == "parent":
@@ -466,6 +470,13 @@ class TestTrainCmd:
         ])
         records = [json.loads(l) for l in (out_dir / "metrics.jsonl").read_text().splitlines()]
         assert all(r["ablation"] == "hard_labels" for r in records)
+        keys = ["step", "model", "split", "precision", "recall", "f1", "ablation"]
+        assert all(list(r) == keys for r in records)
+        point = CurvePoint(3, "student2", "dev", 1 / 3, 2 / 3, 0.12345678)
+        assert cli._metrics_record(point, "x") == (
+            '{"step": 3, "model": "student2", "split": "dev", "precision": 0.333333, '
+            '"recall": 0.666667, "f1": 0.123457, "ablation": "x"}'
+        )
 
     def test_missing_file_exit_code(self, workspace, capsys):
         rc = main([
@@ -943,6 +954,23 @@ class TestSweepCmd:
             f"error: --corpus {corpus}: the held-out split leaves no {missing} sentences\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_out_directory_checked_before_the_first_run(self, workspace, capsys, monkeypatch, parent):
+        """An --out whose directory is missing or is a file fails naming --out
+        before sweep injects noise or trains, not after every run."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "inject_noise", no_run)
+        monkeypatch.setattr(cli, "train", no_run)
+        directory = workspace["dir"] / "nodir"
+        if parent == "a-file":
+            directory.write_text("a file\n")
+        out = directory / "s.csv"
+        rc = main(["sweep", "--corpus", str(workspace["gold"]), "--ks", "10", "--seeds", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {directory} is not a directory\n"
 
     def test_empty_k_list(self, workspace):
         rc = main([

@@ -2,7 +2,7 @@ import json
 import math
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -472,14 +472,23 @@ class TestPrediction:
             assert part.tolist() == flat[batch.positions(sentences)[0]].tolist()
 
 
+# every field differs from its default, so a field the header drops or swaps shows
+EVERY_FIELD = TaggerConfig(
+    num_tags=3, vocab_hash_buckets=20, embed_dim=3, window=2, hidden_dim=4, init_seed=9, init_scale=0.25
+)
+
+
 class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path):
-        params = init_params(SMALL)
+    @pytest.mark.parametrize("config", [SMALL, EVERY_FIELD], ids=["small", "every-field"])
+    def test_roundtrip_bitwise(self, tmp_path, config):
+        params = init_params(config)
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.config == params.config
         assert all(np.array_equal(a, b) for a, b in zip(loaded.blocks(), params.blocks()))
+        header = json.loads(path.read_bytes().split(b"\n")[1])
+        assert list(header) == [f.name for f in fields(TaggerConfig)]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -547,6 +556,22 @@ class TestCheckpoint:
             save_checkpoint(broken, path)  # fails after the header and first blocks
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_atomic_open_names_the_target_when_it_cannot_start(self, tmp_path, parent):
+        """A target whose directory is missing or is a file fails with the
+        target's path as the filename, not a temporary file's, and leaves nothing."""
+        directory = tmp_path / "dir"
+        if parent == "a-file":
+            directory.write_text("a file\n")
+        target = directory / "m.ckpt"
+        error = FileNotFoundError if parent == "missing" else NotADirectoryError
+        with pytest.raises(error) as caught:
+            with tagger_module.atomic_open(target, "wb") as fh:
+                fh.write(b"never")
+        assert caught.value.filename == str(target)
+        assert str(caught.value).endswith(f": {str(target)!r}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if parent == "missing" else ["dir"])
 
     def test_trailing_bytes(self, tmp_path):
         params = init_params(SMALL)

@@ -475,26 +475,26 @@ class TestBatches:
     def test_step_views_equal_a_take_per_batch(self, vocab, monkeypatch):
         """Every batch pretrain and train step over, read from one gather per
         epoch or segment, equals that batch's own `take` when the step runs:
-        ids, offsets, the network's track and window rows, and nothing else.
+        ids, offsets, every track and the stepping network's window rows.
         45 sentences make 3 batches an epoch, the last of 13; update_cycle=2
         ends some segments mid-epoch. The networks' windows differ."""
         config = ScdlConfig(**{**FAST, "max_epochs": 2, "update_cycle": 2, "net2_window": 2}, delta=0.6)
         monkeypatch.setattr(training, "_FORK", None)  # both networks gather here
-        gathered, gathered_windows, original = [], set(), training._gathered
+        gathered, windows, original = [], set(), training._gathered
 
-        def checked(corpus, batches, track, model):
-            views = original(corpus, batches, track, model)
+        def checked(corpus, batches, model):
+            views = original(corpus, batches, model)
             window = model.config.window
             gathered.append([len(b) for b in batches])
             for batch, view in zip(batches, views, strict=True):
                 expected = corpus.take(batch)
                 assert np.array_equal(view.ids, expected.ids)
                 assert np.array_equal(view.offsets, expected.offsets)
-                assert list(view.tracks) == [track]
-                assert np.array_equal(view.track(track), expected.track(track))
-                assert list(view._windows) == [window]
+                assert list(view.tracks) == list(expected.tracks) == ["gold", *TRACKS]
+                for name, tags in expected.tracks.items():
+                    assert np.array_equal(view.track(name), tags)
                 assert np.array_equal(view.context_ids(window), expected.context_ids(window))
-            gathered_windows.add((track, window))
+            windows.add(window)
             return views
 
         monkeypatch.setattr(training, "_gathered", checked)
@@ -502,7 +502,7 @@ class TestBatches:
         pretrain_epochs = [[16, 16, 13]] * 2 * config.pretrain_epochs  # each network's epochs
         segments = [[16, 16], [13], [16], [16, 13]]  # to steps 2 (rewrite), 3 (epoch end), 4, 6
         assert gathered == pretrain_epochs + [s for s in segments for _ in range(2)]
-        assert gathered_windows == {("noisy_i", 1), ("noisy_ii", 2)}
+        assert windows == {1, 2}
 
 
 class TestTrain:

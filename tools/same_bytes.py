@@ -7,10 +7,11 @@ Exports REV's `src/` with `git archive` (no network needed) and writes the
 benchmark's inputs once, from `perfbench/inputs.py` and `workloads.py`. Then,
 for each tree, seed (0 and 7) and schedule (forked, and under `taskset -c 0`,
 where network 2 trains after network 1 in one process), it runs `scdl train`
-(update_cycle 250 and 25, and 25 with student_word_dropout=0.25, where the
-students move off their teachers), `pretrain`, `ablate`, `annotate`, `inject`
-and `eval` of every `best.ckpt`, each in a fresh process with BLAS pinned to
-one thread. It compares exit codes, stdout, stderr and the sha256 of every
+(update_cycle 250 and 25, 25 with student_word_dropout=0.25, where the
+students move off their teachers, and 25 with net2_window=2, where the
+corpus caches a window table per network), `pretrain`, `ablate`,
+`annotate`, `inject` and `eval` of every `best.ckpt`, each in a fresh
+process with BLAS pinned to one thread. It compares exit codes, stdout, stderr and the sha256 of every
 output file, names every difference of the first seed and schedule that
 has any, with the largest absolute element difference of each block of a
 differing checkpoint, and exits 1. Compare trees on one host only: OpenBLAS
@@ -46,7 +47,8 @@ def export(rev: str, dest: Path) -> Path:
 
 def write_inputs(directory: Path, seed: int) -> None:
     """The train-desk and train-rewrite inputs of `seed`, train-rewrite's config
-    with student_word_dropout=0.25, and tag-corpus's gazetteer and held-out corpus."""
+    with student_word_dropout=0.25 and with net2_window=2, and tag-corpus's
+    gazetteer and held-out corpus."""
     sys.dont_write_bytecode = True  # perfbench/ is read, never written
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -59,6 +61,7 @@ def write_inputs(directory: Path, seed: int) -> None:
     config25 = (directory / "config.txt").read_text()
     (directory / "config25.txt").write_text(config25)
     (directory / "config25d.txt").write_text(config25 + "student_word_dropout=0.25\n")
+    (directory / "config25w.txt").write_text(config25 + "net2_window=2\n")
     if ops.failures:
         raise SystemExit(f"error: benchmark inputs: {ops.failures}")
     tagged = inputs.synthetic_corpus(workloads.Sizes().tagged, inputs.TAGGED_SEED + seed)
@@ -75,6 +78,7 @@ def commands(inp: str, seed: int) -> list[list[str]]:
         ["train", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/train250"],
         ["train", "--config", f"{inp}/config25.txt", *data, "--out-dir", "out/train25"],
         ["train", "--config", f"{inp}/config25d.txt", *data, "--out-dir", "out/train25d"],
+        ["train", "--config", f"{inp}/config25w.txt", *data, "--out-dir", "out/train25w"],
         ["pretrain", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/pretrain"],
         ["ablate", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/ablate"],
         ["annotate", "--corpus", f"{inp}/tagged.conll", "--gazetteer", f"{inp}/gazetteer.tsv",
