@@ -162,7 +162,7 @@ def cmd_pretrain(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.jsonl").unlink(missing_ok=True)  # written last: present only after a complete run
     atomic_write_text(out / "config.txt", config.to_text())
-    scores = evaluate_models(models, encode(dev_corpus, config.hash_buckets), vocab)
+    scores = evaluate_models(models, encode(dev_corpus, config.hash_buckets), vocab, "after pretraining")
     lines = []
     for name, score in scores.items():
         save_checkpoint(models[name], out / f"{name}.ckpt")
@@ -384,7 +384,8 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # ConllFormatError and BioValidationError included
+    # ConllFormatError and BioValidationError included; FloatingPointError: an eval checkpoint giving NaN
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -66,20 +66,17 @@ def token_selection(
     return _indices(consistent_mask(noisy_tags, pseudo) & confident_mask(teacher_dists, delta))
 
 
-def ema_update(pair: TeacherStudentPair, *, in_place: bool = False, moving=None) -> TeacherStudentPair:
-    """teacher <- alpha * teacher + (1 - alpha) * student; student untouched.
-
-    The new teacher goes into a copy or, with `in_place`, into the
-    teacher's own buffers, which must not share memory with the student's.
-    Either way each element rounds exactly as alpha * t + (1 - alpha) * s.
+def ema_update(pair: TeacherStudentPair, *, moving=None) -> TeacherStudentPair:
+    """teacher <- alpha * teacher + (1 - alpha) * student, written into the
+    teacher's own buffers, which must not share memory with the student's;
+    the student is untouched and the pair returned. Each element rounds
+    exactly as alpha * t + (1 - alpha) * s.
 
     With `moving`, a boolean mask over the embedding rows, only marked rows are
     updated; those it left bit for bit are cleared, and as the update is a fixed
     function of (t, s) they stay so until the caller marks their student rows. With
     over an eighth marked, short of all, the whole table is updated and the mask kept.
     """
-    if not in_place:
-        pair = TeacherStudentPair(pair.teacher.copy(), pair.student, pair.alpha)
     a = pair.alpha
     blocks = list(zip(pair.teacher.blocks(), pair.student.blocks()))
     if moving is not None and not len(moving) // 8 < np.count_nonzero(moving) < len(moving):

@@ -274,26 +274,30 @@ def _backprop(params, ctx, x, h, dlogits) -> RowSparseGrad:
     )
 
 
-def _one_hot(tags, num_tags) -> np.ndarray:
-    out = np.zeros((len(tags), num_tags))
-    out[np.arange(len(tags)), tags] = 1.0
-    return out
+def _cross_entropy(params: TaggerParams, ctx: np.ndarray, targets: np.ndarray, z: int):
+    """Cross entropy of window rows `ctx`, summed over `z`, with gradient, against one
+    label or distribution per row; 1.0 off at a label gives probs - one_hot's bits."""
+    x, h, probs = _forward_cache(params, ctx)
+    if targets.ndim == 1:
+        rows = np.arange(len(targets))
+        loss = -float(np.log(probs[rows, targets]).sum())
+        probs[rows, targets] -= 1.0
+    else:
+        held = targets != 0
+        loss = -float((targets[held] * np.log(probs[held])).sum())
+        probs -= targets
+    return loss / z, _backprop(params, ctx, x, h, probs / z)
 
 
 def loss_hard(params: TaggerParams, batch, track: str):
-    """Mean token-level cross entropy on the chosen track, with gradient, from each label's probability."""
+    """Mean token-level cross entropy on the chosen track, with gradient."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     batch = as_batch(batch, params.config.vocab_hash_buckets)
     tags = batch.track(track)
     if len(tags) == 0:
         return 0.0, zeros_like(params)
-    ctx = batch.context_ids(params.config.window)
-    x, h, probs = _forward_cache(params, ctx)
-    z, tokens = len(tags), np.arange(len(tags))
-    loss = -float(np.log(probs[tokens, tags]).sum())
-    probs[tokens, tags] -= 1.0
-    return loss / z, _backprop(params, ctx, x, h, probs / z)
+    return _cross_entropy(params, batch.context_ids(params.config.window), tags, len(tags))
 
 
 def _flat_rows(batch: TokenBatch, rows, what: str) -> np.ndarray:
@@ -307,14 +311,14 @@ def _flat_rows(batch: TokenBatch, rows, what: str) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def loss_soft(params: TaggerParams, batch, teacher_dists, masks):
-    """Soft-label cross entropy over the selected tokens only.
+def loss_soft(params: TaggerParams, batch, targets, masks):
+    """Cross entropy over the selected tokens only.
 
-    `teacher_dists` and `masks` are flat over the batch's tokens, or one
-    array per sentence; masks are boolean and unselected tokens
-    contribute nothing to loss or gradient, and neither do zero targets to
-    the loss. The loss is divided by the number of tokens in the batch.
-    With no token selected the result is (0, zero gradient).
+    `targets` (one distribution or label per token; a label gives its one-hot
+    row's bits) and boolean `masks` are flat over the batch's tokens, or one
+    array per sentence. Unselected tokens add nothing to loss or gradient, nor
+    zero targets to the loss. The loss is divided by the batch's token count;
+    with no token selected the result is (0, zero gradient).
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -324,18 +328,13 @@ def loss_soft(params: TaggerParams, batch, teacher_dists, masks):
         raise ValueError("mask must be a boolean array")
     if not mask.any():
         return 0.0, zeros_like(params)
-    target = _flat_rows(batch, teacher_dists, "target")[mask]
-    z = len(batch.ids)
+    target = _flat_rows(batch, targets, "target")[mask]
     ctx = batch.context_ids(params.config.window)[mask]
-    x, h, probs = _forward_cache(params, ctx)
-    held = target != 0
-    loss = -float((target[held] * np.log(probs[held])).sum())
-    dlogits = (probs - target) / z
-    return loss / z, _backprop(params, ctx, x, h, dlogits)
+    return _cross_entropy(params, ctx, target, len(batch.ids))
 
 
-def sgd_step(params: TaggerParams, grad, lr: float, *, in_place: bool = False) -> TaggerParams:
-    """params - lr * grad, into a copy or, with `in_place`, into `params` itself.
+def sgd_step(params: TaggerParams, grad, lr: float) -> TaggerParams:
+    """params -= lr * grad, into `params`, which is returned; every shape is checked first.
 
     A RowSparseGrad changes only its touched embedding rows; on the rest
     p - lr * 0.0 == p, so the result is the dense step's bit for bit.
@@ -352,8 +351,6 @@ def sgd_step(params: TaggerParams, grad, lr: float, *, in_place: bool = False) -
         shape = p.shape if rows is None else (len(rows), *p.shape[1:])
         if shape != g.shape:
             raise ValueError(f"shape mismatch: {shape} vs {g.shape}")
-    if not in_place:
-        params = params.copy()
     for name, rows, g in updates:
         p = getattr(params, name)
         if rows is None:
@@ -373,13 +370,17 @@ PREDICT_CHUNK = 256  # sentences per forward pass when predicting a whole corpus
 
 def predict_labels(params: TaggerParams, batch, vocab: TagVocabulary) -> np.ndarray:
     """Flat labels of a batch: argmax over rows of its cached window table,
-    PREDICT_CHUNK sentences per forward pass, then one BIO repair of all."""
+    PREDICT_CHUNK sentences per forward pass, then one BIO repair of all.
+    A pass that gives a non-finite probability raises FloatingPointError."""
     batch = as_batch(batch, params.config.vocab_hash_buckets)
     ctx = batch.context_ids(params.config.window)
     bounds = batch.offsets[np.append(np.arange(0, len(batch), PREDICT_CHUNK), len(batch))].tolist()
     codes = np.empty(len(ctx), dtype=np.int64)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        codes[a:b] = np.argmax(_forward_cache(params, ctx[a:b])[2], axis=1)
+        probs = _forward_cache(params, ctx[a:b])[2]
+        if not np.isfinite(probs).all():
+            raise FloatingPointError("non-finite tag probabilities")
+        codes[a:b] = np.argmax(probs, axis=1)
     return repair_bio(codes, vocab, batch.offsets)
 
 
@@ -450,4 +451,7 @@ def load_checkpoint(path) -> TaggerParams:
             np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
             for shape in shapes
         ]
+    for name, block in zip(TaggerParams.BLOCK_NAMES, blocks):
+        if not np.isfinite(block).all():
+            raise ValueError(f"non-finite value in checkpoint block {name}")
     return TaggerParams(config, *blocks)

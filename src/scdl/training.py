@@ -29,7 +29,6 @@ from .tagger import (
     TaggerConfig,
     TaggerParams,
     TokenBatch,
-    _one_hot,
     as_batch,
     encode,
     forward,
@@ -49,7 +48,7 @@ TRACKS = ("noisy_i", "noisy_ii")  # network k trains on TRACKS[k - 1]
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss or parameter went non-finite; message carries diagnostics."""
+    """A loss, parameter or tag probability went non-finite; message carries diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -378,7 +377,7 @@ def pretrain(
                     where = (epoch, b, k)
                     loss, grad = loss_hard(p, batch, track)
                     _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
-                    sgd_step(p, grad, config.gamma, in_place=True)
+                    sgd_step(p, grad, config.gamma)
                 where = (epoch, len(batches), k)  # after the epoch's last batch
                 _check_parameters({f"network{k}": p}, f"after pretrain epoch {epoch}")
         except Exception as exc:
@@ -399,10 +398,9 @@ def self_denoise_step(
     vocab: TagVocabulary,
     dropout_rng: np.random.Generator | None = None,
     *,
-    in_place: bool = False,
     moving: np.ndarray | None = None,
 ) -> tuple[TeacherStudentPair, MaskStats]:
-    """One inner-loop step: select tokens, update student, EMA the teacher.
+    """One inner-loop step in place: select tokens, SGD the student, EMA the teacher.
 
     `batch` is a list of sentences or a TokenBatch of them. The teacher
     predicts on clean input. While teacher and student are equal, soft
@@ -413,8 +411,9 @@ def self_denoise_step(
     the student trains on a copy with random tokens blanked to the
     padding bucket, which moves it off that point; it needs
     `dropout_rng`. When nothing is selected, both models are left
-    untouched. The updated models are copies or, with `in_place`, the
-    pair's own buffers written over; `moving` gets the gradient's rows marked.
+    untouched. Returns the given pair and the stats; under `hard_labels` the
+    targets are the noisy labels; `moving` gets the gradient's rows marked.
+    A non-finite teacher probability raises TrainingDiverged.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -424,6 +423,8 @@ def self_denoise_step(
     batch = as_batch(batch, pair.student.config.vocab_hash_buckets)
     noisy = batch.track(track)
     dists = forward(pair.teacher, batch)
+    if not np.isfinite(dists).all():
+        raise TrainingDiverged(f"non-finite tag probabilities from the teacher on {track}")
     mask = np.ones(len(noisy), dtype=bool)
     if "no_consistency" not in abl:
         mask &= consistent_mask(noisy, labels_from_dists(dists, vocab, batch.offsets))
@@ -432,18 +433,17 @@ def self_denoise_step(
     selected = int(mask.sum())
     if selected == 0:
         return pair, MaskStats(0, len(noisy), 0.0)
-    targets = _one_hot(noisy, vocab.size) if "hard_labels" in abl else dists
+    targets = noisy if "hard_labels" in abl else dists
     student_batch = batch
     if config.student_word_dropout > 0.0:
         drop = dropout_rng.random(len(noisy)) < config.student_word_dropout
         student_batch = TokenBatch(np.where(drop, PAD_BUCKET, batch.ids), batch.offsets, batch.buckets)
     loss, grad = loss_soft(pair.student, student_batch, targets, mask)
     _check_finite(loss, "self denoising")
-    student = sgd_step(pair.student, grad, config.gamma, in_place=in_place)
+    sgd_step(pair.student, grad, config.gamma)
     if moving is not None:
         moving[grad.rows] = True
-    pair = ema_update(TeacherStudentPair(pair.teacher, student, pair.alpha), in_place=in_place, moving=moving)
-    return pair, MaskStats(selected, len(noisy), loss)
+    return ema_update(pair, moving=moving), MaskStats(selected, len(noisy), loss)
 
 
 def collaborative_update(state: TrainState, predicted: dict[str, np.ndarray], *, sentences=None) -> None:
@@ -467,14 +467,27 @@ def select_best(candidates) -> tuple[str, TaggerParams, float]:
     return best
 
 
+def _labels(params: TaggerParams, batch, vocab: TagVocabulary, where: str | None) -> np.ndarray:
+    """predict_labels; given `where` (the model's name and when), non-finite
+    probabilities raise TrainingDiverged naming it."""
+    try:
+        return predict_labels(params, batch, vocab)
+    except FloatingPointError as exc:
+        if where is None:
+            raise
+        raise TrainingDiverged(f"{exc} from {where}") from None
+
+
 def evaluate_models(
-    models: dict[str, TaggerParams], dev: TokenBatch, vocab: TagVocabulary
+    models: dict[str, TaggerParams], dev: TokenBatch, vocab: TagVocabulary, where: str | None = None
 ) -> dict[str, SpanScore]:
     """Span score on `dev`, which carries the gold track, of each of
-    `models` (name -> params, as `TrainState.models()` gives them)."""
+    `models` (name -> params, as `TrainState.models()` gives them). A model
+    whose tag probabilities go non-finite raises FloatingPointError or, given
+    `where` (as "at step 6"), TrainingDiverged naming the model and `where`."""
     gold = dev.track("gold")
     return {
-        name: score_tags(predict_labels(p, dev, vocab), gold, vocab, dev.offsets)
+        name: score_tags(_labels(p, dev, vocab, where and f"{name} {where}"), gold, vocab, dev.offsets)
         for name, p in models.items()
     }
 
@@ -553,7 +566,7 @@ def train(
         models = state.models()
         models = {name: models[name] for name in names}
         _check_parameters(models, f"at step {step}")
-        return evaluate_models(models, dev, vocab)
+        return evaluate_models(models, dev, vocab, f"at step {step}")
 
     def record(step: int, scores: dict[str, SpanScore]):
         nonlocal best
@@ -577,14 +590,13 @@ def train(
         pair, stats, step, track = getattr(state, f"pair{k}"), [], first, TRACKS[k - 1]
         try:
             for step, batch in enumerate(_gathered(corpus, batches, pair.student), start=first):
-                pair, mask_stats = self_denoise_step(
-                    pair, batch, track, config, vocab, drop_rngs[k], in_place=True, moving=moving[k]
+                _, mask_stats = self_denoise_step(
+                    pair, batch, track, config, vocab, drop_rngs[k], moving=moving[k]
                 )
                 stats.append((mask_stats.selected, mask_stats.total))
-            setattr(state, f"pair{k}", pair)
             step += 1  # a serial run reaches this work after every step of the segment
             read = corpus if sentences is None else corpus.take(sentences)
-            labels = predict_labels(pair.teacher, read, vocab) if rewrite else None
+            labels = _labels(pair.teacher, read, vocab, f"teacher{k} at step {step - 1}") if rewrite else None
             names = MODEL_ORDER if single else MODEL_ORDER[2 * k - 2 : 2 * k]  # network k's models
             scores = score(names, step - 1) if epoch_end else None
         except Exception as exc:

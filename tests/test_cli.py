@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -538,6 +539,35 @@ class TestTrainCmd:
         assert rc == 2
         assert f"non-finite parameter in {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            ("train", r"(teacher|student)[12] at step 0"),
+            ("ablate", r"(teacher|student)[12] at step 0"),
+            ("pretrain", r"net[12] after pretraining"),
+        ],
+    )
+    def test_huge_finite_parameters_exit_2(self, tmp_path, capsys, command, where):
+        """One pretraining step at gamma=1e300 leaves parameters that are
+        finite, so they pass the parameter check, but whose tag probabilities
+        are NaN: the scoring that reads them stops the run before anything
+        marks it complete."""
+        corpus, config, out = tmp_path / "one.conll", tmp_path / "config.txt", tmp_path / "out"
+        corpus.write_text(
+            "w7\tO\nw35\tO\nw4\tO\nloc17\tB-MISC\nloc29\tI-MISC\nw35\tO\n"
+            "w24\tO\nw47\tO\nmisc27\tB-MISC\nw11\tO\nw30\tO\nw58\tO\n"
+        )
+        config.write_text("gamma=1e300\npretrain_epochs=1\nmax_epochs=1\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                command, "--config", str(config), "--train", str(corpus), "--dev", str(corpus),
+                "--out-dir", str(out),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(f"^error: training diverged: non-finite tag probabilities from {where}$", err, re.M), err
+        assert not list(out.rglob("best.json")) and not list(out.rglob("metrics.jsonl"))
+
     def test_dead_network_2_process_exits_1(self, workspace, capsys, monkeypatch):
         import scdl.training as training
 
@@ -810,6 +840,23 @@ class TestEvalCmd:
         assert rc == 1
         assert "checkpoint header line longer than 131072 bytes" in capsys.readouterr().err
         assert peak < 2**20
+
+    def test_non_finite_checkpoint_exits_1(self, workspace, capsys):
+        from scdl.tagger import load_checkpoint
+
+        out_dir = workspace["dir"] / "run"
+        main([
+            "train", "--config", str(workspace["config"]),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(out_dir),
+        ])
+        params = load_checkpoint(out_dir / "best.ckpt")
+        params.hidden_w[0, 0] = np.nan
+        save_checkpoint(params, out_dir / "nan.ckpt")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out_dir / "nan.ckpt"), "--corpus", str(workspace["dev"])])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: non-finite value in checkpoint block hidden_w\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_empty_corpus(self, workspace, capsys, text):

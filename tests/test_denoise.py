@@ -145,8 +145,9 @@ class TestEma:
         t = init_params(TINY)
         s = init_params(TaggerConfig(num_tags=5, vocab_hash_buckets=8, embed_dim=3,
                                      window=0, hidden_dim=4, init_seed=7))
+        t_before, s_before = t.copy(), s.copy()
         updated = ema_update(TeacherStudentPair(t, s, 0.75))
-        for new, told, sold in zip(updated.teacher.blocks(), t.blocks(), s.blocks()):
+        for new, told, sold in zip(updated.teacher.blocks(), t_before.blocks(), s_before.blocks()):
             assert np.allclose(new, 0.75 * told + 0.25 * sold)
 
     def test_student_untouched(self):
@@ -156,25 +157,19 @@ class TestEma:
         assert updated.student is pair.student
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.995, 1.0])
-    def test_in_place_equals_pure(self, alpha):
+    def test_writes_into_the_teacher(self, alpha):
         rng = np.random.default_rng(5)
         teacher, student = random_grads(rng, init_params(TINY), 2)
         teacher.embedding[0, 0] = -0.0
         student.embedding[0, 0] = 0.0
         pair = TeacherStudentPair(teacher, student, alpha)
         t_before, s_before = teacher.copy(), student.copy()
-        pure = ema_update(pair)
-        assert pure.student is student
-        for new, old, s in zip(pure.teacher.blocks(), t_before.blocks(), student.blocks()):
-            assert new.tobytes() == (alpha * old + (1.0 - alpha) * s).tobytes()
-        inputs = zip(teacher.blocks() + student.blocks(), t_before.blocks() + s_before.blocks())
-        for a, b in inputs:
-            assert a.tobytes() == b.tobytes()  # the pure form leaves its inputs alone
         buffers = [id(b) for b in teacher.blocks()]
-        assert ema_update(pair, in_place=True) is pair
+        assert ema_update(pair) is pair
+        assert pair.teacher is teacher and pair.student is student
         assert [id(b) for b in pair.teacher.blocks()] == buffers
-        for a, b in zip(pair.teacher.blocks(), pure.teacher.blocks()):
-            assert a.tobytes() == b.tobytes()
+        for new, old, s in zip(pair.teacher.blocks(), t_before.blocks(), s_before.blocks()):
+            assert new.tobytes() == (alpha * old + (1.0 - alpha) * s).tobytes()
         for a, b in zip(student.blocks(), s_before.blocks()):
             assert a.tobytes() == b.tobytes()
 
@@ -208,8 +203,8 @@ class TestEma:
                 pair.student.out_b[:] += 0.25
             moving[np.arange(64) if step == 15 else rows] = True
             marked, before = moving.copy(), masked.teacher.embedding.copy()
-            assert ema_update(dense, in_place=True) is dense
-            assert ema_update(masked, in_place=True, moving=moving) is masked
+            assert ema_update(dense) is dense
+            assert ema_update(masked, moving=moving) is masked
             for a, b in zip(dense.teacher.blocks(), masked.teacher.blocks()):
                 assert a.tobytes() == b.tobytes()
             t, s = masked.teacher.embedding, masked.student.embedding
@@ -231,12 +226,13 @@ class TestEma:
         rng = np.random.default_rng(4)
         teacher, student = random_grads(rng, init_params(TINY), 2)
         pair = TeacherStudentPair(teacher, student, 0.9)
+        dense = ema_update(TeacherStudentPair(teacher.copy(), student, 0.9))
         moving = np.ones(TINY.vocab_hash_buckets, dtype=bool)
         masked = ema_update(pair, moving=moving)
-        for a, b in zip(masked.teacher.blocks(), ema_update(pair).teacher.blocks()):
+        for a, b in zip(masked.teacher.blocks(), dense.teacher.blocks()):
             assert a.tobytes() == b.tobytes()
         assert moving.all()  # every row moved
-        assert pair.teacher is teacher and masked.teacher is not teacher
+        assert masked is pair and masked.teacher is teacher
 
     def test_closed_form_empty(self):
         theta0 = init_params(TINY)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from scdl.cli import main
 from scdl.corpus import parse_conll, read_conll, write_conll
-from scdl.tagger import TaggerConfig, init_params, save_checkpoint
+from scdl.tagger import TaggerConfig, init_params, load_checkpoint, save_checkpoint
 from scdl.training import ScdlConfig
 from synthdata import default_vocab, make_synthetic_corpus
 
@@ -69,6 +69,17 @@ def test_byte_flips(inputs, data):
         at = data.draw(st.integers(0, len(real) - 1))
         real[at] ^= data.draw(st.integers(1, 255))
     assert eval_bytes(inputs, bytes(real)) in (0, 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", range(5))
+def test_non_finite_block(inputs, block, value):
+    path = inputs[0] / "non_finite.ckpt"
+    path.write_bytes(inputs[2])
+    params = load_checkpoint(path)
+    params.blocks()[block].flat[-1] = value
+    save_checkpoint(params, path)
+    assert eval_bytes(inputs, path.read_bytes()) == 1
 
 
 field_values = st.one_of(

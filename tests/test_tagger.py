@@ -313,6 +313,15 @@ class TestLosses:
         ls, gs = loss_soft(params, batch, targets, masks)
         assert lh == ls
         assert all(np.array_equal(a, b) for a, b in zip(gh.blocks(), gs.blocks()))
+        # labels as targets give the one-hot rows' loss and gradient bit for bit, under a partial mask
+        labels = [np.asarray(s.noisy_i) for s in batch]
+        for _ in range(20):
+            masks = [rng.random(len(s)) < 0.6 for s in batch]
+            ll, gl = loss_soft(params, batch, labels, masks)
+            lo, go = loss_soft(params, batch, targets, masks)
+            assert ll == lo
+            assert same_bits(gl, go)
+            assert type(gl) is type(go)
 
 
 class TestRowSparseGradient:
@@ -359,7 +368,7 @@ class TestRowSparseGradient:
 
 
 class TestSgd:
-    def test_in_place_equals_pure_for_sparse_and_dense_gradients(self):
+    def test_writes_into_params_for_sparse_and_dense_gradients(self):
         rng = np.random.default_rng(3)
         params = init_params(SMALL)
         _, sparse = loss_hard(params, random_batch(rng, small_vocab()), "noisy_i")
@@ -370,31 +379,38 @@ class TestSgd:
         before = params.copy()
         results = []
         for grad in (sparse, dense):
-            pure = sgd_step(params, grad, 2.0)
-            assert same_bits(params, before)  # the pure form leaves its input alone
             target = params.copy()
-            assert sgd_step(target, grad, 2.0, in_place=True) is target
-            assert same_bits(target, pure)
-            results.append(pure)
+            buffers = [id(b) for b in target.blocks()]
+            expected = [p - 2.0 * g for p, g in zip(before.blocks(), grad.blocks())]
+            assert sgd_step(target, grad, 2.0) is target
+            assert [id(b) for b in target.blocks()] == buffers
+            assert same_bits(target, TaggerParams(SMALL, *expected))
+            results.append(target)
+        assert same_bits(params, before)
         assert same_bits(*results)
         assert np.signbit(results[0].embedding[untouched[0]]).all()
         assert not same_bits(results[0], before)
 
     def test_sparse_gradient_shape_checked(self):
         params = init_params(SMALL)
+        before = params.copy()
         dense = zeros_like(params).blocks()[1:]
+        dense[-1] = np.ones_like(dense[-1])  # a block that would be written if checked after
         grad = RowSparseGrad(SMALL, np.array([1, 2]), np.zeros((2, 3)), *dense)  # embed_dim is 4
         with pytest.raises(ValueError, match="shape mismatch"):
-            sgd_step(params, grad, 1.0, in_place=True)
+            sgd_step(params, grad, 1.0)
+        assert same_bits(params, before)  # nothing written
 
-    def test_functional_update(self):
+    def test_update_written_into_params(self):
         params = init_params(SMALL)
         before = params.copy()
         grad = zeros_like(params)
         grad.out_b += 1.0
         new = sgd_step(params, grad, 0.5)
-        assert same_bits(params, before)  # input untouched
-        assert np.allclose(new.out_b, params.out_b - 0.5)
+        assert new is params
+        assert np.allclose(new.out_b, before.out_b - 0.5)
+        for a, b in zip(new.blocks()[:-1], before.blocks()[:-1]):
+            assert a.tobytes() == b.tobytes()  # the rest untouched
 
     def test_lr_validation(self):
         params = init_params(SMALL)
@@ -405,7 +421,7 @@ class TestSgd:
     def test_non_finite_lr_rejected(self, lr):
         params = init_params(SMALL)
         with pytest.raises(ValueError, match="finite"):
-            sgd_step(params, zeros_like(params), lr, in_place=True)
+            sgd_step(params, zeros_like(params), lr)
 
 
 class TestPrediction:

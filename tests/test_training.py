@@ -13,13 +13,17 @@ from scdl.corpus import AnnotatedSentence, TagVocabulary, inject_noise
 from scdl.metrics import CurvePoint, score_tags
 from scdl.denoise import (
     TeacherStudentPair,
+    confident_mask,
+    consistent_mask,
     ema_update,
     select_confident,
     select_consistent,
     token_selection,
 )
 from scdl.tagger import (
+    PAD_BUCKET,
     PAD_TOKEN,
+    TokenBatch,
     encode,
     forward,
     init_params,
@@ -189,9 +193,9 @@ class TestSelfDenoiseStep:
         corpus = noisy_corpus(vocab)
         pair = self._pair(config, corpus, vocab, alpha=0.0)
         batch = corpus[:8]
-        stepped, stats = self_denoise_step(pair, batch, "noisy_i", config, vocab)
         _, grad = loss_hard(pair.student, batch, "noisy_i")
-        direct = sgd_step(pair.student, grad, config.gamma)
+        direct = sgd_step(pair.student.copy(), grad, config.gamma)
+        stepped, stats = self_denoise_step(pair, batch, "noisy_i", config, vocab)
         assert stats.selected == stats.total == sum(len(s) for s in batch)
         assert params_equal(stepped.student, direct)
         assert params_equal(stepped.teacher, direct)  # alpha 0 copies the student
@@ -205,18 +209,20 @@ class TestSelfDenoiseStep:
         batch = [s for s in corpus[:4]]
         for s in batch:
             s.noisy_i = [(c + 1) % vocab.size for c in s.noisy_i]
+        before = TeacherStudentPair(pair.teacher.copy(), pair.student.copy(), pair.alpha)
         stepped, stats = self_denoise_step(pair, batch, "noisy_i", config, vocab)
         if stats.selected == 0:
-            assert params_equal(stepped.student, pair.student)
-            assert params_equal(stepped.teacher, pair.teacher)
+            assert params_equal(stepped.student, before.student)
+            assert params_equal(stepped.teacher, before.teacher)
 
     def test_teacher_moves_toward_student(self, vocab):
         config = ScdlConfig(**{**FAST, "ablations": frozenset({"no_consistency", "no_confidence", "hard_labels"})})
         corpus = noisy_corpus(vocab)
         pair = self._pair(config, corpus, vocab, alpha=0.9)
+        old_teacher = pair.teacher.copy()
         stepped, _ = self_denoise_step(pair, corpus[:8], "noisy_i", config, vocab)
         for new_t, old_t, new_s in zip(
-            stepped.teacher.blocks(), pair.teacher.blocks(), stepped.student.blocks()
+            stepped.teacher.blocks(), old_teacher.blocks(), stepped.student.blocks()
         ):
             assert np.allclose(new_t, 0.9 * old_t + 0.1 * new_s)
 
@@ -226,7 +232,7 @@ class TestSelfDenoiseStep:
         batch = corpus[:8]
         p, _ = pretrain(ScdlConfig(**{**FAST, "pretrain_epochs": 15}), corpus, vocab)
         _, g = loss_hard(p, corpus[8:24], "noisy_i")
-        pair = TeacherStudentPair(p, sgd_step(p, g, 2.0), 0.9)  # teacher != student
+        pair = TeacherStudentPair(p, sgd_step(p.copy(), g, 2.0), 0.9)  # teacher != student
         delta = 0.8  # each filter alone and both together select different partial sets
         oracles = {
             frozenset(): lambda noisy, d: token_selection(noisy, d, delta, vocab),
@@ -237,7 +243,8 @@ class TestSelfDenoiseStep:
         }
         for ablations, select in oracles.items():
             config = ScdlConfig(**FAST, delta=delta, ablations=ablations)
-            stepped, stats = self_denoise_step(pair, batch, "noisy_i", config, vocab)
+            live = TeacherStudentPair(pair.teacher.copy(), pair.student.copy(), pair.alpha)
+            stepped, stats = self_denoise_step(live, batch, "noisy_i", config, vocab)
 
             offsets = encode(batch, config.hash_buckets).offsets
             dists = np.split(forward(pair.teacher, batch), offsets[1:-1])
@@ -247,8 +254,8 @@ class TestSelfDenoiseStep:
                 m[sorted(select(s.noisy_i, d))] = True
                 masks.append(m)
             loss, grad = loss_soft(pair.student, batch, dists, masks)
-            student = sgd_step(pair.student, grad, config.gamma)
-            expected = ema_update(TeacherStudentPair(pair.teacher, student, pair.alpha))
+            student = sgd_step(pair.student.copy(), grad, config.gamma)
+            expected = ema_update(TeacherStudentPair(pair.teacher.copy(), student, pair.alpha))
 
             assert 0 < stats.selected < stats.total, ablations
             assert stats.selected == sum(int(m.sum()) for m in masks)
@@ -266,11 +273,12 @@ class TestSelfDenoiseStep:
         for dropout in (0.0, 0.25):
             config = ScdlConfig(**FAST, delta=0.5, student_word_dropout=dropout)
             pair = self._pair(config, corpus, vocab)
+            student = pair.student.copy()
             stepped, stats = self_denoise_step(
                 pair, corpus[:8], "noisy_i", config, vocab, dropout_rng=np.random.default_rng(0)
             )
             assert stats.selected > 0
-            assert params_equal(stepped.student, pair.student) == (dropout == 0.0)
+            assert params_equal(stepped.student, student) == (dropout == 0.0)
 
     def test_id_dropout_equals_pad_token_dropout(self, vocab):
         """Blanking ids to the padding bucket with one draw per batch equals
@@ -284,7 +292,8 @@ class TestSelfDenoiseStep:
         )
         p, _ = pretrain(config, corpus, vocab)
         _, g = loss_hard(p, corpus[8:24], "noisy_i")
-        pair = TeacherStudentPair(p, sgd_step(p, g, 2.0), 0.9)
+        pair = TeacherStudentPair(p, sgd_step(p.copy(), g, 2.0), 0.9)
+        before = TeacherStudentPair(pair.teacher.copy(), pair.student.copy(), pair.alpha)
         stepped, stats = self_denoise_step(
             pair, batch, "noisy_i", config, vocab, dropout_rng=np.random.default_rng(4)
         )
@@ -297,35 +306,52 @@ class TestSelfDenoiseStep:
             for s in batch
         ]
         assert any(PAD_TOKEN in s.tokens for s in blanked)
-        dists = forward(pair.teacher, batch)
-        loss, grad = loss_soft(pair.student, blanked, dists, np.ones(len(dists), dtype=bool))
+        dists = forward(before.teacher, batch)
+        loss, grad = loss_soft(before.student, blanked, dists, np.ones(len(dists), dtype=bool))
         assert stats.loss == loss
-        assert params_equal(stepped.student, sgd_step(pair.student, grad, config.gamma))
+        assert params_equal(stepped.student, sgd_step(before.student, grad, config.gamma))
 
-    def test_in_place_equals_pure(self, vocab):
-        """Dropout and partial masks: writing into the pair's buffers gives the
-        pure step's models bit for bit, and the pure step leaves its pair alone."""
+    def test_writes_into_and_returns_the_pair(self, vocab):
+        """Dropout and partial masks: the step writes into the pair's own
+        buffers and returns the pair, whose bytes equal the composed oracle's
+        (selection -> blanked ids -> loss_soft -> SGD -> EMA) run on copies."""
         corpus = noisy_corpus(vocab)
         config = ScdlConfig(**FAST, delta=0.6, student_word_dropout=0.25)
         p, _ = pretrain(config, corpus, vocab)
         _, g = loss_hard(p, corpus[8:24], "noisy_i")
-        pair = TeacherStudentPair(p, sgd_step(p, g, 2.0), 0.9)
-        before = TeacherStudentPair(pair.teacher.copy(), pair.student.copy(), 0.9)
+        pair = TeacherStudentPair(p, sgd_step(p.copy(), g, 2.0), 0.9)
+        teacher, student = pair.teacher.copy(), pair.student.copy()
         batch = encode(corpus[:8], config.hash_buckets)
-        pure, stats = self_denoise_step(
+
+        noisy, dists = batch.track("noisy_i"), forward(teacher, batch)
+        mask = consistent_mask(noisy, labels_from_dists(dists, vocab, batch.offsets))
+        mask &= confident_mask(dists, config.delta)
+        drop = np.random.default_rng(2).random(len(noisy)) < config.student_word_dropout
+        blanked = TokenBatch(np.where(drop, PAD_BUCKET, batch.ids), batch.offsets, batch.buckets)
+        loss, grad = loss_soft(student, blanked, dists, mask)
+        stepped = sgd_step(student.copy(), grad, config.gamma)
+        expected = ema_update(TeacherStudentPair(teacher, stepped, 0.9))
+
+        buffers = [id(b) for b in pair.teacher.blocks() + pair.student.blocks()]
+        models = (pair.teacher, pair.student)
+        live, stats = self_denoise_step(
             pair, batch, "noisy_i", config, vocab, dropout_rng=np.random.default_rng(2)
         )
         assert 0 < stats.selected < stats.total
-        assert same_bits(pair.teacher, before.teacher) and same_bits(pair.student, before.student)
-        assert not params_equal(pure.student, pair.student)
-
-        buffers = [id(b) for b in pair.teacher.blocks() + pair.student.blocks()]
-        live, live_stats = self_denoise_step(
-            pair, batch, "noisy_i", config, vocab, dropout_rng=np.random.default_rng(2), in_place=True
-        )
-        assert live_stats == stats
+        assert (stats.selected, stats.total, stats.loss) == (int(mask.sum()), len(noisy), loss)
+        assert live is pair and (live.teacher, live.student) == models
         assert [id(b) for b in live.teacher.blocks() + live.student.blocks()] == buffers
-        assert same_bits(live.teacher, pure.teacher) and same_bits(live.student, pure.student)
+        assert same_bits(live.teacher, expected.teacher) and same_bits(live.student, expected.student)
+        assert not params_equal(live.student, student)  # the student moved
+
+    def test_non_finite_teacher_probabilities_raise(self, vocab):
+        config = ScdlConfig(**FAST)
+        corpus = noisy_corpus(vocab)
+        pair = self._pair(config, corpus, vocab)
+        pair.teacher.out_b[0] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match="non-finite tag probabilities from the teacher on noisy_i"):
+                self_denoise_step(pair, corpus[:8], "noisy_i", config, vocab)
 
     def test_dropout_needs_a_generator(self, vocab):
         config = ScdlConfig(**FAST, student_word_dropout=0.25)
@@ -543,9 +569,9 @@ class TestTrain:
     def test_in_place_run_equals_pure_reference_loop(self, vocab, update_cycle):
         """train, which updates its models in place and rewrites only the next
         segment's sentences where another rewrite follows within the epoch
-        (update_cycle 1 and 2 of 3-step epochs), against a loop of the pure
-        functions that rewrites whole tracks: the same final models, tracks,
-        selections and history, bit for bit."""
+        (update_cycle 1 and 2 of 3-step epochs), against a serial loop of the
+        step functions on its own models that rewrites whole tracks: the same
+        final models, tracks, selections and history, bit for bit."""
         config = ScdlConfig(
             **{**FAST, "max_epochs": 4, "update_cycle": update_cycle}, delta=0.6, student_word_dropout=0.25
         )
