@@ -247,7 +247,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"checkpoint expects {params.config.num_tags} tags, corpus has {vocab.size}")
     buckets = params.config.vocab_hash_buckets
     batch = tagger_mod.TokenBatch(tagger_mod.token_ids(tokens, buckets), offsets, buckets, {"gold": gold})
-    [score] = evaluate_models({"checkpoint": params}, batch, vocab).values()
+    try:
+        [score] = evaluate_models({args.checkpoint: params}, batch, vocab, f"on {args.corpus}").values()
+    except TrainingDiverged as exc:  # bad input here, not a run that diverged
+        raise ValueError(str(exc)) from None
     print(f"precision {score.precision:.4f} recall {score.recall:.4f} f1 {score.f1:.4f}")
     return 0
 
@@ -384,8 +387,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 2
-    # ConllFormatError and BioValidationError included; FloatingPointError: an eval checkpoint giving NaN
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError) as exc:  # ConllFormatError and BioValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .corpus import AnnotatedSentence, TagVocabulary, repair_bio
 
-PAD_BUCKET = 0  # reserved for window overflow
-PAD_TOKEN = "\x00<pad>"  # surface sentinel that hashes to PAD_BUCKET
+PAD_BUCKET = 0  # window edges and word dropout; no surface form hashes here
 
 
 @dataclass(frozen=True)
@@ -119,10 +118,7 @@ class RowSparseGrad:
 
 def token_ids(tokens, buckets: int) -> np.ndarray:
     """Deterministic surface-form hashing into [1, buckets); each distinct form is hashed once."""
-    bucket = {
-        t: PAD_BUCKET if t == PAD_TOKEN else 1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1)
-        for t in set(tokens)
-    }
+    bucket = {t: 1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1) for t in set(tokens)}
     return np.fromiter(map(bucket.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 

@@ -467,27 +467,23 @@ def select_best(candidates) -> tuple[str, TaggerParams, float]:
     return best
 
 
-def _labels(params: TaggerParams, batch, vocab: TagVocabulary, where: str | None) -> np.ndarray:
-    """predict_labels; given `where` (the model's name and when), non-finite
-    probabilities raise TrainingDiverged naming it."""
+def _labels(params: TaggerParams, batch, vocab: TagVocabulary, where: str) -> np.ndarray:
+    """predict_labels; non-finite probabilities raise TrainingDiverged naming `where`."""
     try:
         return predict_labels(params, batch, vocab)
     except FloatingPointError as exc:
-        if where is None:
-            raise
         raise TrainingDiverged(f"{exc} from {where}") from None
 
 
 def evaluate_models(
-    models: dict[str, TaggerParams], dev: TokenBatch, vocab: TagVocabulary, where: str | None = None
+    models: dict[str, TaggerParams], dev: TokenBatch, vocab: TagVocabulary, where: str
 ) -> dict[str, SpanScore]:
-    """Span score on `dev`, which carries the gold track, of each of
-    `models` (name -> params, as `TrainState.models()` gives them). A model
-    whose tag probabilities go non-finite raises FloatingPointError or, given
-    `where` (as "at step 6"), TrainingDiverged naming the model and `where`."""
+    """Span score on `dev`, which carries the gold track, of each of `models`
+    (name -> params, as `TrainState.models()` gives them). Non-finite tag
+    probabilities raise TrainingDiverged naming the model and `where` ("at step 6")."""
     gold = dev.track("gold")
     return {
-        name: score_tags(_labels(p, dev, vocab, where and f"{name} {where}"), gold, vocab, dev.offsets)
+        name: score_tags(_labels(p, dev, vocab, f"{name} {where}"), gold, vocab, dev.offsets)
         for name, p in models.items()
     }
 
@@ -590,9 +586,12 @@ def train(
         pair, stats, step, track = getattr(state, f"pair{k}"), [], first, TRACKS[k - 1]
         try:
             for step, batch in enumerate(_gathered(corpus, batches, pair.student), start=first):
-                _, mask_stats = self_denoise_step(
-                    pair, batch, track, config, vocab, drop_rngs[k], moving=moving[k]
-                )
+                try:
+                    _, mask_stats = self_denoise_step(
+                        pair, batch, track, config, vocab, drop_rngs[k], moving=moving[k]
+                    )
+                except TrainingDiverged as exc:  # the step knows neither its network nor its number
+                    raise TrainingDiverged(f"{exc} (net{k} at step {step})") from None
                 stats.append((mask_stats.selected, mask_stats.total))
             step += 1  # a serial run reaches this work after every step of the segment
             read = corpus if sentences is None else corpus.take(sentences)

@@ -568,6 +568,32 @@ class TestTrainCmd:
         assert re.search(f"^error: training diverged: non-finite tag probabilities from {where}$", err, re.M), err
         assert not list(out.rglob("best.json")) and not list(out.rglob("metrics.jsonl"))
 
+    def test_denoising_step_divergence_names_network_and_step(self, tmp_path, capsys):
+        """With no pretraining and gamma=1e300, a dropout step's SGD makes the
+        student huge, and the teacher's EMA of it gives NaN probabilities at
+        the next step. The step raises naming only its track; `train` adds
+        the network and the step."""
+        vocab = default_vocab()
+        noisy, _ = inject_noise(make_synthetic_corpus(64, vocab, seed=1), 40, vocab, seed=0)
+        train, dev, config = tmp_path / "train.conll", tmp_path / "dev.conll", tmp_path / "config.txt"
+        train.write_text(write_conll(noisy, vocab, "noisy_i"))
+        dev.write_text(write_conll(make_synthetic_corpus(16, vocab, seed=2), vocab, "gold"))
+        config.write_text(
+            "pretrain_epochs=0\nmax_epochs=1\ngamma=1e300\ndelta=0.1\nupdate_cycle=100\n"
+            "student_word_dropout=0.5\n"
+        )
+        with np.errstate(all="ignore"):
+            rc = main([
+                "train", "--config", str(config), "--train", str(train), "--dev", str(dev),
+                "--out-dir", str(tmp_path / "out"),
+            ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: training diverged: non-finite tag probabilities from the teacher on noisy_ii"
+            " (net2 at step 2)\n"
+        )
+        assert not (tmp_path / "out" / "best.json").exists()
+
     def test_dead_network_2_process_exits_1(self, workspace, capsys, monkeypatch):
         import scdl.training as training
 
@@ -857,6 +883,21 @@ class TestEvalCmd:
         rc = main(["eval", "--checkpoint", str(out_dir / "nan.ckpt"), "--corpus", str(workspace["dev"])])
         assert rc == 1
         assert capsys.readouterr().err == "error: non-finite value in checkpoint block hidden_w\n"
+
+    def test_non_finite_probabilities_name_checkpoint_and_corpus(self, tmp_path, capsys):
+        """A checkpoint whose values are finite, so it loads, but whose tag
+        probabilities overflow to NaN: bad input, exit 1, naming both files."""
+        vocab = default_vocab()
+        params = init_params(TaggerConfig(num_tags=vocab.size, vocab_hash_buckets=64, embed_dim=4, hidden_dim=5))
+        params.hidden_w *= 1e6
+        params.out_w[:] = 1.5e308
+        ckpt, corpus = tmp_path / "huge.ckpt", tmp_path / "gold.conll"
+        save_checkpoint(params, ckpt)
+        corpus.write_text(write_conll(make_synthetic_corpus(20, vocab, seed=3), vocab, "gold"))
+        with np.errstate(all="ignore"):
+            rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: non-finite tag probabilities from {ckpt} on {corpus}\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_empty_corpus(self, workspace, capsys, text):

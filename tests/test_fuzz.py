@@ -1,11 +1,15 @@
 """Hostile checkpoint, gazetteer, CoNLL and config input: the command line exits 0 or 1,
-never raises, and a config file raises only ValueError."""
+never raises, and a config file raises only ValueError. Tiny corpora under extreme
+valid configs: `scdl train` exits 0 or 2, leaves only complete files and reruns
+byte for byte."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdl.cli import main
-from scdl.corpus import parse_conll, read_conll, write_conll
-from scdl.tagger import TaggerConfig, init_params, load_checkpoint, save_checkpoint
-from scdl.training import ScdlConfig
+from scdl.corpus import AnnotatedSentence, parse_conll, read_conll, write_conll
+from scdl.tagger import TaggerConfig, forward, init_params, load_checkpoint, save_checkpoint
+from scdl.training import ABLATIONS, ScdlConfig
 from synthdata import default_vocab, make_synthetic_corpus
 
 HEADER_KEYS = (
@@ -191,3 +195,77 @@ def test_hostile_config_raises_only_value_error(entries):
         ScdlConfig.from_text(text)
     except ValueError:
         pass
+
+
+def tagged_sentence():
+    """1-6 (token, tag) lines in valid BIO over a few forms and two types."""
+    mention = st.tuples(st.sampled_from(["PER", "LOC"]), st.integers(0, 1))
+    chunk = st.just(["O"]) | mention.map(lambda m: [f"B-{m[0]}"] + [f"I-{m[0]}"] * m[1])
+    tags = st.lists(chunk, min_size=1, max_size=3).map(lambda chunks: sum(chunks, []))
+    forms = st.sampled_from(["w0", "w1", "per0", "loc0", "é"])
+    return tags.flatmap(
+        lambda tags: st.lists(forms, min_size=len(tags), max_size=len(tags)).map(lambda t: list(zip(t, tags)))
+    )
+
+
+def conll(sentences) -> str:
+    return "\n\n".join("\n".join(f"{token}\t{tag}" for token, tag in s) for s in sentences) + "\n"
+
+
+tiny_configs = st.fixed_dictionaries({
+    "hash_buckets": st.sampled_from([2, 3, 64]),
+    **{f"net{k}_window": st.integers(0, 3) for k in (1, 2)},
+    **{f"net{k}_{dim}": st.integers(1, 3) for k in (1, 2) for dim in ("embed_dim", "hidden_dim")},
+    "batch_size": st.integers(1, 6),  # a corpus has at most 4 sentences
+    "update_cycle": st.integers(0, 2),
+    "alpha": st.sampled_from([0.0, 0.9, 1.0]),
+    "delta": st.sampled_from([0.5, 1.0]),
+    "student_word_dropout": st.sampled_from([0.0, 0.5, 0.999]),
+    "gamma": st.sampled_from([0.5, 10.0, 1e150, 1e300]),
+    "pretrain_epochs": st.integers(0, 2),
+    "max_epochs": st.integers(0, 2),
+    "seed": st.integers(0, 3),
+    "ablations": st.sets(st.sampled_from(ABLATIONS), max_size=2).map(",".join),
+})
+
+
+def train_run(directory: Path, config: dict) -> tuple[int, str, str, dict[str, bytes]]:
+    """`scdl train` on the corpora in `directory` into `directory/out`: exit code,
+    stdout, stderr and the bytes of every file written, by path in `out`."""
+    (directory / "config.txt").write_text("".join(f"{key}={value}\n" for key, value in config.items()))
+    out, stdout, stderr = directory / "out", io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+        rc = main(["train", "--config", str(directory / "config.txt"), "--train", str(directory / "train.conll"),
+                   "--dev", str(directory / "dev.conll"), "--out-dir", str(out)])
+    files = {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    return rc, stdout.getvalue(), stderr.getvalue(), files
+
+
+@given(st.lists(tagged_sentence(), min_size=1, max_size=4), st.lists(tagged_sentence(), min_size=1, max_size=3),
+       tiny_configs)
+@settings(max_examples=40, deadline=None)
+@example([[("w0", "O")]], [[("w0", "B-PER")]], {"gamma": 1e300, "pretrain_epochs": 1, "max_epochs": 1})
+def test_train_pipeline(train, dev, config):
+    """Exit 0 or 2 and no traceback; on 0 every checkpoint gives finite
+    probabilities on dev, on 2 there is no best.json; every file left is
+    complete; a rerun elsewhere gives the same bytes and output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        for directory in (first, second):
+            directory.mkdir()
+            (directory / "train.conll").write_text(conll(train), encoding="utf-8")
+            (directory / "dev.conll").write_text(conll(dev), encoding="utf-8")
+        rc, _, stderr, files = run = train_run(first, config)
+        assert rc in (0, 2) and "Traceback" not in stderr, stderr
+        assert ("best.json" in files) == (rc == 0)
+        assert not [path for path in files if Path(path).name.startswith(".")]  # no temporary file left
+        if "config.txt" in files:
+            ScdlConfig.from_text(files["config.txt"].decode())
+        dev_tokens = [AnnotatedSentence([token for token, _ in s]) for s in dev]
+        for path in files:
+            if path.endswith(".ckpt"):
+                params = load_checkpoint(first / "out" / path)
+                if rc == 0:
+                    with np.errstate(all="ignore"):
+                        assert np.isfinite(forward(params, dev_tokens)).all(), path
+        assert train_run(second, config) == run

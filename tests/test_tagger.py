@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from scdl import tagger as tagger_module
 from scdl.tagger import (
     PAD_BUCKET,
-    PAD_TOKEN,
     RowSparseGrad,
     TaggerConfig,
     TaggerParams,
+    TokenBatch,
     _forward_cache,
     encode,
     init_params,
@@ -97,29 +97,30 @@ class TestConfig:
 
 
 class TestHashing:
-    def test_pad_token_maps_to_reserved_bucket(self):
-        ids = token_ids([PAD_TOKEN, "word"], 12)
-        assert ids[0] == 0
-        assert 1 <= ids[1] < 12
+    @given(st.lists(st.sampled_from(["a", "é", "", "\x00<pad>"]) | st.text(max_size=3)),
+           st.integers(2, 2**40))
+    @settings(max_examples=300)
+    def test_every_form_hashes_above_the_padding_bucket(self, tokens, buckets):
+        """Bucket 0 is left to window edges and word dropout: no surface form,
+        a NUL-prefixed "<pad>" included, hashes into it."""
+        ids = token_ids(["\x00<pad>", *tokens], buckets)
+        assert ((PAD_BUCKET < ids) & (ids < buckets)).all()
 
     def test_deterministic(self):
         assert np.array_equal(token_ids(["a", "b"], 100), token_ids(["a", "b"], 100))
 
-    @given(st.lists(st.sampled_from(["a", "b", "é", "", " x", PAD_TOKEN]) | st.text(max_size=3)),
+    @given(st.lists(st.sampled_from(["a", "b", "é", "", " x", "\x00<pad>"]) | st.text(max_size=3)),
            st.integers(2, 2**40))
     @settings(max_examples=300)
     def test_equals_hash_per_token(self, tokens, buckets):
         """Hashing each distinct form once gives the ids of hashing every token."""
-        expected = [
-            PAD_BUCKET if t == PAD_TOKEN else 1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1)
-            for t in tokens
-        ]
+        expected = [1 + zlib.crc32(t.encode("utf-8")) % (buckets - 1) for t in tokens]
         ids = token_ids(tokens, buckets)
         assert ids.dtype == np.int64 and ids.tolist() == expected
 
 
 class TestFlatBatch:
-    words = st.sampled_from(["a", "b", "c", "d", PAD_TOKEN])
+    words = st.sampled_from(["a", "b", "c", "d", "e"])
 
     @given(st.lists(st.lists(words, max_size=5), max_size=6))
     @settings(max_examples=200)
@@ -129,6 +130,20 @@ class TestFlatBatch:
             expected = [
                 context_ids_per_sentence(token_ids(tokens, 12), window) for tokens in token_lists
             ]
+            expected = np.concatenate(expected) if expected else np.zeros((0, 2 * window + 1))
+            got = batch.context_ids(window)
+            assert got.shape == (len(batch.ids), 2 * window + 1) and got.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    @given(st.lists(st.lists(st.integers(0, 11), max_size=5), max_size=6))
+    @settings(max_examples=200)
+    def test_context_ids_with_inner_padding_equal_per_sentence_stack(self, id_lists):
+        """The PAD bucket inside sentences, as word dropout writes it, stays
+        in its own window position and is not mistaken for an edge."""
+        offsets = np.cumsum([0, *map(len, id_lists)], dtype=np.int64)
+        batch = TokenBatch(np.array([i for ids in id_lists for i in ids], dtype=np.int64), offsets, 12)
+        for window in (0, 1, 2, 3):
+            expected = [context_ids_per_sentence(np.array(ids, dtype=np.int64), window) for ids in id_lists]
             expected = np.concatenate(expected) if expected else np.zeros((0, 2 * window + 1))
             got = batch.context_ids(window)
             assert got.shape == (len(batch.ids), 2 * window + 1) and got.dtype == np.int64
@@ -325,21 +340,21 @@ class TestLosses:
 
 
 class TestRowSparseGradient:
-    words = st.sampled_from(["a", "b", "c", PAD_TOKEN])
-
     @given(
-        st.lists(st.lists(words, max_size=4), min_size=1, max_size=6),
+        st.lists(st.lists(st.integers(0, 6), max_size=4), min_size=1, max_size=6),
         st.integers(0, 2),
         st.integers(0, 2**16),
     )
     @settings(max_examples=200, deadline=None)
-    def test_dense_embedding_equals_add_at_reference(self, token_lists, window, seed):
-        """Repeated ids, the PAD bucket, 1-token and empty sentences: the
+    def test_dense_embedding_equals_add_at_reference(self, id_lists, window, seed):
+        """Repeated ids, the PAD bucket inside sentences (as word dropout
+        writes it) and at their edges, 1-token and empty sentences: the
         touched rows' values are the zero-filled np.add.at table's, bit for bit."""
         rng = np.random.default_rng(seed)
         config = replace(SMALL, vocab_hash_buckets=7, window=window, init_seed=seed)
         params = init_params(config)
-        batch = encode(sentences_of(*token_lists), 7)
+        offsets = np.cumsum([0, *map(len, id_lists)], dtype=np.int64)
+        batch = TokenBatch(np.array([i for ids in id_lists for i in ids], dtype=np.int64), offsets, 7)
         n = len(batch.ids)
         targets = rng.dirichlet(np.ones(5), size=n)
         mask = rng.random(n) < 0.8

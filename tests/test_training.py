@@ -22,7 +22,6 @@ from scdl.denoise import (
 )
 from scdl.tagger import (
     PAD_BUCKET,
-    PAD_TOKEN,
     TokenBatch,
     encode,
     forward,
@@ -280,9 +279,9 @@ class TestSelfDenoiseStep:
             assert stats.selected > 0
             assert params_equal(stepped.student, student) == (dropout == 0.0)
 
-    def test_id_dropout_equals_pad_token_dropout(self, vocab):
+    def test_id_dropout_equals_per_sentence_draws(self, vocab):
         """Blanking ids to the padding bucket with one draw per batch equals
-        building PAD_TOKEN sentences with one draw per sentence."""
+        blanking each sentence's ids with one draw per sentence."""
         corpus = noisy_corpus(vocab)
         batch = corpus[:8]
         config = ScdlConfig(
@@ -299,13 +298,10 @@ class TestSelfDenoiseStep:
         )
 
         rng = np.random.default_rng(4)
-        blanked = [
-            AnnotatedSentence(
-                [PAD_TOKEN if d else t for t, d in zip(s.tokens, rng.random(len(s)) < 0.3)]
-            )
-            for s in batch
-        ]
-        assert any(PAD_TOKEN in s.tokens for s in blanked)
+        clean = encode(batch, config.hash_buckets)
+        drop = np.concatenate([rng.random(len(s)) < 0.3 for s in batch])
+        blanked = TokenBatch(np.where(drop, PAD_BUCKET, clean.ids), clean.offsets, clean.buckets)
+        assert drop.any()
         dists = forward(before.teacher, batch)
         loss, grad = loss_soft(before.student, blanked, dists, np.ones(len(dists), dtype=bool))
         assert stats.loss == loss
@@ -534,6 +530,24 @@ class TestBatches:
 class TestTrain:
     def _dev(self, vocab, n=24):
         return make_synthetic_corpus(n, vocab, seed=999)
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_train_names_the_network_and_step_of_a_non_finite_loss(self, vocab, monkeypatch, fork):
+        """A NaN planted in student1's output bias after the step-0 scoring
+        leaves the teacher's probabilities finite, so the loss check of the
+        first step fails; `train` names the network and the step."""
+        if not fork:
+            monkeypatch.setattr(training, "_FORK", None)
+
+        def plant(epoch, state):
+            if epoch == 0:
+                state.pair1.student.out_b[0] = np.nan
+
+        config = ScdlConfig(**FAST, delta=0.5)
+        expected = r"^non-finite loss nan during self denoising \(net1 at step 1\)$"
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=expected):
+            train(config, noisy_corpus(vocab), self._dev(vocab), vocab, epoch_callback=plant)
+        assert not multiprocessing.active_children()
 
     def test_degeneracy_matches_direct_loop(self, vocab):
         """All ablations on reduce the pipeline to plain noisy supervision."""
@@ -850,19 +864,19 @@ class TestPeer:
         if not fork:
             monkeypatch.setattr(training, "_FORK", None)
         original = training.self_denoise_step
-        fail_at = {"noisy_i": (net1_step, "net1"), "noisy_ii": (net2_step, "net2")}
+        fail_at = {"noisy_i": net1_step, "noisy_ii": net2_step}
         calls = {"noisy_i": 0, "noisy_ii": 0}
 
         def failing(pair, batch, track, *args, **kwargs):
             calls[track] += 1  # counted in the process that runs this network
-            step, net = fail_at[track]
-            if calls[track] == step:
-                raise TrainingDiverged(f"{net} at step {step}")
+            if calls[track] == fail_at[track]:
+                raise TrainingDiverged("synthetic failure")
             return original(pair, batch, track, *args, **kwargs)
 
         monkeypatch.setattr(training, "self_denoise_step", failing)
         config = ScdlConfig(**{**FAST, "max_epochs": 2})  # steps 1-3 | 4-5, rewrite | 6
-        with pytest.raises(TrainingDiverged, match=f"^{expected}$"):
+        # `train` names the network and step of a failed denoising step
+        with pytest.raises(TrainingDiverged, match=rf"^synthetic failure \({expected}\)$"):
             train(config, noisy_corpus(vocab), self._dev(vocab), vocab)
         assert not multiprocessing.active_children()
 
@@ -881,7 +895,7 @@ class TestPeer:
         """NaNs planted after epoch 1 in an embedding row no token hashes to
         are seen only by the parameter checks at the end of epoch 2 (step 6).
         teacher1's is reported before teacher2's, and a failure of network 2's
-        last step in the epoch before either."""
+        last step in the epoch, named by `train`, before either."""
         from scdl.tagger import token_ids
 
         if not fork:
@@ -895,7 +909,7 @@ class TestPeer:
         def failing(pair, batch, track, *args, **kwargs):
             calls[track] += 1  # counted in the process that runs this network
             if track == "noisy_ii" and calls[track] == net2_step:
-                raise TrainingDiverged(f"net2 at step {net2_step}")
+                raise TrainingDiverged("synthetic failure")
             return original(pair, batch, track, *args, **kwargs)
 
         def plant(epoch, state):
@@ -904,6 +918,8 @@ class TestPeer:
                     state.models()[name].embedding[unused, 0] = np.nan
 
         monkeypatch.setattr(training, "self_denoise_step", failing)
+        if net2_step is not None:
+            expected = rf"synthetic failure \({expected}\)"
         with pytest.raises(TrainingDiverged, match=f"^{expected}$"):
             train(config, corpus, dev, vocab, epoch_callback=plant)
         assert not multiprocessing.active_children()

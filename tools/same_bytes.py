@@ -9,13 +9,14 @@ for each tree, seed (0 and 7) and schedule (forked, and under `taskset -c 0`,
 where network 2 trains after network 1 in one process), it runs `scdl train`
 (update_cycle 250 and 25, 25 with student_word_dropout=0.25, where the
 students move off their teachers, and 25 with net2_window=2, where the
-corpus caches a window table per network), `pretrain`, `ablate`,
-`annotate`, `inject` and `eval` of every `best.ckpt`, each in a fresh
-process with BLAS pinned to one thread. It compares exit codes, stdout, stderr and the sha256 of every
-output file, names every difference of the first seed and schedule that
-has any, with the largest absolute element difference of each block of a
-differing checkpoint, and exits 1. Compare trees on one host only: OpenBLAS
-picks its kernels per CPU.
+corpus caches a window table per network), `pretrain`, `ablate`, `sweep`
+(k=40 on the test split), `annotate`, `inject` and `eval` of every
+`best.ckpt`, each in a fresh process with BLAS pinned to one thread. It
+compares exit codes, stdout, stderr and the sha256 of every output file,
+names every difference of the first seed and schedule that has any, with
+the largest absolute element difference of each block of a differing
+checkpoint, and exits 1. Compare trees on one host only: OpenBLAS picks its
+kernels per CPU.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def commands(inp: str, seed: int) -> list[list[str]]:
         ["train", "--config", f"{inp}/config25w.txt", *data, "--out-dir", "out/train25w"],
         ["pretrain", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/pretrain"],
         ["ablate", "--config", f"{inp}/config250.txt", *data, "--out-dir", "out/ablate"],
+        ["sweep", "--config", f"{inp}/config250.txt", "--corpus", f"{inp}/test.conll", "--ks", "40",
+         "--seeds", str(seed), "--out", "out/sweep.csv"],
         ["annotate", "--corpus", f"{inp}/tagged.conll", "--gazetteer", f"{inp}/gazetteer.tsv",
          "--coverage", "0.8", "--rule", "random", "--seed", str(seed), "--out", "out/distant.conll"],
         ["inject", "--corpus", f"{inp}/test.conll", "--k", "40", "--seed", str(seed),
