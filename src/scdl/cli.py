@@ -44,7 +44,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _read(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not text
         return fh.read()
 
 
@@ -378,6 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # run as a program: every non-finite value that matters is checked, not warned of
+        with np.errstate(all="ignore"):  # forked children inherit this too
+            return main(sys.argv[1:])
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage; 2 means divergence here

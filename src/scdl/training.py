@@ -157,11 +157,11 @@ class TrainState:
 
     @property
     def sentences(self) -> list[AnnotatedSentence]:
-        """The training sentences with their tracks split from `corpus`,
-        built anew on each access; a track the batch lacks is None."""
+        """Copies of the training sentences with their tracks split from
+        `corpus`, built anew on each access; a track the batch lacks is None."""
         rows = {name: self.corpus.split(tags) for name, tags in self.corpus.tracks.items()}
         return [
-            AnnotatedSentence(tokens, **{name: tags[i] for name, tags in rows.items()})
+            AnnotatedSentence(list(tokens), **{name: tags[i] for name, tags in rows.items()})
             for i, tokens in enumerate(self.tokens)
         ]
 
@@ -212,22 +212,16 @@ def _gathered(corpus: TokenBatch, batches, model: TaggerParams) -> list[TokenBat
     return [whole.view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _shared(arrays) -> list[np.ndarray]:
-    """Copies of `arrays` in one anonymous shared mapping: what a forked
-    child writes into them in place, the caller sees."""
-    sizes = [-(-a.nbytes // 64) * 64 for a in arrays]  # each copy 64-byte aligned
-    buffer = mmap.mmap(-1, max(sum(sizes), 1))
-    copies, offset = [], 0
-    for a, size in zip(arrays, sizes):
-        copy = np.frombuffer(buffer, a.dtype, a.size, offset).reshape(a.shape)
-        copy[...] = a
-        copies.append(copy)
-        offset += size
-    return copies
+def _shared(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` in its own anonymous shared mapping, page-aligned by the
+    kernel: what a forked child writes into it in place, the caller sees."""
+    copy = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), a.dtype, a.size).reshape(a.shape)
+    copy[...] = a
+    return copy
 
 
 def _shared_params(params: TaggerParams) -> TaggerParams:
-    return TaggerParams(params.config, *_shared(params.blocks()))
+    return TaggerParams(params.config, *map(_shared, params.blocks()))
 
 
 # Network 2 trains in a child forked from the caller where the platform can fork.
@@ -456,17 +450,6 @@ def collaborative_update(state: TrainState, predicted: dict[str, np.ndarray], *,
         state.corpus.tracks[track][tokens] = labels
 
 
-def select_best(candidates) -> tuple[str, TaggerParams, float]:
-    """First maximal dev score in the fixed model order."""
-    best = None
-    for name, params, score in candidates:
-        if not math.isfinite(score):
-            raise ValueError(f"non-finite dev score for {name}")
-        if best is None or score > best[2]:
-            best = (name, params, score)
-    return best
-
-
 def _labels(params: TaggerParams, batch, vocab: TagVocabulary, where: str) -> np.ndarray:
     """predict_labels; non-finite probabilities raise TrainingDiverged naming `where`."""
     try:
@@ -539,7 +522,7 @@ def train(
                 raise ValueError(f"every {what} sentence needs a {name!r} track")
     gold = corpus.track("gold")
     p1, p2 = pretrain(config, corpus, vocab, rng)
-    corpus.tracks.update(zip(TRACKS, _shared([corpus.tracks[t] for t in TRACKS])))
+    corpus.tracks.update({track: _shared(corpus.tracks[track]) for track in TRACKS})
     alpha = 0.0 if "no_teachers" in config.ablations else config.alpha
     state = TrainState(
         pair1=TeacherStudentPair(_shared_params(p1), p1, alpha),
@@ -571,11 +554,9 @@ def train(
             history.append(CurvePoint(step, name, "dev", s.precision, s.recall, s.f1))
         for track in TRACKS:
             refinery.append((step, track, score_tags(corpus.track(track), gold, vocab, corpus.offsets)))
-        name, params, f1 = select_best(
-            (name, params, scores[name].f1) for name, params in state.models().items()
-        )
-        if best is None or f1 > best[2]:
-            best = (name, params.copy(), f1)
+        name = max(MODEL_ORDER, key=lambda name: scores[name].f1)  # the first of equals
+        if best is None or scores[name].f1 > best[2]:  # an equal score keeps the earlier step's
+            best = (name, state.models()[name].copy(), scores[name].f1)
 
     def run(k: int, segment):
         """Network k's steps over (first step, batches, rewrite, sentences, epoch

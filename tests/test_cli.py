@@ -119,6 +119,94 @@ def after_epoch_1(monkeypatch, action):
     monkeypatch.setattr(cli, "train", train)
 
 
+def run_program(*argv) -> subprocess.CompletedProcess:
+    """`python -m scdl.cli argv` in a fresh process, on this checkout's `src`."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "scdl.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def one_sentence_divergence(tmp_path) -> list[str]:
+    """`scdl train` arguments under which one pretraining step at gamma=1e300
+    leaves finite parameters whose tag probabilities are NaN at step 0."""
+    vocab = default_vocab()
+    corpus, config = tmp_path / "one.conll", tmp_path / "config.txt"
+    corpus.write_text(write_conll(make_synthetic_corpus(1, vocab, seed=3), vocab, "gold"))
+    config.write_text("gamma=1e300\npretrain_epochs=1\nmax_epochs=1\n")
+    return ["train", "--config", str(config), "--train", str(corpus), "--dev", str(corpus),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def denoising_step_divergence(tmp_path) -> list[str]:
+    """`scdl train` arguments under which, with no pretraining and gamma=1e300,
+    a dropout step's SGD makes a student huge, and its teacher's EMA of it
+    gives NaN probabilities at network 2's step 2."""
+    vocab = default_vocab()
+    noisy, _ = inject_noise(make_synthetic_corpus(64, vocab, seed=1), 40, vocab, seed=0)
+    train, dev, config = tmp_path / "train.conll", tmp_path / "dev.conll", tmp_path / "config.txt"
+    train.write_text(write_conll(noisy, vocab, "noisy_i"))
+    dev.write_text(write_conll(make_synthetic_corpus(16, vocab, seed=2), vocab, "gold"))
+    config.write_text(
+        "pretrain_epochs=0\nmax_epochs=1\ngamma=1e300\ndelta=0.1\nupdate_cycle=100\n"
+        "student_word_dropout=0.5\n"
+    )
+    return ["train", "--config", str(config), "--train", str(train), "--dev", str(dev),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def overflowing_checkpoint_eval(tmp_path) -> list[str]:
+    """`scdl eval` arguments naming a checkpoint whose values are finite, so
+    it loads, but whose tag probabilities overflow to NaN."""
+    vocab = default_vocab()
+    params = init_params(TaggerConfig(num_tags=vocab.size, vocab_hash_buckets=64, embed_dim=4, hidden_dim=5))
+    params.hidden_w *= 1e6
+    params.out_w[:] = 1.5e308
+    ckpt, corpus = tmp_path / "huge.ckpt", tmp_path / "gold.conll"
+    save_checkpoint(params, ckpt)
+    corpus.write_text(write_conll(make_synthetic_corpus(20, vocab, seed=3), vocab, "gold"))
+    return ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]
+
+
+@pytest.mark.parametrize(
+    "repro, code",
+    [(one_sentence_divergence, 2), (denoising_step_divergence, 2), (overflowing_checkpoint_eval, 1)],
+)
+def test_failing_program_prints_only_its_error_line(tmp_path, repro, code):
+    """Run as a program, a command that fails on non-finite values prints its
+    `error:` line and no NumPy warning, from this process or a forked one."""
+    proc = run_program(*repro(tmp_path))
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("marked", ["corpus", "gazetteer", "config"])
+def test_leading_byte_order_mark_is_ignored(workspace, marked):
+    """An input that starts with a UTF-8 byte-order mark gives the same output
+    bytes as the same input without one."""
+    mention = next(line for line in workspace["gold"].read_text().splitlines() if "\tB-" in line)
+    token, tag = mention.split("\t")
+    inputs = {"corpus": workspace["gold"], "gazetteer": workspace["dir"] / "gaz.tsv", "config": workspace["config"]}
+    inputs["gazetteer"].write_text(f"{token}\t{tag[2:]}\n")  # a surface the corpus has
+    outputs = []
+    for mark in ("", "\ufeff"):
+        paths = dict(inputs)
+        paths[marked] = workspace["dir"] / f"marked_{inputs[marked].name}"
+        paths[marked].write_text(mark + inputs[marked].read_text(), encoding="utf-8")
+        out = workspace["dir"] / f"out{len(outputs)}"
+        out.mkdir()
+        if marked == "config":
+            argv = ["train", "--config", str(paths["config"]), "--train", str(workspace["train"]),
+                    "--dev", str(workspace["dev"]), "--out-dir", str(out)]
+        else:
+            argv = ["annotate", "--corpus", str(paths["corpus"]), "--gazetteer", str(paths["gazetteer"]),
+                    "--out", str(out / "distant.conll")]
+        assert main(argv) == 0
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert outputs[0] == outputs[1]
+
+
 class TestInject:
     def test_outputs_and_determinism(self, workspace, capsys):
         out = workspace["dir"] / "noisy.conll"
@@ -569,24 +657,9 @@ class TestTrainCmd:
         assert not list(out.rglob("best.json")) and not list(out.rglob("metrics.jsonl"))
 
     def test_denoising_step_divergence_names_network_and_step(self, tmp_path, capsys):
-        """With no pretraining and gamma=1e300, a dropout step's SGD makes the
-        student huge, and the teacher's EMA of it gives NaN probabilities at
-        the next step. The step raises naming only its track; `train` adds
-        the network and the step."""
-        vocab = default_vocab()
-        noisy, _ = inject_noise(make_synthetic_corpus(64, vocab, seed=1), 40, vocab, seed=0)
-        train, dev, config = tmp_path / "train.conll", tmp_path / "dev.conll", tmp_path / "config.txt"
-        train.write_text(write_conll(noisy, vocab, "noisy_i"))
-        dev.write_text(write_conll(make_synthetic_corpus(16, vocab, seed=2), vocab, "gold"))
-        config.write_text(
-            "pretrain_epochs=0\nmax_epochs=1\ngamma=1e300\ndelta=0.1\nupdate_cycle=100\n"
-            "student_word_dropout=0.5\n"
-        )
+        """The step raises naming only its track; `train` adds the network and the step."""
         with np.errstate(all="ignore"):
-            rc = main([
-                "train", "--config", str(config), "--train", str(train), "--dev", str(dev),
-                "--out-dir", str(tmp_path / "out"),
-            ])
+            rc = main(denoising_step_divergence(tmp_path))
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: training diverged: non-finite tag probabilities from the teacher on noisy_ii"
@@ -885,19 +958,12 @@ class TestEvalCmd:
         assert capsys.readouterr().err == "error: non-finite value in checkpoint block hidden_w\n"
 
     def test_non_finite_probabilities_name_checkpoint_and_corpus(self, tmp_path, capsys):
-        """A checkpoint whose values are finite, so it loads, but whose tag
-        probabilities overflow to NaN: bad input, exit 1, naming both files."""
-        vocab = default_vocab()
-        params = init_params(TaggerConfig(num_tags=vocab.size, vocab_hash_buckets=64, embed_dim=4, hidden_dim=5))
-        params.hidden_w *= 1e6
-        params.out_w[:] = 1.5e308
-        ckpt, corpus = tmp_path / "huge.ckpt", tmp_path / "gold.conll"
-        save_checkpoint(params, ckpt)
-        corpus.write_text(write_conll(make_synthetic_corpus(20, vocab, seed=3), vocab, "gold"))
+        """Bad input, exit 1, naming both files."""
+        argv = overflowing_checkpoint_eval(tmp_path)
         with np.errstate(all="ignore"):
-            rc = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)])
+            rc = main(argv)
         assert rc == 1
-        assert capsys.readouterr().err == f"error: non-finite tag probabilities from {ckpt} on {corpus}\n"
+        assert capsys.readouterr().err == f"error: non-finite tag probabilities from {argv[2]} on {argv[4]}\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_empty_corpus(self, workspace, capsys, text):
@@ -931,19 +997,9 @@ class TestAblateCmd:
 
     def test_output_through_a_pipe_is_printed_once(self, workspace):
         """A forked process never prints the parent's buffered stdout again."""
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "scdl.cli", "ablate", "--config", str(workspace["config"]),
-                "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
-                "--out-dir", str(workspace["dir"] / "piped"),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            timeout=300,
+        proc = run_program(
+            "ablate", "--config", str(workspace["config"]), "--train", str(workspace["train"]),
+            "--dev", str(workspace["dev"]), "--out-dir", str(workspace["dir"] / "piped"),
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()

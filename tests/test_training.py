@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import signal
@@ -10,7 +11,7 @@ import pytest
 
 import scdl.training as training
 from scdl.corpus import AnnotatedSentence, TagVocabulary, inject_noise
-from scdl.metrics import CurvePoint, score_tags
+from scdl.metrics import CurvePoint, SpanScore, score_tags
 from scdl.denoise import (
     TeacherStudentPair,
     confident_mask,
@@ -42,7 +43,6 @@ from scdl.training import (
     _batches,
     pretrain,
     collaborative_update,
-    select_best,
     self_denoise_step,
     train,
 )
@@ -429,7 +429,7 @@ class TestTrainState:
         sentences = state.sentences
         assert len(sentences) == len(corpus)
         for s, original in zip(sentences, corpus):
-            assert s.tokens is original.tokens  # the caller's token lists, not copied
+            assert s.tokens == original.tokens and s.tokens is not original.tokens
         for name in AnnotatedSentence.TRACKS:
             assert [s.track(name) for s in sentences] == state.corpus.split(state.corpus.track(name))
 
@@ -442,6 +442,14 @@ class TestTrainState:
         state.sentences[0].noisy_i[0] = 99
         assert state.sentences[0].noisy_i[0] != 99
         assert np.array_equal(state.corpus.track("noisy_i"), flat)
+
+    def test_editing_returned_tokens_changes_nothing(self, vocab):
+        corpus = noisy_corpus(vocab, n=8)
+        tokens = [list(s.tokens) for s in corpus]
+        result = train(ScdlConfig(**FAST), corpus, make_synthetic_corpus(8, vocab, seed=999), vocab)
+        result.state.sentences[0].tokens.append("x")
+        assert [s.tokens for s in corpus] == tokens
+        assert [s.tokens for s in result.state.sentences] == tokens
 
     def test_missing_track_is_none(self, vocab):
         config = ScdlConfig(**FAST)
@@ -459,16 +467,47 @@ class TestTrainState:
 
 
 class TestSelectBest:
-    def test_tie_break_order(self):
-        params = init_params(ScdlConfig(**FAST).tagger_configs(9)[0])
-        candidates = [(name, params, 0.5) for name in MODEL_ORDER]
-        assert select_best(candidates)[0] == "teacher1"
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "serial"])
+    @pytest.mark.parametrize(
+        "table, best",
+        [
+            # a tie at step 0 goes to the first in MODEL_ORDER; equal later scores keep it
+            ({0: (3, 5, 5, 1), 1: (2, 4, 5, 5), 2: (5, 5, 5, 5), 3: (1, 1, 1, 1)}, ("student1", 0)),
+            # a strictly higher score replaces it, the first of that step's equals
+            ({0: (3, 5, 5, 1), 1: (2, 4, 5, 5), 2: (6, 4, 6, 6), 3: (6, 6, 6, 6)}, ("teacher1", 2)),
+        ],
+        ids=["equal-keeps", "higher-replaces"],
+    )
+    def test_first_maximum_in_model_order_at_the_earliest_step(self, vocab, monkeypatch, table, best, fork):
+        """`train` keeps the first maximal dev F1 in MODEL_ORDER and replaces
+        it only with a strictly higher one at a later step; `best_params` is
+        that model at that step, though training goes on moving the live one.
+        Each epoch's F1s (tenths, in MODEL_ORDER) are planted in `evaluate_models`,
+        which runs in network 2's forked process too."""
+        if not fork:
+            monkeypatch.setattr(training, "_can_fork", lambda: False)
+        elif not training._can_fork():
+            pytest.skip("network 2 trains in the caller here")
+        config = ScdlConfig(**{**FAST, "max_epochs": 3}, delta=0.6, student_word_dropout=0.25)
+        corpus = noisy_corpus(vocab)
+        per_epoch = math.ceil(len(corpus) / config.batch_size)
 
-    def test_picks_maximum(self):
-        params = init_params(ScdlConfig(**FAST).tagger_configs(9)[0])
-        scores = dict(zip(MODEL_ORDER, (0.1, 0.9, 0.4, 0.9)))
-        candidates = [(n, params, scores[n]) for n in MODEL_ORDER]
-        assert select_best(candidates)[0] == "student1"
+        def planted(models, dev, vocab, where):
+            epoch = int(where.removeprefix("at step ")) // per_epoch
+            return {name: SpanScore(table[epoch][MODEL_ORDER.index(name)], 10, 10) for name in models}
+
+        kept = {}
+
+        def keep(epoch, state):
+            kept[epoch] = {name: p.copy() for name, p in state.models().items()}
+
+        monkeypatch.setattr(training, "evaluate_models", planted)
+        result = train(config, corpus, make_synthetic_corpus(8, vocab, seed=999), vocab, epoch_callback=keep)
+        name, epoch = best
+        assert result.best_model == name
+        assert result.best_f1 == SpanScore(table[epoch][MODEL_ORDER.index(name)], 10, 10).f1
+        assert same_bits(result.best_params, kept[epoch][name])
+        assert not params_equal(result.state.models()[name], result.best_params)
 
     def test_models_in_model_order(self, vocab):
         p1, p2 = pretrain(ScdlConfig(**FAST), noisy_corpus(vocab), vocab)
@@ -482,10 +521,6 @@ class TestSelectBest:
         assert tuple(models) == MODEL_ORDER
         assert models["teacher1"] is state.pair1.teacher
         assert models["student2"] is state.pair2.student
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            select_best([("teacher1", None, float("nan"))])
 
 
 class TestBatches:
