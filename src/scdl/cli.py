@@ -7,6 +7,7 @@ import hashlib
 import json
 import re
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -176,7 +177,7 @@ def cmd_pretrain(args) -> int:
 _EPOCH_CHECKPOINT = re.compile(rf"(?:{'|'.join(MODEL_ORDER)})_epoch([1-9][0-9]*)\.ckpt")
 
 
-def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> int:
+def _run_train(config, train_path, dev_path, out_dir) -> int:
     (train_corpus, dev_corpus), vocab = _load_corpora(train_path, dev_path)
     out = Path(out_dir)
     ckpt_dir = out / "checkpoints"
@@ -205,7 +206,8 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
         for track in TRACKS
     }
 
-    lines = [_metrics_record(p, ablation_label) for p in result.history]
+    ablation = ",".join(sorted(config.ablations))
+    lines = [_metrics_record(p, ablation) for p in result.history]
     atomic_write_text(out / "metrics.jsonl", "\n".join(lines) + "\n")
     atomic_write_text(out / "curve.csv", metrics_mod.emit_curve(result.history))
     refinery_lines = ["step,track,precision,recall,f1"]
@@ -221,7 +223,7 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
             {
                 "model": result.best_model,
                 "dev_f1": round(result.best_f1, 6),
-                "ablation": ablation_label,
+                "ablation": ablation,
                 "track_checksums": checksums,
             },
             indent=2,
@@ -233,9 +235,7 @@ def _run_train(config, train_path, dev_path, out_dir, ablation_label: str) -> in
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    label = ",".join(sorted(config.ablations))
-    return _run_train(config, args.train, args.dev, args.out_dir, label)
+    return _run_train(_load_config(args), args.train, args.dev, args.out_dir)
 
 
 def cmd_eval(args) -> int:
@@ -259,14 +259,8 @@ def cmd_ablate(args) -> int:
     base = _load_config(args)
     for ablation in ABLATIONS:
         config = replace(base, ablations=frozenset({ablation}))
-        _run_train(config, args.train, args.dev, Path(args.out_dir) / ablation, ablation)
+        _run_train(config, args.train, args.dev, Path(args.out_dir) / ablation)
     return 0
-
-
-def _split_holdout(sentences, every: int = 5):
-    dev = [s for i, s in enumerate(sentences) if i % every == 0]
-    tr = [s for i, s in enumerate(sentences) if i % every != 0]
-    return tr, dev
 
 
 def cmd_sweep(args) -> int:
@@ -284,35 +278,21 @@ def cmd_sweep(args) -> int:
     if not Path(args.out).parent.is_dir():  # checked before the corpus is read
         raise NotADirectoryError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
     [sentences], vocab = _load_corpora(args.corpus)
-    base_train, dev = _split_holdout(sentences)
+    base_train, dev = [s for i, s in enumerate(sentences) if i % 5], sentences[::5]  # every fifth held out
     missing = " and no ".join(what for what, part in (("training", base_train), ("dev", dev)) if not part)
     if missing:  # checked before the first run
         raise ValueError(f"--corpus {args.corpus}: the held-out split leaves no {missing} sentences")
-    rows = []
+    epochs = config.pretrain_epochs + config.max_epochs  # the baseline's matched budget
+    lines = ["k,seed,method,dev_f1,initial_refinery_f1,final_refinery_f1"]
     for k in ks:
         for seed, run_cfg in zip(seeds, run_configs):
             noisy, _log = inject_noise(base_train, k, vocab, seed=seed)
             scdl_result = train(run_cfg, noisy, dev, vocab)
             # noisy_i scored against gold at step 0 and after the last epoch
-            scores = [score for _, track, score in scdl_result.refinery if track == "noisy_i"]
-            initial, final = scores[0], scores[-1]
-            baseline_cfg = replace(
-                run_cfg,
-                max_epochs=0,
-                pretrain_epochs=config.pretrain_epochs + config.max_epochs,
-            )
-            baseline_result = train(baseline_cfg, noisy, dev, vocab)
-            rows.append(
-                (k, seed, "scdl", scdl_result.best_f1, initial.f1, final.f1)
-            )
-            rows.append(
-                (k, seed, "pretrain_only", baseline_result.best_f1, initial.f1, initial.f1)
-            )
-    lines = ["k,seed,method,dev_f1,initial_refinery_f1,final_refinery_f1"]
-    for k, seed, method, dev_f1, init_f1, final_f1 in rows:
-        lines.append(
-            f"{k:g},{seed},{method},{dev_f1:.6f},{init_f1:.6f},{final_f1:.6f}"
-        )
+            f1s = [score.f1 for _, track, score in scdl_result.refinery if track == "noisy_i"]
+            baseline = train(replace(run_cfg, max_epochs=0, pretrain_epochs=epochs), noisy, dev, vocab)
+            lines.append(f"{k:g},{seed},scdl,{scdl_result.best_f1:.6f},{f1s[0]:.6f},{f1s[-1]:.6f}")
+            lines.append(f"{k:g},{seed},pretrain_only,{baseline.best_f1:.6f},{f1s[0]:.6f},{f1s[0]:.6f}")
     text = "\n".join(lines) + "\n"
     atomic_write_text(args.out, text)
     print(text, end="")
@@ -379,8 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if argv is None:  # run as a program: every non-finite value that matters is checked, not warned of
-        with np.errstate(all="ignore"):  # forked children inherit this too
-            return main(sys.argv[1:])
+        with np.errstate(all="ignore"), warnings.catch_warnings():  # forked children inherit both
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            try:
+                return main(sys.argv[1:])
+            except KeyboardInterrupt:
+                print("error: interrupted", file=sys.stderr)
+                return 130
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage; 2 means divergence here

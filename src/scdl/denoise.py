@@ -20,6 +20,7 @@ class TeacherStudentPair:
     teacher: TaggerParams
     student: TaggerParams
     alpha: float
+    moving: np.ndarray | None = None  # the embedding rows the EMA updates (see ema_update)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -27,6 +28,9 @@ class TeacherStudentPair:
         for t, s in zip(self.teacher.blocks(), self.student.blocks()):
             if t.shape != s.shape:
                 raise ValueError("teacher/student shape mismatch")
+        m, rows = self.moving, self.teacher.embedding.shape[:1]
+        if m is not None and (getattr(m, "dtype", None) != bool or m.shape != rows):
+            raise ValueError("moving must be a bool array with one entry per embedding row")
 
 
 def consistent_mask(noisy_tags, pseudo_tags) -> np.ndarray:
@@ -66,18 +70,18 @@ def token_selection(
     return _indices(consistent_mask(noisy_tags, pseudo) & confident_mask(teacher_dists, delta))
 
 
-def ema_update(pair: TeacherStudentPair, *, moving=None) -> TeacherStudentPair:
+def ema_update(pair: TeacherStudentPair) -> TeacherStudentPair:
     """teacher <- alpha * teacher + (1 - alpha) * student, written into the
     teacher's own buffers, which must not share memory with the student's;
     the student is untouched and the pair returned. Each element rounds
     exactly as alpha * t + (1 - alpha) * s.
 
-    With `moving`, a boolean mask over the embedding rows, only marked rows are
-    updated; those it left bit for bit are cleared, and as the update is a fixed
+    With `pair.moving`, a boolean mask over the embedding rows, only marked rows
+    are updated; those it left bit for bit are cleared, and as the update is a fixed
     function of (t, s) they stay so until the caller marks their student rows. With
     over an eighth marked, short of all, the whole table is updated and the mask kept.
     """
-    a = pair.alpha
+    a, moving = pair.alpha, pair.moving
     blocks = list(zip(pair.teacher.blocks(), pair.student.blocks()))
     if moving is not None and not len(moving) // 8 < np.count_nonzero(moving) < len(moving):
         (t, s), rows = blocks.pop(0), np.flatnonzero(moving)

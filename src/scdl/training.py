@@ -5,8 +5,8 @@ stream. Each network selects trustworthy tokens against its own noisy
 track; every `update_cycle` steps the teachers rewrite each other's track.
 Between rewrites the networks share nothing, so each trains a segment,
 the batches up to the next rewrite, on its own: network 2 in a forked child
-process over parameters and tracks in shared memory while network 1 trains
-in the caller.
+process over parameters, tracks and EMA masks in shared memory while
+network 1 trains in the caller.
 """
 
 from __future__ import annotations
@@ -391,8 +391,6 @@ def self_denoise_step(
     config: ScdlConfig,
     vocab: TagVocabulary,
     dropout_rng: np.random.Generator | None = None,
-    *,
-    moving: np.ndarray | None = None,
 ) -> tuple[TeacherStudentPair, MaskStats]:
     """One inner-loop step in place: select tokens, SGD the student, EMA the teacher.
 
@@ -406,7 +404,7 @@ def self_denoise_step(
     padding bucket, which moves it off that point; it needs
     `dropout_rng`. When nothing is selected, both models are left
     untouched. Returns the given pair and the stats; under `hard_labels` the
-    targets are the noisy labels; `moving` gets the gradient's rows marked.
+    targets are the noisy labels; `pair.moving` gets the gradient's rows marked.
     A non-finite teacher probability raises TrainingDiverged.
     """
     if len(batch) == 0:
@@ -435,9 +433,9 @@ def self_denoise_step(
     loss, grad = loss_soft(pair.student, student_batch, targets, mask)
     _check_finite(loss, "self denoising")
     sgd_step(pair.student, grad, config.gamma)
-    if moving is not None:
-        moving[grad.rows] = True
-    return ema_update(pair, moving=moving), MaskStats(selected, len(noisy), loss)
+    if pair.moving is not None:
+        pair.moving[grad.rows] = True
+    return ema_update(pair), MaskStats(selected, len(noisy), loss)
 
 
 def collaborative_update(state: TrainState, predicted: dict[str, np.ndarray], *, sentences=None) -> None:
@@ -490,8 +488,9 @@ def train(
     a copy built on each access, so editing its tags changes nothing.
     Training writes SGD and EMA steps into the models' own buffers: the
     models of `result.state`, and of the state `epoch_callback` receives,
-    are live views of shared memory, so a callback that keeps them must
-    copy them. `result.best_params` is a copy.
+    and each pair's EMA mask (`pair1.moving`, `pair2.moving`) are live views
+    of shared memory, so a callback that keeps them must copy them.
+    `result.best_params` is a copy.
 
     The networks train one segment at a time, the batches up to the next
     rewrite or epoch end, with one `_Peer` call each: network 2 in a
@@ -524,15 +523,15 @@ def train(
     p1, p2 = pretrain(config, corpus, vocab, rng)
     corpus.tracks.update({track: _shared(corpus.tracks[track]) for track in TRACKS})
     alpha = 0.0 if "no_teachers" in config.ablations else config.alpha
+    moving = np.ones(config.hash_buckets, dtype=bool)  # every row moves at first (see ema_update)
     state = TrainState(
-        pair1=TeacherStudentPair(_shared_params(p1), p1, alpha),
-        pair2=TeacherStudentPair(_shared_params(p2), p2, alpha),
+        pair1=TeacherStudentPair(_shared_params(p1), p1, alpha, _shared(moving)),
+        pair2=TeacherStudentPair(_shared_params(p2), p2, alpha, _shared(moving)),
         corpus=corpus,
         tokens=[s.tokens for s in train_corpus],
     )
     single = "single_network" in config.ablations
     drop_rngs = {k: np.random.default_rng([config.seed, k]) for k in (1, 2)}
-    moving = {k: np.ones(config.hash_buckets, dtype=bool) for k in (1, 2)}  # each pair's ema_update mask
     per_epoch = math.ceil(len(corpus) / config.batch_size)
     cycle = config.update_cycle or 7 * per_epoch
 
@@ -568,9 +567,7 @@ def train(
         try:
             for step, batch in enumerate(_gathered(corpus, batches, pair.student), start=first):
                 try:
-                    _, mask_stats = self_denoise_step(
-                        pair, batch, track, config, vocab, drop_rngs[k], moving=moving[k]
-                    )
+                    _, mask_stats = self_denoise_step(pair, batch, track, config, vocab, drop_rngs[k])
                 except TrainingDiverged as exc:  # the step knows neither its network nor its number
                     raise TrainingDiverged(f"{exc} (net{k} at step {step})") from None
                 stats.append((mask_stats.selected, mask_stats.total))
@@ -603,8 +600,7 @@ def train(
                 state.step += n
                 if rewrite:  # only now that neither network reads its track
                     predicted = {"noisy_i": labels[1], "noisy_ii": labels[0]}
-                    where = {"sentences": sentences} if partial else {}  # whole rewrites: (state, predicted)
-                    collaborative_update(state, predicted, **where)
+                    collaborative_update(state, predicted, sentences=sentences)
             record(state.step, {name: s for part in scores for name, s in part.items()})
             if epoch_callback is not None:
                 epoch_callback(epoch, state)

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from scdl.corpus import (
 )
 from scdl.metrics import CurvePoint, refinery_report
 from scdl.training import ABLATIONS, TRACKS, TrainingDiverged
-from scdl.tagger import TaggerConfig, init_params, save_checkpoint
+from scdl.tagger import TaggerConfig, init_params, load_checkpoint, save_checkpoint
 from synthdata import default_vocab, make_synthetic_corpus
 
 FAST_CONFIG = """\
@@ -119,13 +120,18 @@ def after_epoch_1(monkeypatch, action):
     monkeypatch.setattr(cli, "train", train)
 
 
-def run_program(*argv) -> subprocess.CompletedProcess:
-    """`python -m scdl.cli argv` in a fresh process, on this checkout's `src`."""
+def program(*argv) -> dict:
+    """Keyword arguments of `subprocess.run` or `Popen` that run `python -m
+    scdl.cli argv` in a fresh process, on this checkout's `src`."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, "-m", "scdl.cli", *argv], capture_output=True, text=True, env=env, timeout=300
-    )
+    return dict(args=[sys.executable, "-m", "scdl.cli", *argv], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def run_program(*argv) -> subprocess.CompletedProcess:
+    """`python -m scdl.cli argv` in a fresh process, on this checkout's `src`."""
+    return subprocess.run(**program(*argv), timeout=300)
 
 
 def one_sentence_divergence(tmp_path) -> list[str]:
@@ -179,6 +185,40 @@ def test_failing_program_prints_only_its_error_line(tmp_path, repro, code):
     proc = run_program(*repro(tmp_path))
     assert proc.returncode == code
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_interrupted_program_prints_one_line_and_exits_130(workspace):
+    """Ctrl-C during `scdl train`, run as a program, prints `error: interrupted`
+    and exits 130 without a traceback; the run leaves no best.json, and each
+    checkpoint it left loads."""
+    config, out = workspace["dir"] / "config_long.txt", workspace["dir"] / "run"
+    config.write_text(FAST_CONFIG.replace("max_epochs=1", "max_epochs=100000"))  # never ends by itself
+    with subprocess.Popen(**program(
+        "train", "--config", str(config), "--train", str(workspace["train"]),
+        "--dev", str(workspace["dev"]), "--out-dir", str(out),
+    )) as proc:
+        try:
+            deadline = time.monotonic() + 120
+            while not list(out.glob("checkpoints/*.ckpt")):
+                assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert (proc.returncode, stderr) == (130, "error: interrupted\n")
+    assert not (out / "best.json").exists()
+    for path in out.glob("checkpoints/*.ckpt"):
+        load_checkpoint(path)
+
+
+def test_warning_prints_one_line(tmp_path):
+    """Run as a program, a command's Python warning is one `warning:` line on stderr."""
+    corpus, out = tmp_path / "o.conll", tmp_path / "n.conll"
+    corpus.write_text("a\tO\nb\tO\n")
+    proc = run_program("inject", "--corpus", str(corpus), "--k", "40", "--out", str(out))
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: corpus has no entity mentions; noise injection is a no-op\n"
 
 
 @pytest.mark.parametrize("marked", ["corpus", "gazetteer", "config"])
@@ -550,15 +590,28 @@ class TestTrainCmd:
         ])
         assert "seed=7" in (out_dir / "config.txt").read_text().splitlines()
 
-    def test_ablate_flag_labels_metrics(self, workspace):
-        out_dir = workspace["dir"] / "run_abl"
-        main([
-            "train", "--config", str(workspace["config"]), "--ablate", "hard_labels",
+    @pytest.mark.parametrize(
+        "ablate, config_line, label",
+        [
+            (["--ablate", "hard_labels"], "", "hard_labels"),
+            (["--ablate", "no_teachers", "--ablate", "hard_labels"], "", "hard_labels,no_teachers"),
+            ([], "ablations=no_teachers,hard_labels\n", "hard_labels,no_teachers"),
+        ],
+        ids=["one_flag", "two_flags", "config"],
+    )
+    def test_ablate_flag_labels_metrics(self, workspace, ablate, config_line, label):
+        """metrics.jsonl and best.json label a run with its ablations sorted and
+        joined by commas, from --ablate flags or from the config file."""
+        out_dir, config = workspace["dir"] / "run_abl", workspace["dir"] / "config_abl.txt"
+        config.write_text(FAST_CONFIG + config_line)
+        assert main([
+            "train", "--config", str(config), *ablate,
             "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
             "--out-dir", str(out_dir),
-        ])
+        ]) == 0
         records = [json.loads(l) for l in (out_dir / "metrics.jsonl").read_text().splitlines()]
-        assert all(r["ablation"] == "hard_labels" for r in records)
+        assert all(r["ablation"] == label for r in records)
+        assert json.loads((out_dir / "best.json").read_text())["ablation"] == label
         keys = ["step", "model", "split", "precision", "recall", "f1", "ablation"]
         assert all(list(r) == keys for r in records)
         point = CurvePoint(3, "student2", "dev", 1 / 3, 2 / 3, 0.12345678)
@@ -716,10 +769,10 @@ class TestTrainCmd:
         """The benchmark's tracer wraps `training.collaborative_update` and hands
         its positional arguments to a hook before and after each call. `train`
         calls it by that name once per rewrite with two positional arguments,
-        `state` and the labels each peer teacher predicted, and, for a partial
-        rewrite, the next segment's sentences by keyword; it returns with each
-        track holding the peer teacher's labels at those sentences, or at all
-        of them. The whole training set is predicted only for rewrites that
+        `state` and the labels each peer teacher predicted, and by keyword the
+        next segment's sentences for a partial rewrite, None for a whole one;
+        it returns with each track holding the peer teacher's labels at those
+        sentences, or at all of them. The whole training set is predicted only for rewrites that
         an epoch end reads. `single_network` rewrites nothing and predicts no
         rewrite."""
         import scdl.training as training
@@ -731,10 +784,10 @@ class TestTrainCmd:
             original_update(*args, **kwargs)
             state, predicted = args[:2]
             peers = {"noisy_i": state.pair2.teacher, "noisy_ii": state.pair1.teacher}
-            tokens = slice(None)
-            if "sentences" in kwargs:
-                tokens = state.corpus.positions(kwargs["sentences"])[0]
-            calls.append((len(args), {name: len(v) for name, v in kwargs.items()}, sorted(predicted), all(
+            sentences = kwargs["sentences"]
+            tokens = slice(None) if sentences is None else state.corpus.positions(sentences)[0]
+            sizes = {name: v if v is None else len(v) for name, v in kwargs.items()}
+            calls.append((len(args), sizes, sorted(predicted), all(
                 np.array_equal(
                     state.corpus.tracks[t][tokens], original_predict(p, state.corpus, vocabs[-1])[tokens]
                 )
@@ -761,11 +814,11 @@ class TestTrainCmd:
         if ablate:
             assert calls == [] and rewrite_predictions == 0
         elif update_cycle == 5:  # 3 steps an epoch: rewrites after steps 5 and 10
-            assert calls == [(2, {}, list(TRACKS), True)] * 2
+            assert calls == [(2, {"sentences": None}, list(TRACKS), True)] * 2
             assert rewrite_predictions == per_rewrite * len(calls)
         else:  # a rewrite after every step: the next step's batch of 16 but at an epoch end
             partial = (2, {"sentences": 16}, list(TRACKS), True)
-            assert calls == [partial, partial, (2, {}, list(TRACKS), True)] * 4
+            assert calls == [partial, partial, (2, {"sentences": None}, list(TRACKS), True)] * 4
             assert rewrite_predictions == per_rewrite * 4
 
     def test_rerun_with_fewer_epochs_leaves_only_its_files(self, workspace):

@@ -189,8 +189,8 @@ class TestEma:
         teacher.embedding[:], student.embedding[:] = 0.0, 0.0
         teacher.embedding[1], teacher.embedding[2, 0] = -0.0, np.nan
         dense = TeacherStudentPair(teacher.copy(), student.copy(), alpha)
-        masked = TeacherStudentPair(teacher.copy(), student.copy(), alpha)
-        moving, paths = np.ones(64, dtype=bool), set()
+        masked = TeacherStudentPair(teacher.copy(), student.copy(), alpha, np.ones(64, dtype=bool))
+        moving, paths = masked.moving, set()
         for step in range(30):
             rows = 4 + rng.choice(4, size=int(rng.integers(0, 3)), replace=False)
             if step == 10:
@@ -204,7 +204,7 @@ class TestEma:
             moving[np.arange(64) if step == 15 else rows] = True
             marked, before = moving.copy(), masked.teacher.embedding.copy()
             assert ema_update(dense) is dense
-            assert ema_update(masked, moving=moving) is masked
+            assert ema_update(masked) is masked and masked.moving is moving
             for a, b in zip(dense.teacher.blocks(), masked.teacher.blocks()):
                 assert a.tobytes() == b.tobytes()
             t, s = masked.teacher.embedding, masked.student.embedding
@@ -225,14 +225,24 @@ class TestEma:
     def test_fresh_mask_gives_the_dense_update(self):
         rng = np.random.default_rng(4)
         teacher, student = random_grads(rng, init_params(TINY), 2)
-        pair = TeacherStudentPair(teacher, student, 0.9)
+        pair = TeacherStudentPair(teacher, student, 0.9, np.ones(TINY.vocab_hash_buckets, dtype=bool))
         dense = ema_update(TeacherStudentPair(teacher.copy(), student, 0.9))
-        moving = np.ones(TINY.vocab_hash_buckets, dtype=bool)
-        masked = ema_update(pair, moving=moving)
+        masked = ema_update(pair)
         for a, b in zip(masked.teacher.blocks(), dense.teacher.blocks()):
             assert a.tobytes() == b.tobytes()
-        assert moving.all()  # every row moved
+        assert pair.moving.all()  # every row moved
         assert masked is pair and masked.teacher is teacher
+
+    @pytest.mark.parametrize(
+        "moving",
+        [np.ones(7, dtype=bool), np.ones(9, dtype=bool), np.ones(8), np.ones((8, 1), dtype=bool), [True] * 8],
+        ids=["short", "long", "float", "2-d", "list"],
+    )
+    def test_mask_needs_one_bool_per_embedding_row(self, moving):
+        params = init_params(TINY)  # 8 embedding rows
+        with pytest.raises(ValueError, match="one entry per embedding row"):
+            TeacherStudentPair(params.copy(), params.copy(), 0.9, moving)
+        assert TeacherStudentPair(params.copy(), params.copy(), 0.9, np.ones(8, dtype=bool)).moving.all()
 
     def test_closed_form_empty(self):
         theta0 = init_params(TINY)

@@ -451,6 +451,19 @@ class TestTrainState:
         assert [s.tokens for s in corpus] == tokens
         assert [s.tokens for s in result.state.sentences] == tokens
 
+    def test_ema_masks_are_live_on_both_schedules(self, vocab, monkeypatch):
+        """Each pair's EMA mask is in shared memory, so `result.state` reads
+        network 2's, marked in its forked process, as it reads it when network
+        2 trains here; with dropout some rows still move and some settled."""
+        config = ScdlConfig(**{**FAST, "max_epochs": 2}, delta=0.6, student_word_dropout=0.25)
+        corpus, dev = noisy_corpus(vocab), make_synthetic_corpus(8, vocab, seed=999)
+        forked = train(config, corpus, dev, vocab).state
+        monkeypatch.setattr(training, "_can_fork", lambda: False)
+        serial = train(config, corpus, dev, vocab).state
+        for a, b in ((forked.pair1, serial.pair1), (forked.pair2, serial.pair2)):
+            assert np.array_equal(a.moving, b.moving)
+            assert 0 < np.count_nonzero(a.moving) < config.hash_buckets
+
     def test_missing_track_is_none(self, vocab):
         config = ScdlConfig(**FAST)
         corpus = noisy_corpus(vocab, n=8)

@@ -19,8 +19,9 @@ of such a call, and the median wall time of `train`. The inputs:
 With dropout 0 the student takes zero gradients (its soft targets are its
 own output), so the rows its steps touch settle at once; with dropout they
 keep moving for thousands of steps. `--src` picks the `scdl` tree, so a
-parent's `git archive` export can be timed the same way; a tree whose
-`ema_update` takes no mask reports no share.
+parent's `git archive` export can be timed the same way. The mask is read
+from the pair (`pair.moving`), or from the `moving=` keyword of a tree
+that passes it to `ema_update`; a tree with neither reports no share.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     original = training.ema_update
 
     def recorded(pair, **kwargs):
-        moving = kwargs.get("moving")
+        moving = kwargs.get("moving", getattr(pair, "moving", None))
         share = None if moving is None else np.count_nonzero(moving) / len(moving)
         start = perf_counter()
         result = original(pair, **kwargs)
