@@ -59,7 +59,7 @@ def _load_corpora(*paths):
     read = [read_conll(text) for text in [_read(path) for path in paths]]  # open all before parsing any
     vocab = TagVocabulary(sorted(set().union(*(own.entity_types for *_, own in read))))
     corpora = [
-        corpus_mod.annotated_sentences(tokens, _recode(codes, own, vocab), offsets)
+        corpus_mod.unflatten(tokens, offsets, dict.fromkeys(("gold", *TRACKS), _recode(codes, own, vocab)))
         for tokens, codes, offsets, own in read
     ]
     return corpora, vocab
@@ -198,7 +198,7 @@ def _run_train(config, train_path, dev_path, out_dir) -> int:
             path.unlink()
 
     final = result.state.corpus  # the parsed sentences laid flat, with the rewritten tracks
-    # both noisy tracks were read as copies of gold (annotated_sentences), and no rewrite touches gold
+    # both noisy tracks were read as copies of gold (_load_corpora), and no rewrite touches gold
     initial = dict.fromkeys(TRACKS, final.tracks["gold"])
     checksums = {
         f"{track}_{when}": _track_checksum(tracks[track], final.offsets, vocab.size)

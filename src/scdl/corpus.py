@@ -154,6 +154,33 @@ def flat_tags(rows) -> tuple[np.ndarray, np.ndarray]:
     return tags, np.concatenate(([0], np.cumsum(lengths)))
 
 
+def flatten(sentences) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
+    """The sentences' tokens laid end to end, their offsets as in repair_bio, and an
+    int64 array in that layout of each track that all of them carry. A track whose
+    length differs from its sentence's (one reassigned later) raises ValueError."""
+    tracks = {}
+    for name in AnnotatedSentence.TRACKS:
+        rows = [getattr(s, name) for s in sentences]
+        if all(tags is not None for tags in rows):
+            for i, (s, tags) in enumerate(zip(sentences, rows)):
+                if len(tags) != len(s.tokens):
+                    raise ValueError(f"sentence {i}: {name} has {len(tags)} tags for {len(s.tokens)} tokens")
+            tracks[name] = flat_tags(rows)[0]
+    tokens = list(chain.from_iterable(s.tokens for s in sentences))
+    return tokens, np.cumsum([0, *map(len, sentences)], dtype=np.int64), tracks
+
+
+def unflatten(tokens, offsets, tracks) -> list[AnnotatedSentence]:
+    """Flat tokens and tracks (name -> tags) split into sentences, sentence i at
+    [offsets[i]:offsets[i + 1]], each owning its lists: flatten's inverse."""
+    bounds = np.asarray(offsets).tolist()
+    rows = {name: np.asarray(tags).tolist() for name, tags in tracks.items()}
+    return [
+        AnnotatedSentence(tokens[a:b], **{name: tags[a:b] for name, tags in rows.items()})
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
 def spans_from_bio(tags, vocab: TagVocabulary) -> list[Span]:
     """Maximal entity spans of a BIO-valid sequence, sorted by start."""
     begin, end, code = bio_spans(tags, vocab)
@@ -294,22 +321,14 @@ def read_conll(text: str, vocab: TagVocabulary | None = None):
     return tokens, codes, offsets, vocab
 
 
-def annotated_sentences(tokens, codes, offsets) -> list[AnnotatedSentence]:
-    """Flat tokens and gold codes split into sentences whose noisy tracks start as copies of gold."""
-    tags, bounds = np.asarray(codes).tolist(), np.asarray(offsets).tolist()
-    return [
-        AnnotatedSentence(tokens[a:b], gold=tags[a:b], noisy_i=tags[a:b], noisy_ii=tags[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-
-
 def parse_conll(text: str, vocab: TagVocabulary) -> list[AnnotatedSentence]:
     """Read "token<TAB>tag" lines, blank line between sentences.
 
     Noisy tracks start as copies of gold. Errors name the offending
     1-based line number.
     """
-    return annotated_sentences(*read_conll(text, vocab)[:3])
+    tokens, codes, offsets, _ = read_conll(text, vocab)
+    return unflatten(tokens, offsets, dict.fromkeys(AnnotatedSentence.TRACKS, codes))
 
 
 def format_conll(tokens, codes, offsets, vocab: TagVocabulary) -> str:
@@ -331,12 +350,10 @@ def format_conll(tokens, codes, offsets, vocab: TagVocabulary) -> str:
 
 def write_conll(sentences, vocab: TagVocabulary, track: str = "gold") -> str:
     """Inverse of parse_conll for the chosen track."""
-    rows = [s.track(track) for s in sentences]
-    for i, (s, tags) in enumerate(zip(sentences, rows)):
-        if len(tags) != len(s.tokens):  # a track reassigned after the sentence was built
-            raise ValueError(f"sentence {i}: {track} has {len(tags)} tags for {len(s.tokens)} tokens")
-    tags, offsets = flat_tags(rows)
-    return format_conll(list(chain.from_iterable(s.tokens for s in sentences)), tags, offsets, vocab)
+    for s in sentences:
+        s.track(track)  # a missing track is named with its sentence
+    tokens, offsets, tracks = flatten(sentences)
+    return format_conll(tokens, tracks[track], offsets, vocab)
 
 
 @dataclass
@@ -535,13 +552,15 @@ def inject_noise(
     if not 0 <= k_percent <= 100:
         raise ValueError(f"k_percent out of range: {k_percent}")
     rng = np.random.default_rng(seed)
-    gold, offsets = flat_tags([s.track("gold") for s in sentences])
-    begin, end, code = bio_spans(gold, vocab, offsets)
+    for s in sentences:
+        s.track("gold")  # a missing track is named with its sentence
+    tokens, offsets, tracks = flatten(sentences)
+    begin, end, code = bio_spans(tracks["gold"], vocab, offsets)
     sent_idx = np.searchsorted(offsets, begin, side="right") - 1  # the sentence of each begin
     n_alter = round(k_percent / 100 * len(begin))
     if not len(begin) and k_percent > 0:
         warnings.warn("corpus has no entity mentions; noise injection is a no-op")
-    noisy = gold.copy()
+    noisy = tracks["gold"].copy()
     log = []
     if n_alter:
         chosen = sorted(rng.choice(len(begin), size=n_alter, replace=False).tolist())
@@ -561,11 +580,4 @@ def inject_noise(
             start = int(offsets[idx])
             log.append(Alteration(idx, b - start, e - start, old_type, new_label))
         bio_spans(noisy, vocab, offsets)  # an alteration replaces a whole span: BIO stays valid
-    flat = noisy.tolist()
-    out = [
-        AnnotatedSentence(
-            list(s.tokens), gold=list(s.track("gold")), noisy_i=flat[a:b], noisy_ii=flat[a:b]
-        )
-        for s, a, b in zip(sentences, offsets[:-1].tolist(), offsets[1:].tolist())
-    ]
-    return out, log
+    return unflatten(tokens, offsets, {"gold": tracks["gold"], "noisy_i": noisy, "noisy_ii": noisy}), log

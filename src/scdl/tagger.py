@@ -14,12 +14,11 @@ import os
 import tempfile
 import zlib
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, TagVocabulary, repair_bio
+from .corpus import TagVocabulary, flatten, repair_bio
 
 PAD_BUCKET = 0  # window edges and word dropout; no surface form hashes here
 
@@ -196,25 +195,11 @@ class TokenBatch:
         batch._windows.update((w, ctx[a:b]) for w, ctx in self._windows.items())
         return batch
 
-    def split(self, values) -> list[list]:
-        """A flat per-token array as one list per sentence."""
-        flat = np.asarray(values).tolist()
-        bounds = self.offsets.tolist()
-        return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
 
 def encode(sentences, buckets: int) -> TokenBatch:
-    """Hash sentences into one flat batch with every track that all of them carry."""
-    lengths = [len(s.tokens) for s in sentences]
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    ids = token_ids(list(chain.from_iterable(s.tokens for s in sentences)), buckets)
-    flat = {}
-    for name in AnnotatedSentence.TRACKS:
-        values = [getattr(s, name) for s in sentences]
-        if all(v is not None for v in values):
-            flat[name] = np.fromiter(chain.from_iterable(values), dtype=np.int64, count=len(ids))
-    return TokenBatch(ids, offsets, buckets, flat)
+    """Hash sentences into one flat batch with every track that all of them carry (`flatten`)."""
+    tokens, offsets, tracks = flatten(sentences)
+    return TokenBatch(token_ids(tokens, buckets), offsets, buckets, tracks)
 
 
 def as_batch(batch, buckets: int) -> TokenBatch:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, TagVocabulary
+from .corpus import AnnotatedSentence, TagVocabulary, flatten, unflatten
 from .denoise import TeacherStudentPair, confident_mask, consistent_mask, ema_update
 from .metrics import CurvePoint, SpanScore, score_tags
 from .tagger import (
@@ -38,6 +38,7 @@ from .tagger import (
     loss_soft,
     predict_labels,
     sgd_step,
+    token_ids,
 )
 
 ABLATIONS = ("no_consistency", "no_confidence", "single_network", "no_teachers", "hard_labels")
@@ -144,26 +145,21 @@ class MaskStats:
 
 @dataclass
 class TrainState:
-    """The two pairs and the training corpus hashed once, whose flat noisy
-    tracks the rewrites replace; `tokens` are the sentences' token lists.
-    The tracks are complete at epoch ends, in `epoch_callback` and in the
-    result; in between they are current only where the next segment reads."""
+    """The two pairs, the training corpus hashed once, whose flat noisy tracks the
+    rewrites replace, and a flat copy of its tokens. The tracks are complete at epoch
+    ends, in `epoch_callback` and in the result; elsewhere only where the next segment reads."""
 
     pair1: TeacherStudentPair
     pair2: TeacherStudentPair
     corpus: TokenBatch
-    tokens: list[list[str]]
+    tokens: list[str]
     step: int = 0
 
     @property
     def sentences(self) -> list[AnnotatedSentence]:
         """Copies of the training sentences with their tracks split from
         `corpus`, built anew on each access; a track the batch lacks is None."""
-        rows = {name: self.corpus.split(tags) for name, tags in self.corpus.tracks.items()}
-        return [
-            AnnotatedSentence(list(tokens), **{name: tags[i] for name, tags in rows.items()})
-            for i, tokens in enumerate(self.tokens)
-        ]
+        return unflatten(self.tokens, self.corpus.offsets, self.corpus.tracks)
 
     def models(self) -> dict[str, TaggerParams]:
         """The four models by name, in MODEL_ORDER."""
@@ -460,8 +456,9 @@ def evaluate_models(
     models: dict[str, TaggerParams], dev: TokenBatch, vocab: TagVocabulary, where: str
 ) -> dict[str, SpanScore]:
     """Span score on `dev`, which carries the gold track, of each of `models`
-    (name -> params, as `TrainState.models()` gives them). Non-finite tag
-    probabilities raise TrainingDiverged naming the model and `where` ("at step 6")."""
+    (name -> params, as `TrainState.models()` gives them). A non-finite parameter, checked
+    first, or tag probability raises TrainingDiverged naming the model and `where` ("at step 6")."""
+    _check_parameters(models, where)
     gold = dev.track("gold")
     return {
         name: score_tags(_labels(p, dev, vocab, f"{name} {where}"), gold, vocab, dev.offsets)
@@ -482,7 +479,8 @@ def train(
     and every dev sentence its gold track; both are checked before any
     training starts.
 
-    The caller's corpora are not mutated: `encode` copies their tags. The
+    The caller's corpora are not mutated: `flatten` copies their tokens and
+    tags, so later edits to them do not reach `result.state` either. The
     live rewritten tracks are `result.state.corpus.tracks["noisy_i"]` and
     `["noisy_ii"]`, flat in the batch layout; `result.state.sentences` is
     a copy built on each access, so editing its tags changes nothing.
@@ -509,7 +507,8 @@ def train(
     those of a serial run bit for bit.
     """
     rng = np.random.default_rng(config.seed)
-    corpus = encode(train_corpus, config.hash_buckets)
+    tokens, offsets, tracks = flatten(train_corpus)
+    corpus = TokenBatch(token_ids(tokens, config.hash_buckets), offsets, config.hash_buckets, tracks)
     dev = encode(dev_corpus, config.hash_buckets)
     if len(dev) == 0:
         raise ValueError("empty dev corpus")
@@ -528,7 +527,7 @@ def train(
         pair1=TeacherStudentPair(_shared_params(p1), p1, alpha, _shared(moving)),
         pair2=TeacherStudentPair(_shared_params(p2), p2, alpha, _shared(moving)),
         corpus=corpus,
-        tokens=[s.tokens for s in train_corpus],
+        tokens=tokens,
     )
     single = "single_network" in config.ablations
     drop_rngs = {k: np.random.default_rng([config.seed, k]) for k in (1, 2)}
@@ -539,12 +538,6 @@ def train(
     refinery: list[tuple[int, str, SpanScore]] = []
     selection_trace: list[tuple[int, str, int, int]] = []
     best = None
-
-    def score(names, step: int) -> dict[str, SpanScore]:
-        models = state.models()
-        models = {name: models[name] for name in names}
-        _check_parameters(models, f"at step {step}")
-        return evaluate_models(models, dev, vocab, f"at step {step}")
 
     def record(step: int, scores: dict[str, SpanScore]):
         nonlocal best
@@ -575,12 +568,13 @@ def train(
             read = corpus if sentences is None else corpus.take(sentences)
             labels = _labels(pair.teacher, read, vocab, f"teacher{k} at step {step - 1}") if rewrite else None
             names = MODEL_ORDER if single else MODEL_ORDER[2 * k - 2 : 2 * k]  # network k's models
-            scores = score(names, step - 1) if epoch_end else None
+            models = {name: m for name, m in state.models().items() if name in names}
+            scores = evaluate_models(models, dev, vocab, f"at step {step - 1}") if epoch_end else None
         except Exception as exc:
             return None, ((step, k), exc)
         return (stats, labels, scores), None
 
-    record(0, score(MODEL_ORDER, 0))
+    record(0, evaluate_models(state.models(), dev, vocab, "at step 0"))
     if epoch_callback is not None:
         epoch_callback(0, state)
     with _Peer(run, networks=1 if single else 2) as peer:

@@ -14,10 +14,10 @@ from scdl.corpus import (
     Span,
     TagVocabulary,
     annotate_corpus,
-    annotated_sentences,
     bio_spans,
     distant_annotate,
     flat_tags,
+    flatten,
     format_alteration_log,
     format_conll,
     inject_noise,
@@ -25,6 +25,7 @@ from scdl.corpus import (
     read_conll,
     repair_bio,
     spans_from_bio,
+    unflatten,
     write_conll,
 )
 from scdl import corpus as corpus_module
@@ -444,7 +445,7 @@ class TestFlatReader:
         if isinstance(expected, list):
             tokens, codes, offsets, inferred = got
             assert inferred == vocab
-            assert annotated_sentences(tokens, codes, offsets) == expected
+            assert unflatten(tokens, offsets, dict.fromkeys(AnnotatedSentence.TRACKS, codes)) == expected
             assert offsets.dtype == codes.dtype == np.int64
         else:
             assert got == expected
@@ -463,7 +464,7 @@ class TestFlatReader:
         if isinstance(expected, list):
             tokens, codes, offsets, inferred = got
             assert inferred == vocab
-            assert annotated_sentences(tokens, codes, offsets) == expected
+            assert unflatten(tokens, offsets, dict.fromkeys(AnnotatedSentence.TRACKS, codes)) == expected
             assert offsets.dtype == codes.dtype == np.int64
         else:
             assert got == expected
@@ -864,6 +865,38 @@ class TestInjectNoise:
         assert len(lines) == len(log)
         for line, a in zip(lines, log):
             assert line == f"{a.sent_idx}\t{a.start}\t{a.end}\t{a.old_type}\t{a.new_label}"
+
+
+class TestFlatten:
+    @given(
+        st.lists(
+            st.integers(0, 4).flatmap(
+                lambda n: st.tuples(
+                    st.lists(st.sampled_from(["a", "b", "é"]), min_size=n, max_size=n),
+                    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                    st.none() | st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                )
+            ),
+            max_size=5,
+        )
+    )
+    def test_unflatten_inverts_flatten(self, rows):
+        """Each track all sentences carry comes back, in sentences that own their lists."""
+        sentences = [AnnotatedSentence(t, gold=g, noisy_i=n) for t, g, n in rows]
+        tokens, offsets, tracks = flatten(sentences)
+        assert offsets.dtype == np.int64 and all(tags.dtype == np.int64 for tags in tracks.values())
+        carried = [n for n in AnnotatedSentence.TRACKS if all(getattr(s, n) is not None for s in sentences)]
+        assert list(tracks) == carried
+        rebuilt = unflatten(tokens, offsets, tracks)
+        assert rebuilt == [AnnotatedSentence(s.tokens, **{n: getattr(s, n) for n in carried}) for s in sentences]
+        for old, new in zip(sentences, rebuilt):
+            assert new.tokens is not old.tokens and new.gold is not old.gold
+
+    def test_inject_noise_rejects_a_reassigned_track(self, vocab):
+        sentences = [AnnotatedSentence(["x"], gold=[0]), AnnotatedSentence(["a", "b"], gold=[1, 2])]
+        sentences[1].gold = [1, 2, 0]
+        with pytest.raises(ValueError, match="sentence 1: gold has 3 tags for 2 tokens"):
+            inject_noise(sentences, 50, vocab)
 
 
 class TestAnnotatedSentence:

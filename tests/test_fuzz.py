@@ -1,7 +1,8 @@
 """Hostile checkpoint, gazetteer, CoNLL and config input: the command line exits 0 or 1,
 never raises, and a config file raises only ValueError. Tiny corpora under extreme
 valid configs: `scdl train` exits 0 or 2, leaves only complete files and reruns
-byte for byte."""
+byte for byte. Each of the seven commands run as a program, on such input and with
+a missing input or a file in the way of its output, keeps README's stderr contract."""
 
 import contextlib
 import dataclasses
@@ -9,6 +10,7 @@ import io
 import json
 import tempfile
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from scdl.corpus import AnnotatedSentence, parse_conll, read_conll, write_conll
 from scdl.tagger import TaggerConfig, forward, init_params, load_checkpoint, save_checkpoint
 from scdl.training import ABLATIONS, ScdlConfig
 from synthdata import default_vocab, make_synthetic_corpus
+from test_cli import run_program
 
 HEADER_KEYS = (
     "num_tags", "vocab_hash_buckets", "embed_dim", "window", "hidden_dim", "init_seed", "init_scale",
@@ -269,3 +272,122 @@ def test_train_pipeline(train, dev, config):
                     with np.errstate(all="ignore"):
                         assert np.isfinite(forward(params, dev_tokens)).all(), path
         assert train_run(second, config) == run
+
+
+
+def config_text(entries) -> bytes:
+    return "".join(f"{key}{sep}{value}\n" for key, sep, value in entries).encode()
+
+
+# a tiny valid config with up to two lines appended, which override the keys they repeat;
+# no value asks for a large model or a long run
+bounded_values = st.sampled_from(
+    ["", "nan", "-inf", "1e999", "0x10", "-1", "0", "2", "1.5", "abc", "é", "hard_labels,", "no_teachers,x"]
+)
+configs = st.builds(
+    lambda tiny, extra: config_text([*((key, "=", value) for key, value in tiny.items()), *extra]),
+    tiny_configs,
+    st.lists(st.tuples(config_keys, st.sampled_from(["=", ""]), bounded_values), max_size=2),
+)
+TINY_CONFIG = config_text([("hash_buckets", "=", 64), ("pretrain_epochs", "=", 1), ("max_epochs", "=", 1)])
+
+
+def checkpoint_bytes() -> bytes:
+    """A checkpoint for the corpora that `tagged_sentence` draws, which hold PER and LOC."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "model.ckpt")
+        save_checkpoint(init_params(TaggerConfig(num_tags=5, vocab_hash_buckets=64, embed_dim=4, hidden_dim=5)), path)
+        return path.read_bytes()
+
+
+CHECKPOINT = checkpoint_bytes()
+GOLD = conll([[("per0", "B-PER"), ("w0", "O")], [("loc0", "B-LOC"), ("w1", "I-LOC")], [("w0", "O")]]).encode()
+ALL_O = b"w0\tO\nw1\tO\n\nw1\tO\n"
+BOM = "\ufeff".encode()
+
+# each command's input files, written to the run's directory under their flags' names
+INPUTS = {
+    "annotate": ("--corpus", "--gazetteer"),
+    "inject": ("--corpus",),
+    "pretrain": ("--config", "--train", "--dev"),
+    "train": ("--config", "--train", "--dev"),
+    "eval": ("--checkpoint", "--corpus"),
+    "ablate": ("--config", "--train", "--dev"),
+    "sweep": ("--config", "--corpus"),
+}
+OUTPUT = {"annotate": "--out", "inject": "--out", "pretrain": "--out-dir", "train": "--out-dir",
+          "ablate": "--out-dir", "sweep": "--out"}
+corpora = st.lists(tagged_sentence(), min_size=1, max_size=4).map(lambda s: conll(s).encode()) | conll_bytes()
+CONTENTS = {
+    "--corpus": corpora,
+    "--train": corpora,
+    "--dev": corpora,
+    "--gazetteer": gazetteer_text(),
+    "--config": configs,
+    "--checkpoint": st.one_of(
+        st.just(CHECKPOINT), st.integers(0, len(CHECKPOINT) - 1).map(lambda n: CHECKPOINT[:n]), st.binary(max_size=64)
+    ),
+}
+run_seeds = st.sampled_from(["0", "3", "-1"])
+OPTIONS = {
+    "annotate": st.fixed_dictionaries({"--coverage": st.sampled_from(["0", "0.5", "1", "1.5"]),
+                                       "--rule": st.sampled_from(["first", "random"]), "--seed": run_seeds}),
+    "inject": st.fixed_dictionaries({"--k": st.sampled_from(["0", "40", "100", "101"]), "--seed": run_seeds}),
+    "sweep": st.fixed_dictionaries({"--ks": st.sampled_from(["0", "100", "0,100", "x"]),
+                                    "--seeds": st.sampled_from(["0", "0,1", "-1"])}),
+}
+
+
+@st.composite
+def scenarios(draw):
+    """(command, input bytes by flag, other options, hazard): a hazard of "missing" names
+    a file that does not exist as the first input, and "blocked" puts a file where the
+    output's directory would be."""
+    command = draw(st.sampled_from(list(INPUTS)))
+    files = {flag: draw(CONTENTS[flag]) for flag in INPUTS[command]}
+    options = draw(OPTIONS.get(command, st.just({})))
+    return command, files, options, draw(st.sampled_from([None, None, None, "missing", "blocked"]))
+
+
+@given(scenarios())
+@settings(max_examples=14, deadline=None)
+@example(("annotate", {"--corpus": b"", "--gazetteer": b"w0\tPER\n"}, {}, None))
+@example(("annotate", {"--corpus": BOM + GOLD, "--gazetteer": b"per0\tPER,\n\xff"}, {"--rule": "random"}, None))
+@example(("inject", {"--corpus": ALL_O}, {"--k": "40"}, None))  # a warning line, then exit 0
+@example(("inject", {"--corpus": BOM + GOLD}, {"--k": "100"}, None))
+@example(("inject", {"--corpus": GOLD}, {"--k": "0"}, "blocked"))
+@example(("pretrain", {"--config": TINY_CONFIG + b"gamma=fast\n", "--train": GOLD, "--dev": GOLD}, {}, None))
+@example(("train", {"--config": TINY_CONFIG, "--train": BOM + ALL_O, "--dev": GOLD}, {}, None))
+@example(("train", {"--config": TINY_CONFIG, "--train": GOLD, "--dev": GOLD}, {}, "missing"))
+@example(("eval", {"--checkpoint": CHECKPOINT[:40], "--corpus": GOLD}, {}, None))
+@example(("eval", {"--checkpoint": CHECKPOINT, "--corpus": b""}, {}, None))
+@example(("ablate", {"--config": TINY_CONFIG, "--train": GOLD, "--dev": GOLD}, {}, "blocked"))
+@example(("sweep", {"--config": TINY_CONFIG, "--corpus": GOLD}, {"--ks": "0,100", "--seeds": "0"}, None))
+def test_programs_keep_the_stderr_contract(scenario):
+    """Run as a program, every command exits 0, 1 or 2 without a traceback. Its stderr
+    holds only `warning:` lines and, unless it exits 0, one `error:` line after them,
+    and it leaves no temporary file. A missing input, or a file where the output's
+    directory would be, exits 1."""
+    command, files, options, hazard = scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        argv = [command, *chain.from_iterable(options.items())]
+        for flag, data in files.items():
+            (directory / flag[2:]).write_bytes(data)
+            argv += [flag, str(directory / flag[2:])]
+        if hazard == "missing":
+            argv[argv.index(INPUTS[command][0]) + 1] = str(directory / "missing")
+        if command in OUTPUT:
+            if hazard == "blocked":
+                (directory / "blocker").write_bytes(b"")
+            argv += [OUTPUT[command], str(directory / ("blocker" if hazard == "blocked" else "") / "out")]
+        proc = run_program(*argv)
+        assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr
+        lines = proc.stderr.split("\n")
+        assert lines.pop() == "", proc.stderr  # every line ends
+        if proc.returncode:
+            assert lines and lines.pop().startswith("error: "), proc.stderr
+        assert all(line.startswith("warning: ") for line in lines), proc.stderr
+        assert not list(directory.rglob(".*")), "a temporary file was left"
+        if hazard == "missing" or (hazard == "blocked" and command in OUTPUT):
+            assert proc.returncode == 1, proc.stderr

@@ -53,6 +53,11 @@ def sentences_of(*token_lists):
     return [AnnotatedSentence(list(tokens)) for tokens in token_lists]
 
 
+def per_sentence(batch, values) -> list[list]:
+    """A flat per-token array of `batch` as one list per sentence."""
+    return [part.tolist() for part in np.split(np.asarray(values), batch.offsets[1:-1])]
+
+
 def context_ids_per_sentence(ids, window):
     """Reference: one sentence's window ids, stacked from a PAD-filled copy."""
     n = len(ids)
@@ -160,7 +165,7 @@ class TestFlatBatch:
         assert np.array_equal(part.offsets, fresh.offsets)
         assert np.array_equal(part.track("noisy_i"), fresh.track("noisy_i"))
         assert np.array_equal(part.context_ids(1), fresh.context_ids(1))
-        assert part.split(part.track("gold")) == [corpus[i].gold for i in order]
+        assert per_sentence(part, part.track("gold")) == [corpus[i].gold for i in order]
 
     def test_views_of_one_take_equal_a_take_per_batch(self):
         """Each batch read as a view of one gather of all of them in order:
@@ -189,7 +194,7 @@ class TestFlatBatch:
         token_lists = [["a"], [], ["b", "c", "a", "d"], ["c", "c"]]
         flat = forward(params, sentences_of(*token_lists))
         batch = encode(sentences_of(*token_lists), SMALL.vocab_hash_buckets)
-        for rows, tokens in zip(batch.split(np.arange(len(flat))), token_lists):
+        for rows, tokens in zip(per_sentence(batch, np.arange(len(flat))), token_lists):
             alone = forward(params, sentences_of(tokens))
             assert np.abs(flat[rows] - alone).max(initial=0.0) <= 1e-12
 
@@ -197,6 +202,16 @@ class TestFlatBatch:
         batch = encode(sentences_of(["a", "b"]), 64)
         with pytest.raises(ValueError, match="buckets"):
             forward(init_params(SMALL), batch)
+
+    @pytest.mark.parametrize("tags", [[1, 0, 0, 0], [1, 0]], ids=["long", "short"])
+    def test_encode_rejects_a_reassigned_track(self, tags):
+        """A track reassigned with the wrong length would shift every later
+        sentence's labels; it fails naming its sentence, as write_conll does."""
+        a = AnnotatedSentence(["x", "y", "z"], gold=[1, 0, 0])
+        b = AnnotatedSentence(["u", "v"], gold=[0, 1])
+        a.gold = tags
+        with pytest.raises(ValueError, match=f"sentence 0: gold has {len(tags)} tags for 3 tokens"):
+            encode([a, b], 64)
 
 
 class TestForward:
@@ -462,14 +477,14 @@ class TestPrediction:
             _, grad = loss_hard(params, corpus, "gold")
             params = sgd_step(params, grad, 2.0)
         batch = encode(corpus, cfg.vocab_hash_buckets)
-        per_sentence = batch.split(predict_labels(params, batch, vocab))
+        rows = per_sentence(batch, predict_labels(params, batch, vocab))
         correct = total = 0
-        for predicted, s in zip(per_sentence, corpus):
+        for predicted, s in zip(rows, corpus):
             correct += sum(p == g for p, g in zip(predicted, s.gold))
             total += len(s)
         assert correct / total > 0.9
         flat = predict_labels(params, corpus, vocab)
-        assert flat.tolist() == [c for tags in per_sentence for c in tags]
+        assert flat.tolist() == [c for tags in rows for c in tags]
 
 
     @pytest.mark.parametrize(

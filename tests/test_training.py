@@ -47,6 +47,7 @@ from scdl.training import (
     train,
 )
 from synthdata import make_synthetic_corpus
+from test_tagger import per_sentence
 
 REMOVED_KEYS = (
     "net1_seed=11",
@@ -138,6 +139,12 @@ class TestConfig:
 
     def test_text_ignores_comments_and_blanks(self):
         assert ScdlConfig.from_text("# comment\n\ngamma=0.5\n") == ScdlConfig(gamma=0.5)
+
+    def test_text_last_repeated_key_wins(self):
+        """A line appended to a config.txt overrides the one it repeats."""
+        text = ScdlConfig(ablations=frozenset({"hard_labels"})).to_text()
+        text += "ablations=no_teachers,single_network\n"
+        assert ScdlConfig.from_text(text).ablations == {"no_teachers", "single_network"}
 
     def test_text_unknown_key(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -373,7 +380,7 @@ def fresh_state(config, corpus, vocab, p1, p2):
         pair1=TeacherStudentPair(p1.copy(), p1.copy(), 0.9),
         pair2=TeacherStudentPair(p2.copy(), p2.copy(), 0.9),
         corpus=encode(corpus, config.hash_buckets),
-        tokens=[s.tokens for s in corpus],
+        tokens=[t for s in corpus for t in s.tokens],
     )
 
 
@@ -396,8 +403,8 @@ class TestCollaborativeUpdate:
         predicted = peer_predictions(state, vocab)
         collaborative_update(state, predicted)
         batch = encode(corpus, config.hash_buckets)
-        assert [s.noisy_i for s in state.sentences] == batch.split(predict_labels(p2, batch, vocab))
-        assert [s.noisy_ii for s in state.sentences] == batch.split(predict_labels(p1, batch, vocab))
+        assert [s.noisy_i for s in state.sentences] == per_sentence(batch, predict_labels(p2, batch, vocab))
+        assert [s.noisy_ii for s in state.sentences] == per_sentence(batch, predict_labels(p1, batch, vocab))
         assert state.corpus.track("noisy_i").tolist() == [
             c for s in state.sentences for c in s.noisy_i
         ]
@@ -431,7 +438,7 @@ class TestTrainState:
         for s, original in zip(sentences, corpus):
             assert s.tokens == original.tokens and s.tokens is not original.tokens
         for name in AnnotatedSentence.TRACKS:
-            assert [s.track(name) for s in sentences] == state.corpus.split(state.corpus.track(name))
+            assert [s.track(name) for s in sentences] == per_sentence(state.corpus, state.corpus.track(name))
 
     def test_sentences_built_on_each_access(self, vocab):
         config = ScdlConfig(**FAST)
@@ -450,6 +457,33 @@ class TestTrainState:
         result.state.sentences[0].tokens.append("x")
         assert [s.tokens for s in corpus] == tokens
         assert [s.tokens for s in result.state.sentences] == tokens
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "serial"])
+    def test_editing_the_callers_tokens_changes_nothing(self, vocab, monkeypatch, fork):
+        """`train` keeps its own copy of the tokens, so the caller may edit its
+        token lists afterwards and `result.state.sentences` stays whole."""
+        if not fork:
+            monkeypatch.setattr(training, "_can_fork", lambda: False)
+        corpus = noisy_corpus(vocab, n=8)
+        tokens = [list(s.tokens) for s in corpus]
+        result = train(ScdlConfig(**FAST), corpus, make_synthetic_corpus(8, vocab, seed=999), vocab)
+        corpus[0].tokens.append("x")
+        corpus[1].tokens[0] = "y"
+        assert [s.tokens for s in result.state.sentences] == tokens
+        assert isinstance(result.state.tokens[0], str)
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    @pytest.mark.parametrize("which, track", [("training", "noisy_ii"), ("dev", "gold")])
+    def test_reassigned_track_fails_naming_its_sentence(self, vocab, which, track, extra):
+        """A track reassigned one tag too long or too short fails before any
+        training, naming its sentence and track, instead of shifting labels."""
+        corpora = {"training": noisy_corpus(vocab, n=8), "dev": make_synthetic_corpus(8, vocab, seed=999)}
+        s = corpora[which][3]
+        tags = s.track(track)
+        setattr(s, track, tags + [0] if extra > 0 else tags[:-1])
+        message = f"sentence 3: {track} has {len(s) + extra} tags for {len(s)} tokens"
+        with pytest.raises(ValueError, match=message):
+            train(ScdlConfig(**FAST), corpora["training"], corpora["dev"], vocab)
 
     def test_ema_masks_are_live_on_both_schedules(self, vocab, monkeypatch):
         """Each pair's EMA mask is in shared memory, so `result.state` reads
@@ -473,7 +507,7 @@ class TestTrainState:
             TeacherStudentPair(p1.copy(), p1.copy(), 0.9),
             TeacherStudentPair(p2.copy(), p2.copy(), 0.9),
             encode(corpus, config.hash_buckets),
-            [s.tokens for s in corpus],
+            [t for s in corpus for t in s.tokens],
         )
         assert all(s.gold is None for s in state.sentences)
         assert [s.noisy_ii for s in state.sentences] == [s.noisy_ii for s in corpus]

@@ -20,8 +20,7 @@ With dropout 0 the student takes zero gradients (its soft targets are its
 own output), so the rows its steps touch settle at once; with dropout they
 keep moving for thousands of steps. `--src` picks the `scdl` tree, so a
 parent's `git archive` export can be timed the same way. The mask is read
-from the pair (`pair.moving`), or from the `moving=` keyword of a tree
-that passes it to `ema_update`; a tree with neither reports no share.
+from the pair (`pair.moving`); a pair without one reports no share.
 """
 
 from __future__ import annotations
@@ -89,11 +88,11 @@ def main(argv=None) -> int:
     calls = []
     original = training.ema_update
 
-    def recorded(pair, **kwargs):
-        moving = kwargs.get("moving", getattr(pair, "moving", None))
+    def recorded(pair):
+        moving = pair.moving
         share = None if moving is None else np.count_nonzero(moving) / len(moving)
         start = perf_counter()
-        result = original(pair, **kwargs)
+        result = original(pair)
         calls.append((share, perf_counter() - start))  # a forked network 2 appends to its own copy
         return result
 
