@@ -154,10 +154,17 @@ def flat_tags(rows) -> tuple[np.ndarray, np.ndarray]:
     return tags, np.concatenate(([0], np.cumsum(lengths)))
 
 
-def flatten(sentences) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
+def flatten(sentences, *needed) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
     """The sentences' tokens laid end to end, their offsets as in repair_bio, and an
-    int64 array in that layout of each track that all of them carry. A track whose
-    length differs from its sentence's (one reassigned later) raises ValueError."""
+    int64 array in that layout of each track that all of them carry. `needed` names
+    the tracks the caller reads: the first sentence that lacks one raises ValueError,
+    and so does a track whose length differs from its sentence's (one reassigned later)."""
+    for name in needed:
+        if name not in AnnotatedSentence.TRACKS:
+            raise ValueError(f"unknown track {name!r}")
+    lacking = [(i, name) for i, s in enumerate(sentences) for name in needed if getattr(s, name) is None]
+    if lacking:
+        raise ValueError("sentence {}: no {} track".format(*lacking[0]))
     tracks = {}
     for name in AnnotatedSentence.TRACKS:
         rows = [getattr(s, name) for s in sentences]
@@ -350,9 +357,7 @@ def format_conll(tokens, codes, offsets, vocab: TagVocabulary) -> str:
 
 def write_conll(sentences, vocab: TagVocabulary, track: str = "gold") -> str:
     """Inverse of parse_conll for the chosen track."""
-    for s in sentences:
-        s.track(track)  # a missing track is named with its sentence
-    tokens, offsets, tracks = flatten(sentences)
+    tokens, offsets, tracks = flatten(sentences, track)
     return format_conll(tokens, tracks[track], offsets, vocab)
 
 
@@ -552,9 +557,7 @@ def inject_noise(
     if not 0 <= k_percent <= 100:
         raise ValueError(f"k_percent out of range: {k_percent}")
     rng = np.random.default_rng(seed)
-    for s in sentences:
-        s.track("gold")  # a missing track is named with its sentence
-    tokens, offsets, tracks = flatten(sentences)
+    tokens, offsets, tracks = flatten(sentences, "gold")
     begin, end, code = bio_spans(tracks["gold"], vocab, offsets)
     sent_idx = np.searchsorted(offsets, begin, side="right") - 1  # the sentence of each begin
     n_alter = round(k_percent / 100 * len(begin))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TagVocabulary, bio_spans, flat_tags
+from .corpus import TagVocabulary, bio_spans, flat_tags, flatten
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,18 @@ def span_prf1(predicted, gold, vocab: TagVocabulary) -> SpanScore:
     """
     if len(predicted) != len(gold):
         raise ValueError("predicted and gold corpora differ in length")
-    if any(len(p) != len(g) for p, g in zip(predicted, gold)):
-        raise ValueError("sentence length mismatch")
-    tags, offsets = flat_tags(predicted)
-    return score_tags(tags, flat_tags(gold)[0], vocab, offsets)
+    (tags, offsets), (gold_tags, gold_offsets) = flat_tags(predicted), flat_tags(gold)
+    misfit = np.flatnonzero(offsets != gold_offsets)
+    if len(misfit):
+        i = int(misfit[0]) - 1  # offsets[i + 1] is the first that differs
+        raise ValueError(f"sentence {i}: {len(predicted[i])} predicted tags for {len(gold[i])} gold tags")
+    return score_tags(tags, gold_tags, vocab, offsets)
 
 
 def refinery_report(sentences, vocab: TagVocabulary, track: str = "noisy_i") -> SpanScore:
     """How close a rewritten noisy track has come to the gold labels."""
-    for s in sentences:
-        if s.gold is None:
-            raise ValueError("refinery report requires the gold track")
-    return span_prf1([s.track(track) for s in sentences], [s.gold for s in sentences], vocab)
+    _, offsets, tracks = flatten(sentences, "gold", track)
+    return score_tags(tracks[track], tracks["gold"], vocab, offsets)
 
 
 @dataclass(frozen=True)

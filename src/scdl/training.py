@@ -30,7 +30,6 @@ from .tagger import (
     TaggerParams,
     TokenBatch,
     as_batch,
-    encode,
     forward,
     init_params,
     labels_from_dists,
@@ -127,7 +126,7 @@ class ScdlConfig:
             if not sep or key not in typed:
                 raise ValueError(f"config line {lineno}: unknown entry {line!r}")
             if key == "ablations":
-                kwargs[key] = frozenset(v for v in value.split(",") if v)
+                kwargs[key] = frozenset(filter(None, (v.strip() for v in value.split(","))))
                 continue
             try:
                 kwargs[key] = int(value) if typed[key] == "int" else float(value)
@@ -366,10 +365,10 @@ def pretrain(
                 for b, batch in enumerate(_gathered(corpus, batches, p)):
                     where = (epoch, b, k)
                     loss, grad = loss_hard(p, batch, track)
-                    _check_finite(loss, f"pretrain epoch {epoch} (network {k})")
+                    _check_finite(loss, f"pretrain epoch {epoch} (net{k})")
                     sgd_step(p, grad, config.gamma)
                 where = (epoch, len(batches), k)  # after the epoch's last batch
-                _check_parameters({f"network{k}": p}, f"after pretrain epoch {epoch}")
+                _check_parameters({f"net{k}": p}, f"after pretrain epoch {epoch}")
         except Exception as exc:
             return [], (where, exc)
         return [], None
@@ -476,8 +475,8 @@ def train(
     """Full pipeline; returns the best of the four models on dev span F1.
 
     Every training sentence needs its gold, noisy_i and noisy_ii tracks
-    and every dev sentence its gold track; both are checked before any
-    training starts.
+    and every dev sentence its gold track; `flatten` checks both before
+    any training starts.
 
     The caller's corpora are not mutated: `flatten` copies their tokens and
     tags, so later edits to them do not reach `result.state` either. The
@@ -507,17 +506,14 @@ def train(
     those of a serial run bit for bit.
     """
     rng = np.random.default_rng(config.seed)
-    tokens, offsets, tracks = flatten(train_corpus)
+    tokens, offsets, tracks = flatten(train_corpus, "gold", *TRACKS)
     corpus = TokenBatch(token_ids(tokens, config.hash_buckets), offsets, config.hash_buckets, tracks)
-    dev = encode(dev_corpus, config.hash_buckets)
+    dev_tokens, dev_offsets, dev_tracks = flatten(dev_corpus, "gold")
+    dev = TokenBatch(token_ids(dev_tokens, config.hash_buckets), dev_offsets, config.hash_buckets, dev_tracks)
     if len(dev) == 0:
         raise ValueError("empty dev corpus")
     if len(corpus) == 0:
         raise ValueError("empty training corpus")
-    for what, batch, needed in (("training", corpus, ("gold", *TRACKS)), ("dev", dev, ("gold",))):
-        for name in needed:
-            if name not in batch.tracks:
-                raise ValueError(f"every {what} sentence needs a {name!r} track")
     gold = corpus.track("gold")
     p1, p2 = pretrain(config, corpus, vocab, rng)
     corpus.tracks.update({track: _shared(corpus.tracks[track]) for track in TRACKS})

@@ -28,7 +28,7 @@ from scdl.corpus import (
     write_conll,
 )
 from scdl.metrics import CurvePoint, refinery_report
-from scdl.training import ABLATIONS, TRACKS, TrainingDiverged
+from scdl.training import ABLATIONS, TRACKS, ScdlConfig, TrainingDiverged
 from scdl.tagger import TaggerConfig, init_params, load_checkpoint, save_checkpoint
 from synthdata import default_vocab, make_synthetic_corpus
 
@@ -642,7 +642,7 @@ class TestTrainCmd:
 
     @pytest.mark.parametrize(
         "pretrain_epochs, where",
-        [(1, "network1.embedding after pretrain epoch 0"), (0, "teacher1.embedding at step 0")],
+        [(1, "net1.embedding after pretrain epoch 0"), (0, "teacher1.embedding at step 0")],
     )
     def test_non_finite_parameter_exit_code(
         self, workspace, capsys, monkeypatch, pretrain_epochs, where
@@ -894,6 +894,23 @@ class TestTrainCmd:
         ])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_spaced_ablation_names(self, workspace, capsys):
+        """Each name is stripped as Gazetteer.parse strips each type, and an
+        unknown name still fails before any work."""
+        spaced = ScdlConfig.from_text("ablations=no_teachers, hard_labels\n")
+        assert spaced == ScdlConfig.from_text("ablations=no_teachers,hard_labels\n")
+        config = workspace["dir"] / "spaced.txt"
+        config.write_text(FAST_CONFIG + "ablations=no_teachers, bogus\n")
+        out_dir = workspace["dir"] / "spaced_run"
+        rc = main([
+            "train", "--config", str(config),
+            "--train", str(workspace["train"]), "--dev", str(workspace["dev"]),
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        assert "unknown ablations: ['bogus']" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_negative_seed_flag_fails_before_work(self, workspace, capsys):

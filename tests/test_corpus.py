@@ -283,6 +283,11 @@ class TestConll:
         assert parse_conll("", vocab) == []
         assert write_conll([], vocab) == ""
 
+    def test_write_rejects_an_unknown_track(self, vocab):
+        """Even with no sentence to lack it."""
+        with pytest.raises(ValueError, match="^unknown track 'bogus'$"):
+            write_conll([], vocab, "bogus")
+
     def test_infer_vocab_sorted(self):
         v = read_conll("a\tB-ZOO\nb\tI-ZOO\nc\tB-ANT\n")[3]
         assert v.entity_types == ("ANT", "ZOO")

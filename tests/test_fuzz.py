@@ -18,9 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scdl.training as training
 from scdl.cli import main
-from scdl.corpus import AnnotatedSentence, parse_conll, read_conll, write_conll
-from scdl.tagger import TaggerConfig, forward, init_params, load_checkpoint, save_checkpoint
+from scdl.corpus import AnnotatedSentence, inject_noise, parse_conll, read_conll, write_conll
+from scdl.metrics import refinery_report
+from scdl.tagger import TaggerConfig, encode, forward, init_params, load_checkpoint, save_checkpoint
 from scdl.training import ABLATIONS, ScdlConfig
 from synthdata import default_vocab, make_synthetic_corpus
 from test_cli import run_program
@@ -273,6 +275,41 @@ def test_train_pipeline(train, dev, config):
                         assert np.isfinite(forward(params, dev_tokens)).all(), path
         assert train_run(second, config) == run
 
+
+
+def tagged_rows():
+    """1-5 sentences of 1-4 tokens, each track a list of O and B-PER codes."""
+    tags = st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4)
+    row = st.tuples(st.integers(1, 4), tags, tags, tags)
+    return st.lists(row, min_size=1, max_size=5)
+
+
+@given(tagged_rows(), st.data(), st.sampled_from(AnnotatedSentence.TRACKS), st.sampled_from(["drop", "long", "short"]))
+@settings(max_examples=60, deadline=None)
+def test_a_broken_track_is_named_with_its_sentence(rows, data, track, kind):
+    """One sentence loses a track, or has it reassigned one tag long or short:
+    every library function that reads the track names the sentence and the track."""
+    vocab = default_vocab()
+    sentences = [
+        AnnotatedSentence([f"w{j}" for j in range(n)], **dict(zip(AnnotatedSentence.TRACKS, (t[:n] for t in tags))))
+        for n, *tags in rows
+    ]
+    i = data.draw(st.integers(0, len(sentences) - 1), label="sentence")
+    tags = getattr(sentences[i], track)
+    setattr(sentences[i], track, {"drop": None, "long": tags + [0], "short": tags[:-1]}[kind])
+    calls = [
+        lambda: write_conll(sentences, vocab, track),
+        lambda: refinery_report(sentences, vocab, track),
+        lambda: training.train(ScdlConfig(hash_buckets=64, pretrain_epochs=0, max_epochs=0), sentences, SENTENCES, vocab),
+    ]
+    if kind != "drop":  # a track it does not read is left out when missing, but checked when misfit
+        calls.append(lambda: encode(sentences, 64))
+    if kind != "drop" or track == "gold":
+        calls.append(lambda: inject_noise(sentences, 50, vocab))
+    message = rf"^sentence {i}: (no {track} track|{track} has \d+ tags for {len(sentences[i])} tokens)$"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def config_text(entries) -> bytes:

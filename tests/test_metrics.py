@@ -101,8 +101,11 @@ class TestSpanPrf1:
             span_prf1([[0]], [[0], [0]], vocab)
 
     def test_sentence_length_mismatch(self, vocab):
-        with pytest.raises(ValueError):
+        """The first sentence whose tag counts differ is named, though the totals agree."""
+        with pytest.raises(ValueError, match="^sentence 0: 1 predicted tags for 2 gold tags$"):
             span_prf1([[0]], [[0, 0]], vocab)
+        with pytest.raises(ValueError, match="^sentence 1: 3 predicted tags for 2 gold tags$"):
+            span_prf1([[0], [0, 0, 0], [0]], [[0], [0, 0], [0, 0]], vocab)
 
     def test_offsets_must_end_at_the_tag_count(self, vocab):
         tags = [1, 2, 0]
@@ -120,8 +123,28 @@ class TestRefineryReport:
 
     def test_requires_gold(self, vocab):
         s = AnnotatedSentence(["a"], noisy_i=[0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sentence 0: no gold track$"):
             refinery_report([s], vocab)
+
+    def test_gold_and_track_reassigned_alike(self, vocab):
+        """Equal lengths of gold and the track do not hide that neither fits its tokens."""
+        b, i = vocab.b_code("PER"), vocab.i_code("PER")
+        sentences = [
+            AnnotatedSentence(["x"], gold=[0], noisy_i=[0]),
+            AnnotatedSentence(["a", "b"], gold=[b, i], noisy_i=[b, i]),
+        ]
+        sentences[1].gold = sentences[1].noisy_i = [b, i, i]
+        with pytest.raises(ValueError, match="^sentence 1: gold has 3 tags for 2 tokens$"):
+            refinery_report(sentences, vocab)
+
+    def test_reassigned_track_named(self, vocab):
+        sentences = [
+            AnnotatedSentence(["x"], gold=[0], noisy_i=[0]),
+            AnnotatedSentence(["a", "b"], gold=[0, 0], noisy_i=[0, 0]),
+        ]
+        sentences[1].noisy_i = [0, 0, 0]
+        with pytest.raises(ValueError, match="^sentence 1: noisy_i has 3 tags for 2 tokens$"):
+            refinery_report(sentences, vocab)
 
 
 class TestEmitCurve:

@@ -828,7 +828,7 @@ class TestTrain:
         monkeypatch.setattr(training, "pretrain", no_pretraining)
         corpus = noisy_corpus(vocab)
         corpus[3].gold = None
-        with pytest.raises(ValueError, match="^every training sentence needs a 'gold' track$"):
+        with pytest.raises(ValueError, match="^sentence 3: no gold track$"):
             train(ScdlConfig(**FAST), corpus, self._dev(vocab), vocab)
 
     @pytest.mark.parametrize("pretrain_epochs", [0, 1])
@@ -838,7 +838,7 @@ class TestTrain:
         corpus = noisy_corpus(vocab)
         setattr(corpus[3], track, None)
         config = ScdlConfig(**{**FAST, "pretrain_epochs": pretrain_epochs})
-        with pytest.raises(ValueError, match=f"^every training sentence needs a '{track}' track$"):
+        with pytest.raises(ValueError, match=f"^sentence 3: no {track} track$"):
             train(config, corpus, self._dev(vocab), vocab)
         assert not multiprocessing.active_children()
 
@@ -931,7 +931,7 @@ class TestPeer:
         monkeypatch.setattr(training, "init_params", poisoned)
         if not fork:
             monkeypatch.setattr(training, "_FORK", None)
-        with pytest.raises(TrainingDiverged, match=r"^non-finite loss nan during pretrain epoch 0 \(network 2\)$"):
+        with pytest.raises(TrainingDiverged, match=r"^non-finite loss nan during pretrain epoch 0 \(net2\)$"):
             pretrain(config, corpus, vocab)
         assert not multiprocessing.active_children()
 

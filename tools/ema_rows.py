@@ -20,7 +20,8 @@ With dropout 0 the student takes zero gradients (its soft targets are its
 own output), so the rows its steps touch settle at once; with dropout they
 keep moving for thousands of steps. `--src` picks the `scdl` tree, so a
 parent's `git archive` export can be timed the same way. The mask is read
-from the pair (`pair.moving`); a pair without one reports no share.
+from the pair (`pair.moving`); a pair without one reports no share, and the
+tool then exits 1 after printing every row.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True  # perfbench/ is read, never written
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
     import inputs
-    from scdl import cli, training
+    from scdl import cli, tagger, training
 
     calls = []
     original = training.ema_update
@@ -97,6 +98,7 @@ def main(argv=None) -> int:
         return result
 
     training.ema_update = recorded
+    unread = False  # some case found no mask to read
     made = {
         "fixture": lambda n, seed: inputs.synthetic_corpus(n, seed),
         "zipf": lambda n, seed: zipf_corpus(inputs, n, seed),
@@ -121,14 +123,15 @@ def main(argv=None) -> int:
                 "dropout": dropout,
                 "update_cycle": update_cycle,
                 "seed": seed,
-                "buckets_used": len(np.unique(training.encode(train_c, config.hash_buckets).ids)),
+                "buckets_used": len(np.unique(tagger.encode(train_c, config.hash_buckets).ids)),
                 "marked_share_median": round(statistics.median(shares), 4) if shares else None,
                 "marked_share_p90": round(float(np.quantile(shares, 0.9)), 4) if shares else None,
                 "ema_us_median": round(statistics.median(t for _, t in calls) * 1e6, 1),
                 "train_s_median": round(statistics.median(walls), 3),
             }
             print(json.dumps(row), flush=True)
-    return 0
+            unread |= row["marked_share_median"] is None
+    return int(unread)
 
 
 if __name__ == "__main__":
