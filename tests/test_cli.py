@@ -642,7 +642,13 @@ class TestTrainCmd:
 
     @pytest.mark.parametrize(
         "pretrain_epochs, where",
-        [(1, "net1.embedding after pretrain epoch 0"), (0, "teacher1.embedding at step 0")],
+        [
+            pytest.param(
+                1, "net1.embedding after pretrain epoch 0",
+                id="1-network1.embedding after pretrain epoch 0",
+            ),
+            (0, "teacher1.embedding at step 0"),
+        ],
     )
     def test_non_finite_parameter_exit_code(
         self, workspace, capsys, monkeypatch, pretrain_epochs, where
