@@ -32,6 +32,8 @@ class TagVocabulary:
         types = tuple(entity_types)
         if len(set(types)) != len(types):
             raise ValueError(f"duplicate entity types: {types}")
+        if "" in types:
+            raise ValueError(f"empty entity type in {types}")
         self.entity_types = types
         tags = ["O"]
         for t in types:
@@ -291,7 +293,8 @@ def read_conll(text: str, vocab: TagVocabulary | None = None):
     """Tokens, int64 tag codes, sentence offsets and vocabulary of CoNLL text, in one pass.
 
     Sentence i is tokens[offsets[i]:offsets[i + 1]], and none is empty. By
-    default the vocabulary holds the sorted types of the B-t and I-t tags.
+    default the vocabulary holds the sorted types of the B-t and I-t tags; a
+    typeless B- or I- is an unknown tag.
     Errors name the 1-based line of the first malformed line or unknown
     tag, unless a sentence closed before it breaks BIO. Plain text is split
     with str methods, and any other text line by line, to the same result.
@@ -303,7 +306,7 @@ def read_conll(text: str, vocab: TagVocabulary | None = None):
     offsets = np.array(offsets, dtype=np.int64)
     distinct = set(tags)
     if vocab is None:
-        vocab = TagVocabulary(sorted({t[2:] for t in distinct if t.startswith(("B-", "I-"))}))
+        vocab = TagVocabulary(sorted({t[2:] for t in distinct if t.startswith(("B-", "I-")) and t[2:]}))
     table = {t: vocab._code.get(t, -1) for t in distinct}
     codes = np.fromiter(map(table.__getitem__, tags), dtype=np.int64, count=len(tags))
 
@@ -398,7 +401,7 @@ class Gazetteer:
 
     @classmethod
     def parse(cls, text: str) -> "Gazetteer":
-        """Read "surface form<TAB>TYPE1,TYPE2" lines."""
+        """Read "surface form<TAB>TYPE1,TYPE2" lines, one line per surface."""
         entries = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -411,7 +414,10 @@ class Gazetteer:
             types = tuple(t.strip() for t in types.split(","))
             if "" in types:
                 raise ConllFormatError(f"line {lineno}: empty entity type in {line!r}")
-            entries[tuple(surface.split())] = types
+            surface = tuple(surface.split())
+            if surface in entries:
+                raise ConllFormatError(f"line {lineno}: repeated surface {' '.join(surface)!r}")
+            entries[surface] = types
         return cls(entries)
 
     def _longest_matches(self, tokens, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

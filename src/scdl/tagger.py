@@ -126,9 +126,8 @@ class TokenBatch:
     """Sentences hashed once and laid end to end.
 
     Sentence i is `ids[offsets[i]:offsets[i + 1]]`; `tracks` holds label
-    tracks in the same flat layout. Window ids are built per window size
-    on first use and carried over by `take`, so a corpus is hashed and
-    windowed once however many batches are drawn from it.
+    tracks in the same flat layout. Window ids are built from the batch's
+    own ids per window size on first use and kept; a `view` shares them.
     """
 
     ids: np.ndarray  # (tokens,) hash buckets
@@ -174,17 +173,11 @@ class TokenBatch:
 
     def take(self, sentences) -> "TokenBatch":
         """The given sentences, in the given order, as a new batch that copies
-        their ids, every track and the rows of every cached window table: the
-        batches of a training segment or pretraining epoch, each step a `view`."""
+        their ids and every track, and no window table: the batches of a
+        training segment or pretraining epoch, each step a `view`."""
         tokens, offsets = self.positions(sentences)
-        batch = TokenBatch(
-            self.ids[tokens],
-            offsets,
-            self.buckets,
-            {name: tags[tokens] for name, tags in self.tracks.items()},
-        )
-        batch._windows.update((w, ctx[tokens]) for w, ctx in self._windows.items())
-        return batch
+        tracks = {name: tags[tokens] for name, tags in self.tracks.items()}
+        return TokenBatch(self.ids[tokens], offsets, self.buckets, tracks)
 
     def view(self, start: int, stop: int) -> "TokenBatch":
         """Sentences start..stop as a batch of views of this one's ids, tracks
@@ -197,18 +190,14 @@ class TokenBatch:
 
 
 def encode(sentences, buckets: int) -> TokenBatch:
-    """Hash sentences into one flat batch with every track that all of them carry (`flatten`)."""
+    """A TokenBatch hashed into `buckets` as is, or sentences hashed into one flat
+    batch with every track that all of them carry (`flatten`)."""
+    if isinstance(sentences, TokenBatch):
+        if sentences.buckets != buckets:
+            raise ValueError(f"batch hashed into {sentences.buckets} buckets, model has {buckets}")
+        return sentences
     tokens, offsets, tracks = flatten(sentences)
     return TokenBatch(token_ids(tokens, buckets), offsets, buckets, tracks)
-
-
-def as_batch(batch, buckets: int) -> TokenBatch:
-    """A TokenBatch as is, or a sequence of sentences hashed into one."""
-    if not isinstance(batch, TokenBatch):
-        return encode(batch, buckets)
-    if batch.buckets != buckets:
-        raise ValueError(f"batch hashed into {batch.buckets} buckets, model has {buckets}")
-    return batch
 
 
 def _forward_cache(params: TaggerParams, ctx: np.ndarray):
@@ -227,7 +216,7 @@ def _forward_cache(params: TaggerParams, ctx: np.ndarray):
 def forward(params: TaggerParams, batch) -> np.ndarray:
     """Per-token tag distributions of a batch, shape (tokens, num_tags)."""
     cfg = params.config
-    ctx = as_batch(batch, cfg.vocab_hash_buckets).context_ids(cfg.window)
+    ctx = encode(batch, cfg.vocab_hash_buckets).context_ids(cfg.window)
     return _forward_cache(params, ctx)[2]
 
 
@@ -274,7 +263,7 @@ def loss_hard(params: TaggerParams, batch, track: str):
     """Mean token-level cross entropy on the chosen track, with gradient."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    batch = as_batch(batch, params.config.vocab_hash_buckets)
+    batch = encode(batch, params.config.vocab_hash_buckets)
     tags = batch.track(track)
     if len(tags) == 0:
         return 0.0, zeros_like(params)
@@ -303,7 +292,7 @@ def loss_soft(params: TaggerParams, batch, targets, masks):
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    batch = as_batch(batch, params.config.vocab_hash_buckets)
+    batch = encode(batch, params.config.vocab_hash_buckets)
     mask = _flat_rows(batch, masks, "mask")
     if mask.dtype != bool:
         raise ValueError("mask must be a boolean array")
@@ -353,7 +342,7 @@ def predict_labels(params: TaggerParams, batch, vocab: TagVocabulary) -> np.ndar
     """Flat labels of a batch: argmax over rows of its cached window table,
     PREDICT_CHUNK sentences per forward pass, then one BIO repair of all.
     A pass that gives a non-finite probability raises FloatingPointError."""
-    batch = as_batch(batch, params.config.vocab_hash_buckets)
+    batch = encode(batch, params.config.vocab_hash_buckets)
     ctx = batch.context_ids(params.config.window)
     bounds = batch.offsets[np.append(np.arange(0, len(batch), PREDICT_CHUNK), len(batch))].tolist()
     codes = np.empty(len(ctx), dtype=np.int64)

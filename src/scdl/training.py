@@ -29,7 +29,7 @@ from .tagger import (
     TaggerConfig,
     TaggerParams,
     TokenBatch,
-    as_batch,
+    encode,
     forward,
     init_params,
     labels_from_dists,
@@ -200,9 +200,9 @@ def _batches(order: np.ndarray, batch_size: int):
 
 def _gathered(corpus: TokenBatch, batches, model: TaggerParams) -> list[TokenBatch]:
     """Views of one `take` of `batches` (lists of sentence indices) in batch order, carrying
-    `model`'s window rows, built on `corpus` first; valid while no track changes."""
-    corpus.context_ids(model.config.window)
+    the rows of `model`'s window table, built on that take; valid while no track changes."""
     whole = corpus.take(np.concatenate(batches))
+    whole.context_ids(model.config.window)
     bounds = np.cumsum([0, *map(len, batches)]).tolist()
     return [whole.view(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -347,14 +347,14 @@ def pretrain(
     form one segment, which network 1 trains here and network 2 in a
     forked child or here after network 1 (see `_Peer`); the models
     returned are views of shared memory. Each network gathers each epoch's
-    batches with one `take` of the corpus, which caches its window table.
+    batches with one `take` of the corpus and builds its window table on it.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     params = [_shared_params(init_params(c)) for c in config.tagger_configs(vocab.size)]
-    corpus = as_batch(corpus, config.hash_buckets)
+    corpus = encode(corpus, config.hash_buckets)
     orders = [rng.permutation(len(corpus)) for _ in range(config.pretrain_epochs)]  # drawn before training
     epochs = [list(_batches(order, config.batch_size)) for order in orders]
 
@@ -407,7 +407,7 @@ def self_denoise_step(
     if config.student_word_dropout > 0.0 and dropout_rng is None:
         raise ValueError("student_word_dropout > 0 needs a dropout_rng")
     abl = config.ablations
-    batch = as_batch(batch, pair.student.config.vocab_hash_buckets)
+    batch = encode(batch, pair.student.config.vocab_hash_buckets)
     noisy = batch.track(track)
     dists = forward(pair.teacher, batch)
     if not np.isfinite(dists).all():

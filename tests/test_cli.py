@@ -187,6 +187,38 @@ def test_failing_program_prints_only_its_error_line(tmp_path, repro, code):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, bad, error",
+    [
+        ("annotate", "corpus", "line 4: unknown tag 'B-'"),
+        ("inject", "corpus", "line 4: unknown tag 'B-'"),
+        ("train", "corpus", "line 4: unknown tag 'B-'"),
+        ("eval", "corpus", "line 4: unknown tag 'B-'"),
+        ("annotate", "gazetteer", "line 2: repeated surface 'per0'"),
+    ],
+)
+def test_unreadable_input_prints_its_line(tmp_path, command, bad, error):
+    """Run as a program, a command whose corpus holds a tag of no type, or
+    `annotate` with a gazetteer that lists a surface twice, exits 1 with one
+    `error:` line that names the input line."""
+    vocab = default_vocab()
+    gold, typeless, gazetteer = tmp_path / "gold.conll", tmp_path / "typeless.conll", tmp_path / "gaz.tsv"
+    gold.write_text(write_conll(make_synthetic_corpus(8, vocab, seed=3), vocab, "gold"))
+    typeless.write_text("loc1\tB-LOC\nw0\tO\n\nper0\tB-\n")
+    gazetteer.write_text("per0\tPER\nper0\tLOC\n" if bad == "gazetteer" else "per0\tPER\n")
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TaggerConfig(num_tags=vocab.size, vocab_hash_buckets=64)), ckpt)
+    corpus, out = str(typeless if bad == "corpus" else gold), str(tmp_path / "out")
+    argv = {
+        "annotate": ["--corpus", corpus, "--gazetteer", str(gazetteer), "--out", out],
+        "inject": ["--corpus", corpus, "--k", "40", "--out", out],
+        "train": ["--train", corpus, "--dev", str(gold), "--out-dir", out],
+        "eval": ["--checkpoint", str(ckpt), "--corpus", corpus],
+    }[command]
+    proc = run_program(command, *argv)
+    assert (proc.returncode, proc.stderr) == (1, f"error: {error}\n")
+
+
 def test_interrupted_program_prints_one_line_and_exits_130(workspace):
     """Ctrl-C during `scdl train`, run as a program, prints `error: interrupted`
     and exits 130 without a traceback; the run leaves no best.json, and each

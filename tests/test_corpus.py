@@ -58,6 +58,11 @@ class TestTagVocabulary:
         with pytest.raises(ValueError):
             TagVocabulary(["PER", "PER"])
 
+    def test_empty_type_rejected(self):
+        """As Gazetteer.parse rejects one: B- and I- would be tags of no type."""
+        with pytest.raises(ValueError, match="empty entity type"):
+            TagVocabulary(["LOC", ""])
+
 
 class TestBioValidation:
     def test_valid_sequences(self, vocab):
@@ -292,6 +297,14 @@ class TestConll:
         v = read_conll("a\tB-ZOO\nb\tI-ZOO\nc\tB-ANT\n")[3]
         assert v.entity_types == ("ANT", "ZOO")
 
+    @pytest.mark.parametrize(
+        "text, line, tag", [("a\tB-\nb\tI-\n", 1, "B-"), ("a\tB-LOC\n\nb\tO\nc\tI-\n", 4, "I-")]
+    )
+    def test_typeless_tag_is_unknown(self, text, line, tag):
+        """No entity type is inferred from a bare B- or I-."""
+        with pytest.raises(ConllFormatError, match=f"^line {line}: unknown tag '{tag}'$"):
+            read_conll(text)
+
 
 def infer_vocab_loop(text):
     """read_conll's inferred vocabulary as a loop over the lines: the reference."""
@@ -300,7 +313,7 @@ def infer_vocab_loop(text):
         if not line.strip():
             continue
         _, _, tag = line.partition("\t")
-        if tag.startswith(("B-", "I-")):
+        if tag.startswith(("B-", "I-")) and tag[2:]:
             types.add(tag[2:])
     return TagVocabulary(sorted(types))
 
@@ -550,6 +563,14 @@ class TestGazetteer:
             Gazetteer.parse("paris\tLOC\nrome\t, LOC\n")
         with pytest.raises(ConllFormatError, match="line 2: expected"):
             Gazetteer.parse("paris\tLOC\n \tLOC\n")
+
+    def test_repeated_surface_names_line(self):
+        """One line holds all of a surface's types; a later line for the same
+        surface, compared after splitting on whitespace, is an error."""
+        with pytest.raises(ConllFormatError, match="^line 2: repeated surface 'per0'$"):
+            Gazetteer.parse("per0\tPER\nper0\tLOC\n")
+        with pytest.raises(ConllFormatError, match="^line 3: repeated surface 'new york'$"):
+            Gazetteer.parse("new york\tLOC\nparis\tLOC\n new  york \tORG\n")
 
 
 class TestDistantAnnotate:

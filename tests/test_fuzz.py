@@ -164,6 +164,7 @@ def conll_bytes():
 @example(b"per0\tI-PER\n\nw1\n")
 @example(b"\xff\xfe\tO\n")
 @example(b"per0\tB-PER\nper1\tO\r\n\nloc2\tB-LOC\n")  # plain but for one \r
+@example(b"per0\tB-\n")  # a typeless tag
 def test_garbled_conll(inputs, raw):
     directory, _, ckpt = inputs
     corpus, model = directory / "garbled.conll", directory / "model.ckpt"
@@ -171,14 +172,21 @@ def test_garbled_conll(inputs, raw):
     model.write_bytes(ckpt)
     gazetteer = directory / "gaz.tsv"
     gazetteer.write_text("per0\tPER\nper1 loc2\tLOC,PER\n")
+    distant, noisy = directory / "distant.conll", directory / "noisy.conll"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a corpus without mentions warns in inject
         assert run(["eval", "--checkpoint", str(model), "--corpus", str(corpus)]) in (0, 1)
-        assert run(["annotate", "--corpus", str(corpus), "--gazetteer", str(gazetteer),
-                    "--rule", "random", "--coverage", "0.5",
-                    "--out", str(directory / "distant.conll")]) in (0, 1)
-        assert run(["inject", "--corpus", str(corpus), "--k", "50",
-                    "--out", str(directory / "noisy.conll")]) in (0, 1)
+        annotated = run(["annotate", "--corpus", str(corpus), "--gazetteer", str(gazetteer),
+                         "--rule", "random", "--coverage", "0.5", "--out", str(distant)])
+        injected = run(["inject", "--corpus", str(corpus), "--k", "50", "--out", str(noisy)])
+    assert annotated in (0, 1) and injected in (0, 1)
+    # what a command that exits 0 wrote reads back with no empty entity type
+    for rc, out in ((annotated, distant), (injected, noisy)):
+        if rc == 0:
+            assert "" not in read_conll(out.read_text(encoding="utf-8"))[3].entity_types
+    if injected == 0:
+        rows = Path(f"{noisy}.alterations.tsv").read_text(encoding="utf-8").splitlines()
+        assert all(row.split("\t")[3] and row.split("\t")[4] for row in rows)
 
 
 config_keys = st.sampled_from([f.name for f in dataclasses.fields(ScdlConfig)] + ["bogus", "", "#x"])

@@ -160,6 +160,7 @@ class TestFlatBatch:
         full.context_ids(1)
         order = [7, 0, 19, 7]
         part = full.take(order)
+        assert not part._windows  # built from its own ids when read, not copied from `full`
         fresh = encode([corpus[i] for i in order], 64)
         assert np.array_equal(part.ids, fresh.ids)
         assert np.array_equal(part.offsets, fresh.offsets)

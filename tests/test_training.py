@@ -608,6 +608,23 @@ class TestBatches:
         assert gathered == pretrain_epochs + [s for s in segments for _ in range(2)]
         assert windows == {1, 2}
 
+    def test_gathered_batches_carry_only_their_networks_window(self, vocab, monkeypatch):
+        """With both networks in this process and different windows, every batch
+        a network gathers carries its own window table and not its peer's."""
+        config = ScdlConfig(**FAST)  # net2_window=2, net1_window=1
+        monkeypatch.setattr(training, "_can_fork", lambda: False)
+        carried, original = [], training._gathered
+
+        def recorded(corpus, batches, model):
+            views = original(corpus, batches, model)
+            carried.extend((model.config.window, sorted(view._windows)) for view in views)
+            return views
+
+        monkeypatch.setattr(training, "_gathered", recorded)
+        train(config, noisy_corpus(vocab), make_synthetic_corpus(8, vocab, seed=999), vocab)
+        assert {window for window, _ in carried} == {1, 2}
+        assert all(windows == [window] for window, windows in carried), carried
+
 
 class TestTrain:
     def _dev(self, vocab, n=24):

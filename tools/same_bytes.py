@@ -9,7 +9,7 @@ for each tree, seed (0 and 7) and schedule (forked, and under `taskset -c 0`,
 where network 2 trains after network 1 in one process), it runs `scdl train`
 (update_cycle 250 and 25, 25 with student_word_dropout=0.25, where the
 students move off their teachers, and 25 with net2_window=2, where the
-corpus caches a window table per network), `pretrain`, `ablate`, `sweep`
+networks' window tables differ), `pretrain`, `ablate`, `sweep`
 (k=40 on the test split), `annotate`, `inject` and `eval` of every
 `best.ckpt`, each in a fresh process with BLAS pinned to one thread. It
 compares exit codes, stdout, stderr and the sha256 of every output file,
