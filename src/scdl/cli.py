@@ -8,7 +8,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from . import tagger as tagger_mod
 from .corpus import (
     Gazetteer,
     TagVocabulary,
-    annotate_corpus,
     format_alteration_log,
     inject_noise,
     read_conll,
@@ -32,6 +31,7 @@ from .training import (
     TRACKS,
     ScdlConfig,
     TrainingDiverged,
+    _Peer,
     evaluate_models,
     pretrain,
     train,
@@ -104,16 +104,34 @@ def cmd_annotate(args) -> int:
     _check_seed(args.seed)
     if not 0.0 <= args.coverage <= 1.0:  # checked before any input is read, as --seed is
         raise ValueError(f"coverage must be in [0, 1], got {args.coverage!r}")
-    text = _read(args.corpus)
-    gaz = Gazetteer.parse(_read(args.gazetteer))
-    tokens, gold, offsets, own = read_conll(text)
-    gaz_types = {t for types in gaz.entries.values() for t in types}
-    vocab = TagVocabulary(sorted(set(own.entity_types) | gaz_types))
-    gold = _recode(gold, own, vocab)
-    rng = np.random.default_rng(args.seed)
-    distant = annotate_corpus(tokens, offsets, gaz, vocab, args.coverage, args.rule, rng)
-    summary = _annotation_summary(gold, distant, offsets, vocab)
-    atomic_write_text(args.out, corpus_mod.format_conll(tokens, distant, offsets, vocab))
+    parts = corpus_mod.split_conll(_read(args.corpus))
+    gaz, kept = Gazetteer.parse(_read(args.gazetteer)), {}  # each process keeps its part's reading
+
+    def run(k: int, segment):  # part k of the corpus (see _Peer)
+        try:
+            if segment is None:  # read part k and find its matches
+                text, first_line = parts[k - 1]
+                tokens, gold, offsets, own = read_conll(text, first_line=first_line)
+                kept[k] = tokens, gold, offsets, own, gaz.taken_matches(tokens, offsets)
+                return (own.entity_types, kept[k][4][2]), None
+            vocab, draws = segment  # tag, count and format part k as drawn
+            tokens, gold, offsets, own, matches = kept[k]
+            distant = corpus_mod.tag_matches(len(tokens), matches, *draws[k - 1], gaz, vocab)
+            summary = _annotation_summary(_recode(gold, own, vocab), distant, offsets, vocab)
+            return (summary, corpus_mod.format_conll(tokens, distant, offsets, vocab)), None
+        except Exception as exc:  # raised by the caller, after part 1's
+            return None, (k, exc)
+
+    with _Peer(run, len(parts), child="part 2") as peer:
+        found = peer.both(None)
+        vocab = TagVocabulary(sorted(set().union(*gaz.entries.values(), *(types for types, _ in found))))
+        which = [which for _, which in found]  # the surface of each taken match, drawn here in file order
+        rng = np.random.default_rng(args.seed)
+        applied, pick = corpus_mod.draw_matches(gaz, np.concatenate(which), args.coverage, args.rule, rng)
+        cuts = np.cumsum([len(w) for w in which[:-1]])
+        made = peer.both((vocab, list(zip(np.split(applied, cuts), np.split(pick, cuts)))))
+    summary = {key: sum(part[key] for part, _ in made) for key in made[0][0]}  # no span crosses a part
+    atomic_write_text(args.out, "\n".join(text for _, text in made if text))  # a blank line between parts
     atomic_write_text(args.summary or args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
     return 0
@@ -240,17 +258,35 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    tokens, gold, offsets, vocab = read_conll(_read(args.corpus))
-    if not tokens:
-        raise ValueError(f"empty corpus: {args.corpus}")
-    if vocab.size != params.config.num_tags:
-        raise ValueError(f"checkpoint expects {params.config.num_tags} tags, corpus has {vocab.size}")
-    buckets = params.config.vocab_hash_buckets
-    batch = tagger_mod.TokenBatch(tagger_mod.token_ids(tokens, buckets), offsets, buckets, {"gold": gold})
-    try:
-        [score] = evaluate_models({args.checkpoint: params}, batch, vocab, f"on {args.corpus}").values()
-    except TrainingDiverged as exc:  # bad input here, not a run that diverged
-        raise ValueError(str(exc)) from None
+    parts = corpus_mod.split_conll(_read(args.corpus))
+    buckets, kept = params.config.vocab_hash_buckets, {}  # each process keeps its part's reading
+
+    def run(k: int, vocab):  # part k of the corpus (see _Peer)
+        try:
+            if vocab is None:  # read part k
+                text, first_line = parts[k - 1]
+                kept[k] = tokens, _, _, own = read_conll(text, first_line=first_line)
+                return (own.entity_types, len(tokens)), None
+            tokens, gold, offsets, own = kept[k]  # score part k in the vocabulary of all parts
+            gold = {"gold": _recode(gold, own, vocab)}
+            batch = tagger_mod.TokenBatch(tagger_mod.token_ids(tokens, buckets), offsets, buckets, gold)
+            [score] = evaluate_models({args.checkpoint: params}, batch, vocab, f"on {args.corpus}").values()
+            return score, None
+        except Exception as exc:  # raised by the caller, after part 1's
+            return None, (k, exc)
+
+    with _Peer(run, len(parts), child="part 2") as peer:
+        found = peer.both(None)
+        if not sum(size for _, size in found):
+            raise ValueError(f"empty corpus: {args.corpus}")
+        vocab = TagVocabulary(sorted(set().union(*(types for types, _ in found))))
+        if vocab.size != params.config.num_tags:
+            raise ValueError(f"checkpoint expects {params.config.num_tags} tags, corpus has {vocab.size}")
+        try:
+            scores = peer.both(vocab)
+        except TrainingDiverged as exc:  # bad input here, not a run that diverged
+            raise ValueError(str(exc)) from None
+    score = metrics_mod.SpanScore(*map(sum, zip(*map(astuple, scores))))  # no span crosses a part
     print(f"precision {score.precision:.4f} recall {score.recall:.4f} f1 {score.f1:.4f}")
     return 0
 

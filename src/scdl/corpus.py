@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -19,6 +20,9 @@ class BioValidationError(ValueError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
+
+    def __reduce__(self):  # pickled with its index, so a child process can send it
+        return type(self), (*self.args, self.index)
 
 
 class TagVocabulary:
@@ -208,6 +212,23 @@ _TAB = bytes(b == 9 for b in range(256))
 _TAG_START = bytes(32 < b < 128 for b in range(256))  # printable ASCII, no space
 
 
+SPLIT_SIZE = 160 << 10  # characters; two processes broke even near 155 KB on 2 x86 cores
+
+
+def split_conll(text: str) -> list[tuple[str, int]]:
+    """CoNLL text as one or two parts, each with the number of its first line: a text
+    of SPLIT_SIZE characters or more is cut after the first blank line from its middle
+    on. read_conll reads a part, from its first line, as within the text."""
+    blank_line = re.compile(r"\n\r?\n")  # a line end, then a line with no character
+    cut = blank_line.search(text, len(text) // 2) if len(text) >= SPLIT_SIZE else None
+    if cut is None:
+        return [(text, 1)]
+    head = text[: cut.end()]
+    # the head ends with a line end, so where \n is its only line break it has one line per \n
+    lines = len(head.splitlines()) if any(brk in head for brk in _OTHER_BREAKS) else head.count("\n")
+    return [(head, 1), (text[cut.end() :], lines + 1)]
+
+
 def _plain_shape(text: str):
     """Line ends, blank-line flags and tab positions of plain CoNLL text, or None.
 
@@ -242,7 +263,7 @@ def _plain_shape(text: str):
     return (ends, blank, tabs) if 0 not in tag_start else None
 
 
-def _plain_lines(text: str):
+def _plain_lines(text: str, first_line: int = 1):
     """_conll_lines' result for plain text (see _plain_shape), or None."""
     if not text.endswith("\n"):
         text += "\n"  # splitlines reads the same lines either way
@@ -254,11 +275,11 @@ def _plain_lines(text: str):
     offsets = np.concatenate(([0], np.searchsorted(tabs, ends[blank]), [len(tabs)]))
     if blank[-1]:  # the text ends in a blank line, which closed the last sentence
         offsets = offsets[:-1]
-    first_lines = (offsets[:-1] + np.arange(len(offsets) - 1) + 1).tolist()
+    first_lines = (offsets[:-1] + np.arange(len(offsets) - 1) + first_line).tolist()
     return fields[0::2], fields[1::2], offsets, first_lines, len(first_lines), None
 
 
-def _conll_lines(text: str):
+def _conll_lines(text: str, first_line: int = 1):
     """Tokens, tag strings, sentence offsets and first lines of CoNLL text, line by line.
 
     Also the number of sentences a blank line, or the end of the text,
@@ -267,8 +288,8 @@ def _conll_lines(text: str):
     """
     tokens, tags = [], []
     offsets, first_lines = [0], []  # where each sentence starts, in tokens and in lines
-    start, malformed = 1, None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    start, malformed = first_line, None
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
         if not line.strip():
             if len(tokens) > offsets[-1]:
                 offsets.append(len(tokens))
@@ -289,24 +310,26 @@ def _conll_lines(text: str):
     return tokens, tags, offsets, first_lines, closed, malformed
 
 
-def read_conll(text: str, vocab: TagVocabulary | None = None):
+def read_conll(text: str, vocab: TagVocabulary | None = None, first_line: int = 1):
     """Tokens, int64 tag codes, sentence offsets and vocabulary of CoNLL text, in one pass.
 
     Sentence i is tokens[offsets[i]:offsets[i + 1]], and none is empty. By
     default the vocabulary holds the sorted types of the B-t and I-t tags; a
-    typeless B- or I- is an unknown tag.
-    Errors name the 1-based line of the first malformed line or unknown
-    tag, unless a sentence closed before it breaks BIO. Plain text is split
-    with str methods, and any other text line by line, to the same result.
+    typeless B- or I-, or a type with leading or trailing whitespace, is an
+    unknown tag. Errors name the line of the first malformed line or unknown
+    tag, unless a sentence closed before it breaks BIO, counting the text's
+    first line as `first_line`. Plain text is split with str methods, and any
+    other text line by line, to the same result.
     """
-    lines = _plain_lines(text)
+    lines = _plain_lines(text, first_line)
     if lines is None:
-        lines = _conll_lines(text)
+        lines = _conll_lines(text, first_line)
     tokens, tags, offsets, first_lines, closed, malformed = lines
     offsets = np.array(offsets, dtype=np.int64)
     distinct = set(tags)
     if vocab is None:
-        vocab = TagVocabulary(sorted({t[2:] for t in distinct if t.startswith(("B-", "I-")) and t[2:]}))
+        types = {t[2:] for t in distinct if t.startswith(("B-", "I-"))}
+        vocab = TagVocabulary(sorted(t for t in types if t == t.strip() != ""))
     table = {t: vocab._code.get(t, -1) for t in distinct}
     codes = np.fromiter(map(table.__getitem__, tags), dtype=np.int64, count=len(tags))
 
@@ -414,15 +437,18 @@ class Gazetteer:
             types = tuple(t.strip() for t in types.split(","))
             if "" in types:
                 raise ConllFormatError(f"line {lineno}: empty entity type in {line!r}")
+            repeated = [t for i, t in enumerate(types) if t in types[:i]]
+            if repeated:
+                raise ConllFormatError(f"line {lineno}: repeated type {repeated[0]!r} in {line!r}")
             surface = tuple(surface.split())
             if surface in entries:
                 raise ConllFormatError(f"line {lineno}: repeated surface {' '.join(surface)!r}")
             entries[surface] = types
         return cls(entries)
 
-    def _longest_matches(self, tokens, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(begin, length, surface number) of the longest surface that starts at each
-        position of `tokens`, where one does, sorted by begin.
+    def taken_matches(self, tokens, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(begin, length, surface number) of the matches annotate_corpus takes in `tokens`,
+        sorted by begin: the longest surface at each position no taken match, applied or not, covers.
 
         Sentence i is tokens[offsets[i]:offsets[i + 1]], and no match crosses
         a sentence end. Surfaces are numbered in the order of `entries`.
@@ -448,8 +474,45 @@ class Gazetteer:
             ends = surface[node[live]]
             length[live[ends >= 0]] = depth + 1
             found[live[ends >= 0]] = ends[ends >= 0]
-        match = length > 0
-        return begin[match], length[match], found[match]
+        begin, length, found = (a[length > 0] for a in (begin, length, found))
+        # a match that no earlier match reaches is taken, so only the others are decided one by one
+        end, taken = begin + length, np.ones(len(begin), dtype=bool)
+        for k in (np.flatnonzero(begin[1:] < np.maximum.accumulate(end)[:-1]) + 1).tolist():
+            j = k - 1  # the last match taken before k, whose end is the furthest
+            while not taken[j]:
+                j -= 1
+            taken[k] = begin[k] >= end[j]
+        return begin[taken], length[taken], found[taken]
+
+
+def draw_matches(gaz: Gazetteer, which, coverage: float, ambiguity_rule: str, rng) -> tuple:
+    """annotate_corpus's draws for taken matches of the surfaces numbered `which`: whether
+    each is applied, and the number of the type picked for it. rng.random(k) draws what k
+    calls of rng.random() draw, so only an ambiguous match's integers() ends a run."""
+    kinds = gaz._kinds[which]
+    draw, pick, drawn = np.empty(len(kinds)), np.zeros(len(kinds), dtype=np.int64), 0
+    if ambiguity_rule == "random":
+        for k in np.flatnonzero(kinds > 1).tolist():
+            draw[drawn : k + 1] = rng.random(k + 1 - drawn)
+            drawn = k + 1
+            if draw[k] < coverage:
+                pick[k] = rng.integers(kinds[k])
+    draw[drawn:] = rng.random(len(kinds) - drawn)
+    return draw < coverage, pick
+
+
+def tag_matches(size: int, matches, applied, pick, gaz: Gazetteer, vocab: TagVocabulary) -> np.ndarray:
+    """int64 tags of `size` tokens: O but where draw_matches applied a taken match."""
+    begin, length, which = (a[applied] for a in matches)
+    chosen = [gaz._types[s][p] for s, p in zip(which.tolist(), pick[applied].tolist())]
+    # vocab.b_code raises for a type the vocabulary lacks, at its first use as before
+    b_code = {t: vocab.b_code(t) for t in dict.fromkeys(chosen)}
+    code = np.fromiter(map(b_code.__getitem__, chosen), dtype=np.int64, count=len(chosen))
+    inside = np.arange(length.sum()) + np.repeat(begin - np.cumsum(length) + length, length)
+    tags = np.zeros(size, dtype=np.int64)
+    tags[inside] = np.repeat(code + 1, length)  # I-t throughout, then B-t at each begin
+    tags[begin] = code
+    return tags
 
 
 def annotate_corpus(
@@ -474,38 +537,9 @@ def annotate_corpus(
         rng = np.random.default_rng(0)
     if ambiguity_rule not in ("first", "random"):
         raise ValueError(f"unknown ambiguity rule {ambiguity_rule!r}")
-    begin, length, which = gaz._longest_matches(tokens, offsets)
-    # a match is taken where no taken match, applied or not, covers its start; one that
-    # no earlier match reaches is taken, so only the others are decided one by one
-    end, taken = begin + length, np.ones(len(begin), dtype=bool)
-    for k in (np.flatnonzero(begin[1:] < np.maximum.accumulate(end)[:-1]) + 1).tolist():
-        j = k - 1  # the last match taken before k, whose end is the furthest
-        while not taken[j]:
-            j -= 1
-        taken[k] = begin[k] >= end[j]
-    begin, length, which = begin[taken], length[taken], which[taken]
-    # rng.random(k) draws what k calls of rng.random() draw, so only the integers()
-    # of an ambiguous match ends a run of random() draws
-    draw, pick, drawn = np.empty(len(begin)), np.zeros(len(begin), dtype=np.int64), 0
-    if ambiguity_rule == "random":
-        kinds = gaz._kinds[which]
-        for k in np.flatnonzero(kinds > 1).tolist():
-            draw[drawn : k + 1] = rng.random(k + 1 - drawn)
-            drawn = k + 1
-            if draw[k] < coverage:
-                pick[k] = rng.integers(kinds[k])
-    draw[drawn:] = rng.random(len(begin) - drawn)
-    applied = draw < coverage
-    chosen = [gaz._types[s][p] for s, p in zip(which[applied].tolist(), pick[applied].tolist())]
-    # vocab.b_code raises for a type the vocabulary lacks, at its first use as before
-    b_code = {t: vocab.b_code(t) for t in dict.fromkeys(chosen)}
-    code = np.fromiter(map(b_code.__getitem__, chosen), dtype=np.int64, count=len(chosen))
-    begin, length = begin[applied], length[applied]
-    inside = np.arange(length.sum()) + np.repeat(begin - np.cumsum(length) + length, length)
-    tags = np.zeros(len(tokens), dtype=np.int64)
-    tags[inside] = np.repeat(code + 1, length)  # I-t throughout, then B-t at each begin
-    tags[begin] = code
-    return tags
+    matches = gaz.taken_matches(tokens, offsets)
+    applied, pick = draw_matches(gaz, matches[2], coverage, ambiguity_rule, rng)
+    return tag_matches(len(tokens), matches, applied, pick, gaz, vocab)
 
 
 def distant_annotate(

@@ -224,7 +224,7 @@ _FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all
 
 
 def _can_fork() -> bool:
-    """Whether network 2 should train in a forked child: the platform can
+    """Whether `_Peer` should run part 2 in a forked child: the platform can
     fork, this process may run on more than one CPU, it is no daemonic
     worker (which may start no process), and it runs no other thread (whose
     held locks the child would inherit held)."""
@@ -247,7 +247,7 @@ def _cpu() -> int | None:
 
 
 def _serve(conn, parent_end, run, parent_cpu) -> None:
-    """The child's loop: network 2 on each segment received, until the pipe
+    """The child's loop: part 2 of each segment received, until the pipe
     closes or a segment fails."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C and ends this process
     parent_end.close()
@@ -272,23 +272,23 @@ def _serve(conn, parent_end, run, parent_cpu) -> None:
 
 
 class _Peer:
-    """How the two networks run.
+    """How two parts of the work run: the two networks, or two parts of a corpus.
 
-    `run(k, segment)` trains network k over one segment, does network k's
-    share of the work where the segment ends, and returns what it made
-    (its reply) and its first failure, `(serial position, exception)`,
-    or None. `both(segment)` runs network 1 here and network 2 in one
-    child, forked at the first call and kept for every later one, or,
-    where `_can_fork()` is false, here after network 1 has run the whole
-    segment. It raises the failure a serial run reaches first and returns
-    each network's reply. With `networks=1` it runs network 1 alone and
-    starts no child. Leaving the `with` block ends the child.
+    `run(k, segment)` does part k's share of one segment of the work, such as
+    network k's steps over its batches, and returns what it made (its reply)
+    and its first failure, `(serial position, exception)`, or None.
+    `both(segment)` runs part 1 here and part 2 in one child, forked at the
+    first call and kept for every later one, or, where `_can_fork()` is
+    false, here after part 1 has run the whole segment. It raises the failure
+    a serial run reaches first, or ChildProcessError naming `child` if the
+    child dies, and returns each part's reply. With `parts=1` it runs part 1
+    alone and starts no child. Leaving the `with` block ends the child.
     """
 
-    def __init__(self, run, networks: int = 2):
-        self.run, self.networks = run, networks
+    def __init__(self, run, parts: int = 2, child: str = "network 2"):
+        self.run, self.parts, self.child = run, parts, child
         self.conn = self.process = None
-        self.forks = networks == 2 and _can_fork()
+        self.forks = parts == 2 and _can_fork()
 
     def both(self, segment) -> list[list]:
         if self.forks:
@@ -310,7 +310,7 @@ class _Peer:
                 replies.append(self.conn.recv())
             except (EOFError, ConnectionError):
                 raise self._exited() from None
-        elif self.networks == 2:
+        elif self.parts == 2:
             replies.append(self.run(2, segment))
         failures = [failure for _, failure in replies if failure is not None]
         if failures:
@@ -320,7 +320,7 @@ class _Peer:
     def _exited(self) -> ChildProcessError:
         self.process.join()
         return ChildProcessError(
-            f"network 2's process exited with code {self.process.exitcode} without replying"
+            f"{self.child}'s process exited with code {self.process.exitcode} without replying"
         )
 
     def __enter__(self) -> "_Peer":
@@ -573,7 +573,7 @@ def train(
     record(0, evaluate_models(state.models(), dev, vocab, "at step 0"))
     if epoch_callback is not None:
         epoch_callback(0, state)
-    with _Peer(run, networks=1 if single else 2) as peer:
+    with _Peer(run, parts=1 if single else 2) as peer:
         for epoch in range(1, config.max_epochs + 1):
             batches = list(_batches(rng.permutation(len(corpus)), config.batch_size))
             while batches:  # segments end at a rewrite or at the epoch's end

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdl.cli as cli
+import scdl.corpus as corpus_mod
+import scdl.training as training
 from scdl.cli import main
 from scdl.corpus import (
     AnnotatedSentence,
@@ -195,17 +197,19 @@ def test_failing_program_prints_only_its_error_line(tmp_path, repro, code):
         ("train", "corpus", "line 4: unknown tag 'B-'"),
         ("eval", "corpus", "line 4: unknown tag 'B-'"),
         ("annotate", "gazetteer", "line 2: repeated surface 'per0'"),
+        ("annotate", "types", "line 1: repeated type 'PER' in 'per0\\tPER, PER'"),
     ],
 )
 def test_unreadable_input_prints_its_line(tmp_path, command, bad, error):
     """Run as a program, a command whose corpus holds a tag of no type, or
-    `annotate` with a gazetteer that lists a surface twice, exits 1 with one
-    `error:` line that names the input line."""
+    `annotate` with a gazetteer that lists a surface twice or a type twice on
+    one line, exits 1 with one `error:` line that names the input line."""
     vocab = default_vocab()
     gold, typeless, gazetteer = tmp_path / "gold.conll", tmp_path / "typeless.conll", tmp_path / "gaz.tsv"
     gold.write_text(write_conll(make_synthetic_corpus(8, vocab, seed=3), vocab, "gold"))
     typeless.write_text("loc1\tB-LOC\nw0\tO\n\nper0\tB-\n")
-    gazetteer.write_text("per0\tPER\nper0\tLOC\n" if bad == "gazetteer" else "per0\tPER\n")
+    bad_gazetteers = {"gazetteer": "per0\tPER\nper0\tLOC\n", "types": "per0\tPER, PER\n"}
+    gazetteer.write_text(bad_gazetteers.get(bad, "per0\tPER\n"))
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(init_params(TaggerConfig(num_tags=vocab.size, vocab_hash_buckets=64)), ckpt)
     corpus, out = str(typeless if bad == "corpus" else gold), str(tmp_path / "out")
@@ -1080,6 +1084,49 @@ class TestEvalCmd:
         corpus.write_text(text)
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
         assert capsys.readouterr().err == f"error: empty corpus: {corpus}\n"
+
+    @pytest.mark.parametrize("when", ["read_conll", "evaluate_models"])
+    def test_killed_part_2_process_exits_1(self, workspace, capsys, monkeypatch, when):
+        """Cut into two parts, `scdl eval` whose child dies as it reads part 2, or
+        as it scores it, exits 1 with one error line naming the exit code."""
+        if not training._can_fork():
+            pytest.skip("part 2 is read in the caller here")
+        pid, original = os.getpid(), getattr(cli, when)
+
+        def dying(*args, **kwargs):
+            if os.getpid() != pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, when, dying)
+        monkeypatch.setattr(corpus_mod, "SPLIT_SIZE", 0)
+        ckpt = workspace["dir"] / "m.ckpt"
+        save_checkpoint(init_params(TaggerConfig(num_tags=default_vocab().size)), ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(workspace["gold"])]) == 1
+        assert capsys.readouterr().err == "error: part 2's process exited with code -9 without replying\n"
+        assert not multiprocessing.active_children()
+
+
+def test_parts_in_one_process_give_the_same_bytes(workspace, capsys, monkeypatch):
+    """`scdl annotate` and `eval` cut into two parts print and write what they do
+    on the whole corpus, with part 2 in a child or, where the caller cannot fork,
+    in the caller after part 1."""
+    ckpt, gazetteer, distant = (workspace["dir"] / name for name in ("m.ckpt", "gaz.tsv", "d.conll"))
+    save_checkpoint(init_params(TaggerConfig(num_tags=default_vocab().size)), ckpt)
+    gazetteer.write_text("per0\tPER\nper1\tPER,LOC\nloc0 loc1\tLOC,PER\n")
+    corpus, can_fork, outputs = str(workspace["gold"]), training._can_fork(), []
+    for size, forks in ((1 << 40, can_fork), (0, can_fork), (0, False)):
+        monkeypatch.setattr(corpus_mod, "SPLIT_SIZE", size)
+        monkeypatch.setattr(training, "_can_fork", lambda forks=forks: forks)
+        codes = [
+            main(["annotate", "--corpus", corpus, "--gazetteer", str(gazetteer), "--rule", "random",
+                  "--coverage", "0.7", "--seed", "5", "--out", str(distant)]),
+            main(["eval", "--checkpoint", str(ckpt), "--corpus", corpus]),
+        ]
+        files = [distant.read_bytes(), Path(f"{distant}.summary.json").read_bytes()]
+        outputs.append((codes, capsys.readouterr(), files))
+    assert outputs[0][0] == [0, 0]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestAblateCmd:

@@ -1,4 +1,6 @@
+import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from scdl.corpus import (
     read_conll,
     repair_bio,
     spans_from_bio,
+    split_conll,
     unflatten,
     write_conll,
 )
@@ -82,6 +85,12 @@ class TestBioValidation:
         with pytest.raises(BioValidationError, match="^token 1: I-LOC") as info:
             bio_spans([1, 4], vocab)  # B-PER then I-LOC
         assert info.value.index == 1
+
+    def test_survives_pickling(self):
+        """A forked process sends it to the caller: its message and index come back."""
+        error = BioValidationError("line 3: token 1: I-PER does not continue an entity", 1)
+        again = pickle.loads(pickle.dumps(error))
+        assert (type(again), str(again), again.index) == (BioValidationError, str(error), 1)
 
     def test_repair_fixes_illegal_i(self, vocab):
         assert repair_bio([2], vocab).tolist() == [1]
@@ -305,6 +314,16 @@ class TestConll:
         with pytest.raises(ConllFormatError, match=f"^line {line}: unknown tag '{tag}'$"):
             read_conll(text)
 
+    @pytest.mark.parametrize(
+        "text, line, tag",
+        [("a\tB-PER \nb\tO\n\nc\tB-PER\n", 1, "B-PER "), ("a\tO\nb\tB- PER\n", 2, "B- PER")],
+    )
+    def test_spaced_type_is_unknown(self, text, line, tag):
+        """A type is inferred only where it has no leading or trailing whitespace,
+        as Gazetteer.parse strips each type: 'PER ' would be a second PER."""
+        with pytest.raises(ConllFormatError, match=f"^line {line}: unknown tag '{tag}'$"):
+            read_conll(text)
+
 
 def infer_vocab_loop(text):
     """read_conll's inferred vocabulary as a loop over the lines: the reference."""
@@ -313,7 +332,7 @@ def infer_vocab_loop(text):
         if not line.strip():
             continue
         _, _, tag = line.partition("\t")
-        if tag.startswith(("B-", "I-")) and tag[2:]:
+        if tag.startswith(("B-", "I-")) and tag[2:] and tag[2:] == tag[2:].strip():
             types.add(tag[2:])
     return TagVocabulary(sorted(types))
 
@@ -439,6 +458,46 @@ def plain_conll_texts(draw):
         lines[i] = PLAIN_FLAWS[flaw](lines[i])
     text = "".join(line + brk for line, brk in zip(lines, breaks))
     return (text[:-1] if flaw == "no final newline" else text), flaw
+
+
+def read_in_parts(parts, vocab):
+    """read_conll of each of split_conll's parts from its first line: the first
+    error, or the parts' tokens, codes and offsets laid end to end."""
+    tokens, codes, offsets = [], [], [np.zeros(1, dtype=np.int64)]
+    for part, first_line in parts:
+        got = outcome(read_conll, part, vocab, first_line)
+        if isinstance(got[0], type):
+            return got
+        offsets.append(got[2][1:] + len(tokens))
+        tokens += got[0]
+        codes.append(got[1])
+    return tokens, np.concatenate(codes), np.concatenate(offsets), vocab
+
+
+class TestSplit:
+    def test_a_short_text_is_one_part(self):
+        assert split_conll(CONLL_SAMPLE) == [(CONLL_SAMPLE, 1)]
+
+    def test_cut_after_the_first_blank_line_past_the_middle(self):
+        text = "a\tO\r\nb\tO\r\n\nc\tO\x85\n\r\nd\tO\n"  # lines: 2 token, blank, token, blank, blank, token
+        with mock.patch.object(corpus_module, "SPLIT_SIZE", 0):
+            assert split_conll(text) == [("a\tO\r\nb\tO\r\n\nc\tO\x85\n\r\n", 1), ("d\tO\n", 7)]
+            assert split_conll("a\tO\n\nb\tO\nc\tO\nd\tO\n") == [("a\tO\n\nb\tO\nc\tO\nd\tO\n", 1)]
+
+    @given(conll_texts())
+    @settings(max_examples=200)
+    @example("a\tO\nb\tO\nc\tO\n\nd\tI-PER\n")  # a BIO break in part 2
+    @example("a\tX\nb\tO\nc\tO\n\nd\n")  # an unknown tag in part 1, a malformed line in part 2
+    def test_parts_read_as_the_whole(self, text):
+        """The parts make up the text, each starts at its line number in it, and read
+        in order they give what the text gives, or the error it raises."""
+        with mock.patch.object(corpus_module, "SPLIT_SIZE", 0):
+            parts = split_conll(text)
+        assert "".join(part for part, _ in parts) == text
+        starts = [len("".join(part for part, _ in parts[:k]).splitlines()) + 1 for k in range(len(parts))]
+        assert [first_line for _, first_line in parts] == starts
+        vocab = TagVocabulary(["PER", "LOC"])
+        assert repr(read_in_parts(parts, vocab)) == repr(outcome(read_conll, text, vocab))
 
 
 class TestFlatReader:
@@ -571,6 +630,14 @@ class TestGazetteer:
             Gazetteer.parse("per0\tPER\nper0\tLOC\n")
         with pytest.raises(ConllFormatError, match="^line 3: repeated surface 'new york'$"):
             Gazetteer.parse("new york\tLOC\nparis\tLOC\n new  york \tORG\n")
+
+    def test_repeated_type_names_line(self):
+        """A type listed twice for one surface, compared after stripping, would be
+        picked twice as often under --rule random."""
+        with pytest.raises(ConllFormatError, match=r"^line 1: repeated type 'PER' in 'per0\\tPER,PER,LOC'$"):
+            Gazetteer.parse("per0\tPER,PER,LOC\n")
+        with pytest.raises(ConllFormatError, match="^line 2: repeated type 'LOC' in "):
+            Gazetteer.parse("paris\tLOC\nrome\tLOC, ORG,LOC \n")
 
 
 class TestDistantAnnotate:

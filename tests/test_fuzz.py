@@ -2,7 +2,8 @@
 never raises, and a config file raises only ValueError. Tiny corpora under extreme
 valid configs: `scdl train` exits 0 or 2, leaves only complete files and reruns
 byte for byte. Each of the seven commands run as a program, on such input and with
-a missing input or a file in the way of its output, keeps README's stderr contract."""
+a missing input or a file in the way of its output, keeps README's stderr contract.
+`scdl eval` and `annotate` give the same outputs on a corpus read whole or in two parts."""
 
 import contextlib
 import dataclasses
@@ -12,12 +13,14 @@ import tempfile
 import warnings
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scdl.corpus as corpus_mod
 import scdl.training as training
 from scdl.cli import main
 from scdl.corpus import AnnotatedSentence, inject_noise, parse_conll, read_conll, write_conll
@@ -165,6 +168,7 @@ def conll_bytes():
 @example(b"\xff\xfe\tO\n")
 @example(b"per0\tB-PER\nper1\tO\r\n\nloc2\tB-LOC\n")  # plain but for one \r
 @example(b"per0\tB-\n")  # a typeless tag
+@example(b"a\tB-PER \nb\tO\n\nc\tB-PER\n")  # a type with a trailing space
 def test_garbled_conll(inputs, raw):
     directory, _, ckpt = inputs
     corpus, model = directory / "garbled.conll", directory / "model.ckpt"
@@ -180,13 +184,55 @@ def test_garbled_conll(inputs, raw):
                          "--rule", "random", "--coverage", "0.5", "--out", str(distant)])
         injected = run(["inject", "--corpus", str(corpus), "--k", "50", "--out", str(noisy)])
     assert annotated in (0, 1) and injected in (0, 1)
-    # what a command that exits 0 wrote reads back with no empty entity type
+    # what a command that exits 0 wrote reads back with no empty or spaced entity type
     for rc, out in ((annotated, distant), (injected, noisy)):
         if rc == 0:
-            assert "" not in read_conll(out.read_text(encoding="utf-8"))[3].entity_types
+            types = read_conll(out.read_text(encoding="utf-8"))[3].entity_types
+            assert all(t == t.strip() != "" for t in types)
     if injected == 0:
         rows = Path(f"{noisy}.alterations.tsv").read_text(encoding="utf-8").splitlines()
         assert all(row.split("\t")[3] and row.split("\t")[4] for row in rows)
+
+
+def outcome(argv, *outputs) -> tuple:
+    """Exit code, stdout and stderr of `main(argv)`, and the bytes of each output
+    file it wrote, or None."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+        rc = main(argv)
+    return rc, stdout.getvalue(), stderr.getvalue(), [p.read_bytes() if p.exists() else None for p in outputs]
+
+
+@given(conll_bytes())
+@settings(max_examples=100, deadline=None)
+@example(b"per0\tB-PER\nper1\tO\nw1\tO\n\nloc2\tB-LOC\nbad line\n")  # part 2: a malformed line
+@example(b"per0\tB-PER\nper1\tO\nw1\tO\n\nloc2\tB-LOC\nw0\tB-XYZ\n")  # part 2: an unknown tag
+@example(b"per0\tB-PER\nper1\tO\nw1\tO\n\nw0\tO\nloc2\tI-LOC\n")  # part 2: a BIO break
+@example(b"per0\tB-PER\nper1\tX\nw1\tO\n\nloc2\tI-LOC\nw0\n")  # both parts
+@example(b"per0\tB-PER\nper1\tO\nw1\tO\n\nloc2\tB-LOC\nper1\tB-LOC\n")  # no error
+def test_parts_read_as_the_whole(inputs, raw):
+    """`scdl eval` and `annotate` cut into two parts at any size (split_conll) give
+    the exit code, stdout, stderr and output bytes they give on the whole text."""
+    directory, _, ckpt = inputs
+    corpus, model = directory / "parts.conll", directory / "model.ckpt"
+    corpus.write_bytes(raw)
+    model.write_bytes(ckpt)
+    gazetteer = directory / "gaz.tsv"
+    gazetteer.write_text("per0\tPER\nper1 loc2\tLOC,PER\nper1\tPER,LOC\n")
+    distant = directory / "parts_distant.conll"
+    commands = [
+        (["eval", "--checkpoint", str(model), "--corpus", str(corpus)], []),
+        (["annotate", "--corpus", str(corpus), "--gazetteer", str(gazetteer), "--rule", "random",
+          "--coverage", "0.5", "--seed", "3", "--out", str(distant)],
+         [distant, Path(f"{distant}.summary.json")]),
+    ]
+    results = []
+    for size in (0, 1 << 40):
+        with mock.patch.object(corpus_mod, "SPLIT_SIZE", size):
+            results.append([outcome(argv, *outputs) for argv, outputs in commands])
+    assert results[0] == results[1]
 
 
 config_keys = st.sampled_from([f.name for f in dataclasses.fields(ScdlConfig)] + ["bogus", "", "#x"])

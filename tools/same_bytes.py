@@ -6,17 +6,19 @@
 Exports REV's `src/` with `git archive` (no network needed) and writes the
 benchmark's inputs once, from `perfbench/inputs.py` and `workloads.py`. Then,
 for each tree, seed (0 and 7) and schedule (forked, and under `taskset -c 0`,
-where network 2 trains after network 1 in one process), it runs `scdl train`
-(update_cycle 250 and 25, 25 with student_word_dropout=0.25, where the
-students move off their teachers, and 25 with net2_window=2, where the
-networks' window tables differ), `pretrain`, `ablate`, `sweep`
-(k=40 on the test split), `annotate`, `inject` and `eval` of every
-`best.ckpt`, each in a fresh process with BLAS pinned to one thread. It
-compares exit codes, stdout, stderr and the sha256 of every output file,
-names every difference of the first seed and schedule that has any, with
-the largest absolute element difference of each block of a differing
-checkpoint, and exits 1. Compare trees on one host only: OpenBLAS picks its
-kernels per CPU.
+where network 2 trains after network 1 in one process, and a corpus's second
+part is read after its first), it runs `scdl train` (update_cycle 250 and 25,
+25 with student_word_dropout=0.25, where the students move off their
+teachers, and 25 with net2_window=2, where the networks' window tables
+differ), `pretrain`, `ablate`, `sweep` (k=40 on the test split), `annotate`,
+`inject`, and `eval` of every `best.ckpt` on the test split and of
+`train250`'s on the held-out corpus, which `annotate` reads too and which
+both read in two parts. Each runs in a fresh process with BLAS pinned to
+one thread. It compares exit codes, stdout, stderr and the sha256 of every
+output file, names every difference of the first seed and schedule that has
+any, with the largest absolute element difference of each block of a
+differing checkpoint, and exits 1. Compare trees on one host only: OpenBLAS
+picks its kernels per CPU.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ def commands(inp: str, seed: int) -> list[list[str]]:
 
 
 def run_tree(src: Path, run_dir: Path, seed: int, prefix: list[str]) -> tuple[list, dict]:
-    """Each command, then `eval` of each `best.ckpt` on the test split, in a
-    fresh process; (command, exit code, stdout, stderr) of each, and the
-    sha256 of every file written, by path."""
+    """Each command, then `eval` of each `best.ckpt` on the test split and of
+    `train250`'s on `tagged.conll`, in a fresh process; (command, exit code,
+    stdout, stderr) of each, and the sha256 of every file written, by path."""
     run_dir.mkdir(parents=True)
     env = {**os.environ, **BLAS_PIN, "PYTHONPATH": str(src)}
     inp = f"../inputs/seed{seed}"
@@ -110,6 +112,7 @@ def run_tree(src: Path, run_dir: Path, seed: int, prefix: list[str]) -> tuple[li
         scdl(argv)
     for ckpt in sorted(run_dir.glob("out/**/best.ckpt")):
         scdl(["eval", "--checkpoint", ckpt.relative_to(run_dir).as_posix(), "--corpus", f"{inp}/test.conll"])
+    scdl(["eval", "--checkpoint", "out/train250/best.ckpt", "--corpus", f"{inp}/tagged.conll"])
     files = {
         path.relative_to(run_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(run_dir.rglob("*"))
